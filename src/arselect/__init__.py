@@ -17,6 +17,7 @@ from .errors import (
     NonPositiveVarianceError,
     NonStationaryError,
     NoValidStartError,
+    NumericalError,
     OutOfDomainError,
     SingularGammaError,
     SingularMomentError,
@@ -24,6 +25,7 @@ from .errors import (
     SubsetTooLargeError,
     TooFewObservationsError,
     UnderspecifiedOrderError,
+    ValidationError,
     ZeroLeadCoefficientError,
 )
 from .estimation import (
@@ -32,10 +34,9 @@ from .estimation import (
     fit_direct,
     fit_one_step,
     fit_plugin,
-    ls_fit,
+    forecast,
     masked_fit_direct,
     masked_fit_plugin,
-    predict,
     predict_with,
     sample_moment,
     sequential_fitter,
@@ -69,19 +70,16 @@ from .theory import (
     ArModel,
     AutocovarianceTable,
     DriftResult,
-    HorizonTheory,
     LossTable,
     MaCoefficients,
     autocovariances,
     companion_matrix,
     direct_excess_constant,
     h_step_order,
-    horizon_theory,
     horizon_variance,
     iterate_plugin_coeffs,
     loss_table,
     ma_coefficients,
-    monotonicity_condition,
     optimal_candidates,
     optimal_direct_coeffs,
     plugin_excess_constant,

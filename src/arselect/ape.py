@@ -22,6 +22,7 @@ from .errors import LengthMismatchError, NoValidStartError
 from .estimation import (
     Series,
     _CrossProducts,
+    _resolve_candidate,
     prefix_direct_solutions,
     prefix_plugin_solutions,
     prefix_predictions,
@@ -50,22 +51,6 @@ class ApeResult:
     ape: float
     n: int
     step_errors: np.ndarray | None = None
-
-
-def _resolve_candidate(candidate) -> tuple[tuple[int, ...], int, int | tuple[int, ...]]:
-    """Return (offsets, plug-in embed length, normalized label)."""
-    if isinstance(candidate, (int, np.integer)):
-        k = int(candidate)
-        if k < 1:
-            raise ValueError("order must be >= 1")
-        return tuple(range(k)), k, k
-    bits = tuple(int(b) for b in candidate)
-    if not bits or any(b not in (0, 1) for b in bits):
-        raise ValueError("mask must be a nonempty sequence of 0/1 flags")
-    offsets = tuple(i for i, b in enumerate(bits) if b)
-    if not offsets:
-        raise ValueError("mask must flag at least one lag")
-    return offsets, len(bits), bits
 
 
 def start_index(series: Series, h: int, max_order: int) -> int:
@@ -113,9 +98,10 @@ def start_index(series: Series, h: int, max_order: int) -> int:
 
 def _accumulate(series: Series, h: int, candidate, start: int,
                 method: Method, keep_steps: bool) -> ApeResult:
-    offsets, embed_dim, label = _resolve_candidate(candidate)
+    lags, embed_dim, label = _resolve_candidate(candidate)
+    offsets = tuple(lag - 1 for lag in lags)
     n = series.n
-    max_lag = offsets[-1] + 1
+    max_lag = lags[-1]
     if start < h + max_lag:
         raise ValueError(
             f"start {start} is before the first well-defined fit "

@@ -24,28 +24,11 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import (
-    ArSelectError,
-    DegenerateHorizonError,
-    InsufficientLagsError,
-    LengthMismatchError,
-    NonPositiveVarianceError,
-    NonStationaryError,
-    NoValidStartError,
-    OutOfDomainError,
-    SingularGammaError,
-    SingularMomentError,
-    SingularYuleWalkerError,
-    SubsetTooLargeError,
-    TooFewObservationsError,
-    UnderspecifiedOrderError,
-    ZeroLeadCoefficientError,
-)
-from .estimation import Series
+from .errors import NumericalError, UnderspecifiedOrderError, ValidationError
+from .estimation import Series, forecast
 from .methods import Method
 from .montecarlo import (
     REFERENCE_RATIOS,
-    _candidate_forecast,
     check_ratios,
     mc_mspe,
     replicate_table1,
@@ -66,26 +49,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 EXIT_CHECK = 4
-
-# Invalid requests (exit 2) versus valid requests the data defeats (exit 3).
-_VALIDATION_ERRORS = (
-    NonStationaryError,
-    ZeroLeadCoefficientError,
-    NonPositiveVarianceError,
-    OutOfDomainError,
-    UnderspecifiedOrderError,
-    SubsetTooLargeError,
-    DegenerateHorizonError,
-)
-_NUMERICAL_ERRORS = (
-    SingularYuleWalkerError,
-    SingularGammaError,
-    InsufficientLagsError,
-    TooFewObservationsError,
-    SingularMomentError,
-    NoValidStartError,
-    LengthMismatchError,
-)
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +79,8 @@ def _model_from(args: argparse.Namespace) -> ArModel:
 
 def _add_model_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--coeffs", type=_parse_coeffs, required=True,
-                        help="lag coefficients, newest first, e.g. 0.9,-0.81")
+                        help="lag coefficients, newest first, e.g. 0.9,-0.81 "
+                             "(write --coeffs=-0.5,0.2 if the first is negative)")
     parser.add_argument("--sigma2", type=float, default=1.0,
                         help="innovation variance (default 1.0)")
 
@@ -147,11 +111,14 @@ def read_series_csv(path: str) -> tuple[Series, np.ndarray | None]:
         if header is None or [c.strip() for c in header[:2]] != ["index", "x"]:
             raise ValueError(f"{path}: expected header 'index,x[,eps]'")
         has_eps = len(header) >= 3 and header[2].strip() == "eps"
+        width = 3 if has_eps else 2
         xs: list[float] = []
         eps: list[float] = []
         for row in reader:
             if not row:
                 continue
+            if len(row) < width:
+                raise ValueError(f"{path}: line {reader.line_num}: expected {width} fields")
             xs.append(float(row[1]))
             if has_eps:
                 eps.append(float(row[2]))
@@ -253,16 +220,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_select(args: argparse.Namespace) -> int:
     series, _ = read_series_csv(args.input)
     h, kmax = args.horizon, args.max_order
-    if args.subset:
-        result = subset_select(series, h, kmax)
-        candidate = result.mask.bits
-        window = kmax
-    else:
-        result = select_predictor(series, h, kmax)
-        candidate = result.order
-        window = None
-    forecast = _candidate_forecast(series.values, len(series.values), h,
-                                   candidate, result.method, window)
+    select = subset_select if args.subset else select_predictor
+    result = select(series, h, kmax)
+    candidate = result.order if result.mask is None else result.mask.bits
     audit = result.audit
     report = {
         "command": "select",
@@ -272,7 +232,7 @@ def cmd_select(args: argparse.Namespace) -> int:
         "method": result.method,
         "order": result.order,
         "mask": list(result.mask.bits) if result.mask is not None else None,
-        "forecast": forecast,
+        "forecast": forecast(series, h, candidate, result.method),
         "audit": {
             "start_one_step": audit.start_one_step,
             "start": audit.start,
@@ -451,18 +411,15 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _VALIDATION_ERRORS as err:
+    except ValidationError as err:
         print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
         return EXIT_VALIDATION
-    except _NUMERICAL_ERRORS as err:
+    except NumericalError as err:
         print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
         return EXIT_NUMERICAL
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_VALIDATION
-    except ArSelectError as err:  # anything not classified above
-        print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
-        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -8,7 +8,8 @@ observations, which is what makes the accumulated-prediction-error
 statistics honest out-of-sample quantities.
 
 Two layers live here.  The public batch fits (:func:`fit_one_step`,
-:func:`fit_direct`, :func:`fit_plugin`) work on a whole series.  The
+:func:`fit_direct`, :func:`fit_plugin` and their lag-subset variants)
+work on a whole series, and :func:`forecast` applies them.  The
 prefix machinery (:class:`_CrossProducts` and the ``prefix_*`` helpers)
 evaluates the same least-squares problems for every prefix of the series
 at once, via cumulative sums of lagged cross products and a batched
@@ -37,9 +38,8 @@ __all__ = [
     "fit_one_step",
     "fit_direct",
     "fit_plugin",
-    "ls_fit",
-    "predict",
     "predict_with",
+    "forecast",
     "masked_fit_direct",
     "masked_fit_plugin",
     "sequential_fitter",
@@ -90,20 +90,49 @@ class LsFit:
 # batch (whole-series) fits
 
 
-def _window_matrix(values: np.ndarray, h: int, k: int) -> np.ndarray:
-    """Rows ``x_j(k)`` for j = k..n-h (newest observation first)."""
+def _order_lags(k: int) -> tuple[int, ...]:
+    """The lag set ``1..k`` of a dense order-k candidate."""
+    if k < 1:
+        raise ValueError("order must be >= 1")
+    return tuple(range(1, k + 1))
+
+
+def _normalize_lags(lags: Sequence[int]) -> tuple[int, ...]:
+    out = tuple(sorted(set(int(v) for v in lags)))
+    if not out:
+        raise ValueError("lag set must be nonempty")
+    if out[0] < 1:
+        raise ValueError("lags are one-based and must be >= 1")
+    return out
+
+
+def _resolve_candidate(candidate) -> tuple[tuple[int, ...], int, int | tuple[int, ...]]:
+    """(one-based lags, window width, label) of an order or a 0/1 mask."""
+    if isinstance(candidate, (int, np.integer)):
+        k = int(candidate)
+        return _order_lags(k), k, k
+    bits = tuple(int(b) for b in candidate)
+    if not bits or any(b not in (0, 1) for b in bits):
+        raise ValueError("mask must be a nonempty sequence of 0/1 flags")
+    lags = tuple(i + 1 for i, b in enumerate(bits) if b)
+    if not lags:
+        raise ValueError("mask must flag at least one lag")
+    return lags, len(bits), bits
+
+
+def _lag_window(series: Series, h: int, lags: tuple[int, ...]) -> tuple[np.ndarray, int]:
+    """Rows ``(x_{j+1-l})_{l in lags}`` for j = max(lags)..n-h, and their count."""
+    if h < 1:
+        raise ValueError("horizon must be >= 1")
+    values = series.values
     n = values.size
-    cols = [values[k - 1 - c: n - h - c] for c in range(k)]
-    return np.stack(cols, axis=1)
-
-
-def _check_window(n: int, h: int, k: int) -> int:
-    count = n - h - k + 1
+    j0 = lags[-1]
+    count = n - h - j0 + 1
     if count < 1:
-        raise TooFewObservationsError(
-            f"need at least {h + k} observations for horizon {h} and order {k}, "
-            f"have {n}")
-    return count
+        raise TooFewObservationsError(f"need at least {h + j0} observations for "
+                                      f"horizon {h} and max lag {j0}, have {n}")
+    cols = [values[j0 - lag: n - h - lag + 1] for lag in lags]
+    return np.stack(cols, axis=1), count
 
 
 def sample_moment(series: Series, h: int, k: int) -> np.ndarray:
@@ -111,72 +140,66 @@ def sample_moment(series: Series, h: int, k: int) -> np.ndarray:
 
     Exactly ``n - h - k + 1`` outer products enter the average.
     """
-    if h < 1 or k < 1:
-        raise ValueError("horizon and order must be >= 1")
-    count = _check_window(series.n, h, k)
-    window = _window_matrix(series.values, h, k)
+    window, count = _lag_window(series, h, _order_lags(k))
     return window.T @ window / count
 
 
-def _guarded_solve(moment: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
+def _guarded_solve(moment: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     cond = np.linalg.cond(moment)
     if not np.isfinite(cond) or cond > COND_GUARD:
         raise SingularMomentError(
-            f"{what}: moment matrix condition number {cond:.3e} exceeds guard")
+            f"moment matrix condition number {cond:.3e} exceeds guard")
     try:
         sol = np.linalg.solve(moment, rhs)
     except np.linalg.LinAlgError as exc:
-        raise SingularMomentError(f"{what}: {exc}") from exc
+        raise SingularMomentError(str(exc)) from exc
     residual = np.max(np.abs(moment @ sol - rhs))
     scale = (np.max(np.abs(moment)) * np.max(np.abs(sol), initial=0.0)
              + np.max(np.abs(rhs), initial=0.0))
     if scale > 0.0 and residual > TOL_LIN * scale:
         raise SingularMomentError(
-            f"{what}: normal-equation residual {residual:.3e} above tolerance")
+            f"normal-equation residual {residual:.3e} above tolerance")
     return np.atleast_1d(sol)
+
+
+def _fit(series: Series, h: int, lags: tuple[int, ...], width: int,
+         plugin: bool) -> np.ndarray:
+    """Whole-series fit on sorted one-based ``lags`` in a ``width``-lag window.
+
+    See :func:`masked_fit_direct` and :func:`masked_fit_plugin`; an order
+    k is the lag set ``1..k`` at width k.
+    """
+    if plugin:
+        one = _fit(series, 1, lags, width, False)
+        if len(lags) != width:
+            embedded = np.zeros(width)
+            embedded[[lag - 1 for lag in lags]] = one
+            one = embedded
+        return one if h == 1 else iterate_plugin_coeffs(one, h)
+    window, count = _lag_window(series, h, lags)
+    targets = series.values[lags[-1] + h - 1:]
+    moment = window.T @ window / count
+    rhs = window.T @ targets / count
+    try:
+        return _guarded_solve(moment, rhs)
+    except SingularMomentError as exc:
+        # Named here, so that fits that succeed never format the lag set.
+        raise SingularMomentError(f"direct fit h={h} lags={lags}: {exc}") from exc
 
 
 def fit_direct(series: Series, h: int, k: int) -> np.ndarray:
     """Direct h-step coefficients: regress ``x_{j+h}`` on ``x_j(k)``."""
-    if h < 1 or k < 1:
-        raise ValueError("horizon and order must be >= 1")
-    count = _check_window(series.n, h, k)
-    values = series.values
-    window = _window_matrix(values, h, k)
-    targets = values[k + h - 1:]
-    moment = window.T @ window / count
-    rhs = window.T @ targets / count
-    return _guarded_solve(moment, rhs, f"direct fit h={h} k={k}")
+    return _fit(series, h, _order_lags(k), k, False)
 
 
 def fit_one_step(series: Series, k: int) -> np.ndarray:
     """One-step coefficients; identical to the direct fit at horizon one."""
-    return fit_direct(series, 1, k)
+    return _fit(series, 1, _order_lags(k), k, False)
 
 
 def fit_plugin(series: Series, h: int, k: int) -> np.ndarray:
     """Plug-in h-step coefficients: iterate the one-step fit h-1 times."""
-    a_one = fit_one_step(series, k)
-    if h == 1:
-        return a_one
-    return iterate_plugin_coeffs(a_one, h)
-
-
-def ls_fit(series: Series, h: int, k: int) -> LsFit:
-    """Bundle moment matrix, one-step, plug-in and direct fits."""
-    count = _check_window(series.n, h, k)
-    a_one = fit_one_step(series, k)
-    a_plugin = a_one if h == 1 else iterate_plugin_coeffs(a_one, h)
-    a_direct = a_one if h == 1 else fit_direct(series, h, k)
-    return LsFit(
-        horizon=h,
-        order=k,
-        gamma_hat=sample_moment(series, h, k),
-        a_one_step=a_one,
-        a_plugin=a_plugin,
-        a_direct=a_direct,
-        n_used=count,
-    )
+    return _fit(series, h, _order_lags(k), k, True)
 
 
 def predict_with(series: Series, coeffs: np.ndarray) -> float:
@@ -190,33 +213,6 @@ def predict_with(series: Series, coeffs: np.ndarray) -> float:
     return float(lag @ coeffs)
 
 
-def predict(series: Series, fit: LsFit, method: Method) -> float:
-    """Forecast ``x_{n+h}`` with the plug-in or direct coefficients of a fit."""
-    vec = fit.a_plugin if Method(method) is Method.PLUGIN else fit.a_direct
-    return predict_with(series, vec)
-
-
-# ---------------------------------------------------------------------------
-# masked (subset-of-lags) batch fits
-
-
-def _normalize_lags(lags: Sequence[int]) -> tuple[int, ...]:
-    out = tuple(sorted(set(int(v) for v in lags)))
-    if not out:
-        raise ValueError("lag set must be nonempty")
-    if out[0] < 1:
-        raise ValueError("lags are one-based and must be >= 1")
-    return out
-
-
-def _masked_window(values: np.ndarray, h: int, lags: tuple[int, ...]) -> np.ndarray:
-    """Rows ``(x_{j+1-l})_{l in lags}`` for j = max(lags)..n-h."""
-    n = values.size
-    j0 = lags[-1]
-    cols = [values[j0 - lag: n - h - lag + 1] for lag in lags]
-    return np.stack(cols, axis=1)
-
-
 def masked_fit_direct(series: Series, h: int, lags: Sequence[int]) -> np.ndarray:
     """Direct h-step fit restricted to a subset of lags.
 
@@ -224,19 +220,8 @@ def masked_fit_direct(series: Series, h: int, lags: Sequence[int]) -> np.ndarray
     starting at the largest requested lag, so a contiguous lag set
     ``1..k`` reproduces :func:`fit_direct` exactly.
     """
-    if h < 1:
-        raise ValueError("horizon must be >= 1")
     lags = _normalize_lags(lags)
-    j0 = lags[-1]
-    count = series.n - h - j0 + 1
-    if count < 1:
-        raise TooFewObservationsError(
-            f"need at least {h + j0} observations for horizon {h} and max lag {j0}")
-    window = _masked_window(series.values, h, lags)
-    targets = series.values[j0 + h - 1:]
-    moment = window.T @ window / count
-    rhs = window.T @ targets / count
-    return _guarded_solve(moment, rhs, f"masked direct fit h={h} lags={lags}")
+    return _fit(series, h, lags, lags[-1], False)
 
 
 def masked_fit_plugin(series: Series, h: int, lags: Sequence[int],
@@ -251,12 +236,24 @@ def masked_fit_plugin(series: Series, h: int, lags: Sequence[int],
     lags = _normalize_lags(lags)
     if window_size < lags[-1]:
         raise ValueError("window_size must cover the largest lag")
-    one = masked_fit_direct(series, 1, lags)
-    embedded = np.zeros(window_size)
-    embedded[[lag - 1 for lag in lags]] = one
-    if h == 1:
-        return embedded
-    return iterate_plugin_coeffs(embedded, h)
+    return _fit(series, h, lags, window_size, True)
+
+
+def forecast(series: Series, h: int, candidate, method: Method) -> float:
+    """Forecast ``x_{n+h}`` from a fit of one candidate on the whole series.
+
+    ``candidate`` is an order k or a 0/1 mask over a lag window (newest
+    lag first).  A plug-in mask fit is applied to the full window, a
+    direct mask fit to the flagged lags only.
+    """
+    plugin = method == Method.PLUGIN
+    lags, width, label = _resolve_candidate(candidate)
+    coeffs = _fit(series, h, lags, width, plugin)
+    if plugin or isinstance(label, int):
+        return predict_with(series, coeffs)
+    # A gathered copy and the reversed window view round differently in
+    # the dot product; orders use the view, as predict_with does.
+    return float(series.values[::-1][[lag - 1 for lag in lags]] @ coeffs)
 
 
 # ---------------------------------------------------------------------------

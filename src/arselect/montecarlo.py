@@ -15,16 +15,8 @@ from typing import Sequence
 import numpy as np
 from scipy.signal import lfilter
 
-from .errors import (OutOfDomainError, SingularMomentError,
-                     TooFewObservationsError)
-from .estimation import (
-    Series,
-    fit_direct,
-    fit_plugin,
-    masked_fit_direct,
-    masked_fit_plugin,
-    predict_with,
-)
+from .errors import OutOfDomainError, SingularMomentError
+from .estimation import Series, _resolve_candidate, forecast
 from .methods import Method
 from .selection import SelectionResult, select_predictor, subset_select
 from .theory import (
@@ -145,34 +137,6 @@ class MspeEstimate:
     redraws: int
 
 
-def _candidate_forecast(values: np.ndarray, n: int, h: int, candidate,
-                        method: Method, window: int | None) -> float:
-    """Point forecast of x_{n+h} fitted on the first n observations."""
-    fit_series = Series(values[:n])
-    if isinstance(candidate, (int, np.integer)):
-        k = int(candidate)
-        coeffs = (fit_plugin(fit_series, h, k) if method is Method.PLUGIN
-                  else fit_direct(fit_series, h, k))
-        return predict_with(fit_series, coeffs)
-    bits = tuple(int(b) for b in candidate)
-    lags = tuple(i + 1 for i, b in enumerate(bits) if b)
-    size = len(bits) if window is None else window
-    if method is Method.PLUGIN:
-        coeffs = masked_fit_plugin(fit_series, h, lags, size)
-        lag_view = values[n - size: n][::-1]
-    else:
-        coeffs = masked_fit_direct(fit_series, h, lags)
-        lag_view = values[:n][::-1][[lag - 1 for lag in lags]]
-    return float(lag_view @ coeffs)
-
-
-def _candidate_error(values: np.ndarray, n: int, h: int, candidate,
-                     method: Method, window: int | None) -> float:
-    """Forecast error for x_{n+h} fitted on the first n observations."""
-    target = values[n + h - 1]
-    return target - _candidate_forecast(values, n, h, candidate, method, window)
-
-
 def mc_mspe(model: ArModel, h: int, candidate, method: Method, n: int,
             reps: int, seed, burn_in: int = DEFAULT_BURN_IN,
             dist: str = "normal", df: float | None = None) -> MspeEstimate:
@@ -181,7 +145,8 @@ def mc_mspe(model: ArModel, h: int, candidate, method: Method, n: int,
     Each replication simulates ``n + h`` observations, fits on the first
     ``n``, and scores the forecast of the last one.  A replication whose
     fit is numerically singular is redrawn from a fresh substream at
-    most three times before giving up.
+    most three times before giving up; a series too short for the
+    candidate is a configuration error and raises at once.
     """
     if reps < 2:
         raise ValueError("reps must be >= 2")
@@ -192,10 +157,11 @@ def mc_mspe(model: ArModel, h: int, candidate, method: Method, n: int,
         for attempt in range(4):
             path = simulate(model, n + h, seed=(seed, rep, attempt),
                             burn_in=burn_in, dist=dist, df=df)
+            values = path.series.values
             try:
-                err = _candidate_error(path.series.values, n, h, candidate,
-                                       method, None)
-            except (SingularMomentError, TooFewObservationsError):
+                err = values[n + h - 1] - forecast(Series(values[:n]), h,
+                                                   candidate, method)
+            except SingularMomentError:
                 if attempt == 3:
                     raise
                 redraws += 1
@@ -204,11 +170,9 @@ def mc_mspe(model: ArModel, h: int, candidate, method: Method, n: int,
             break
     mean = float(sq.mean())
     std_error = float(sq.std(ddof=1)) / math.sqrt(reps)
-    label = candidate if isinstance(candidate, (int, np.integer)) \
-        else tuple(int(b) for b in candidate)
-    return MspeEstimate(horizon=h, candidate=label, method=method, n=n,
-                        reps=reps, mean=mean, std_error=std_error,
-                        redraws=redraws)
+    return MspeEstimate(horizon=h, candidate=_resolve_candidate(candidate)[2],
+                        method=method, n=n, reps=reps, mean=mean,
+                        std_error=std_error, redraws=redraws)
 
 
 # ---------------------------------------------------------------------------
@@ -268,12 +232,11 @@ def replicate_table1(n: int = 300, reps: int = 20000, seed: int = 0,
                                 burn_in=burn_in)
                 values = path.series.values
                 cond_mean = float(cond_coeffs @ values[n - p: n][::-1])
+                fit_series = Series(values[:n])
                 try:
-                    d_hat = _candidate_forecast(values, n, h, 1,
-                                                Method.DIRECT, None)
-                    p_hat = _candidate_forecast(values, n, h, 2,
-                                                Method.PLUGIN, None)
-                except (SingularMomentError, TooFewObservationsError):
+                    d_hat = forecast(fit_series, h, 1, Method.DIRECT)
+                    p_hat = forecast(fit_series, h, 2, Method.PLUGIN)
+                except SingularMomentError:
                     if attempt == 3:
                         raise
                     continue

@@ -23,10 +23,11 @@ from .ape import ape_direct, ape_plugin, start_index
 from .errors import SubsetTooLargeError, UnderspecifiedOrderError
 from .estimation import (
     Series,
-    _window_matrix,
+    _lag_window,
+    _order_lags,
+    _resolve_candidate,
     fit_direct,
-    masked_fit_direct,
-    masked_fit_plugin,
+    forecast,
 )
 from .methods import Method
 from .theory import (
@@ -58,23 +59,16 @@ class SubsetMask:
     bits: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        bits = tuple(int(b) for b in self.bits)
-        if not bits or any(b not in (0, 1) for b in bits):
-            raise ValueError("mask must be a nonempty sequence of 0/1 flags")
-        if not any(bits):
-            raise ValueError("mask must flag at least one lag")
-        object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "bits", _resolve_candidate(tuple(self.bits))[2])
 
     @property
     def lags(self) -> tuple[int, ...]:
         """One-based lags flagged by the mask."""
-        return tuple(i + 1 for i, b in enumerate(self.bits) if b)
+        return _resolve_candidate(self.bits)[0]
 
     def contains(self, other: "SubsetMask") -> bool:
         """True when every lag flagged by ``other`` is flagged here too."""
-        if len(self.bits) != len(other.bits):
-            raise ValueError("masks compare only within one window size")
-        return all(mine >= theirs for mine, theirs in zip(self.bits, other.bits))
+        return _contains(self.bits, other.bits)
 
 
 @dataclass(frozen=True)
@@ -134,9 +128,14 @@ def select_predictor(series: Series, h: int, max_order: int) -> SelectionResult:
     one_step_ape = {k: ape_direct(series, 1, k, start_one).ape for k in orders}
     k_one = _argmin(one_step_ape, orders)
 
-    start_h = start_one if h == 1 else start_index(series, h, max_order)
-    direct_ape_map = {k: ape_direct(series, h, k, start_h).ape for k in orders}
-    plugin_ape_map = {k: ape_plugin(series, h, k, start_h).ape for k in orders}
+    if h == 1:
+        # Both methods are the one-step fit, on the same start and targets.
+        start_h = start_one
+        direct_ape_map = plugin_ape_map = one_step_ape
+    else:
+        start_h = start_index(series, h, max_order)
+        direct_ape_map = {k: ape_direct(series, h, k, start_h).ape for k in orders}
+        plugin_ape_map = {k: ape_plugin(series, h, k, start_h).ape for k in orders}
     k_direct = _argmin(direct_ape_map, orders)
     k_plugin = _argmin(plugin_ape_map, range(k_one, max_order + 1))
 
@@ -179,7 +178,7 @@ def bic_values(series: Series, h: int, max_order: int,
     out: dict[int, float] = {}
     for k in range(1, max_order + 1):
         coeffs = fit_direct(series, h, k)
-        window = _window_matrix(series.values, h, k)
+        window, _ = _lag_window(series, h, _order_lags(k))
         targets = series.values[k + h - 1:]
         rss = float(np.sum((targets - window @ coeffs) ** 2))
         sigma2_hat = rss / n
@@ -201,11 +200,18 @@ def bic_order(series: Series, h: int, max_order: int,
 
 def _all_masks(window: int) -> list[tuple[int, ...]]:
     """Every nonzero mask on the window, in lexicographic bit order."""
+    if window > SUBSET_ORDER_CAP:
+        raise SubsetTooLargeError(
+            f"window {window} exceeds the exhaustive-enumeration cap "
+            f"{SUBSET_ORDER_CAP}")
     return [bits for bits in product((0, 1), repeat=window) if any(bits)]
 
 
-def _mask_geq(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
-    return all(x >= y for x, y in zip(a, b))
+def _contains(big: tuple[int, ...], small: tuple[int, ...]) -> bool:
+    """True when every lag flagged by mask ``small`` is flagged by ``big``."""
+    if len(big) != len(small):
+        raise ValueError("masks compare only within one window size")
+    return all(x >= y for x, y in zip(big, small))
 
 
 def subset_select(series: Series, h: int, window: int) -> SelectionResult:
@@ -218,10 +224,6 @@ def subset_select(series: Series, h: int, window: int) -> SelectionResult:
     """
     if h < 1 or window < 1:
         raise ValueError("horizon and window must be >= 1")
-    if window > SUBSET_ORDER_CAP:
-        raise SubsetTooLargeError(
-            f"window {window} exceeds the exhaustive-enumeration cap "
-            f"{SUBSET_ORDER_CAP}")
     masks = _all_masks(window)
 
     start_one = start_index(series, 1, window)
@@ -231,7 +233,7 @@ def subset_select(series: Series, h: int, window: int) -> SelectionResult:
     start_h = start_one if h == 1 else start_index(series, h, window)
     direct_ape_map = {m: ape_direct(series, h, m, start_h).ape for m in masks}
     mask_direct = _argmin(direct_ape_map, masks)
-    containing = [m for m in masks if _mask_geq(m, mask_one)]
+    containing = [m for m in masks if _contains(m, mask_one)]
     plugin_ape_map = {m: ape_plugin(series, h, m, start_h).ape
                       for m in containing}
     mask_plugin = _argmin(plugin_ape_map, containing)
@@ -315,24 +317,20 @@ def theoretical_subset_losses(model: ArModel, h: int, window: int, *,
     """
     from .montecarlo import simulate  # deferred: montecarlo imports this module
 
-    if window > SUBSET_ORDER_CAP:
-        raise SubsetTooLargeError(
-            f"window {window} exceeds the exhaustive-enumeration cap "
-            f"{SUBSET_ORDER_CAP}")
+    masks = _all_masks(window)
     if reps < 2:
         raise ValueError("reps must be >= 2")
     plugin_req, direct_req = required_masks(model, h, window)
     p = model.order
     cond_coeffs = np.linalg.matrix_power(
         companion_matrix(np.asarray(model.coeffs, dtype=float)), h)[0, :]
-    masks = _all_masks(window)
 
     sq_errors: dict[tuple[tuple[int, ...], Method], list[float]] = {}
     live: list[tuple[tuple[int, ...], Method]] = []
     for bits in masks:
-        if _mask_geq(bits, plugin_req):
+        if _contains(bits, plugin_req):
             live.append((bits, Method.PLUGIN))
-        if _mask_geq(bits, direct_req):
+        if _contains(bits, direct_req):
             live.append((bits, Method.DIRECT))
     for key in live:
         sq_errors[key] = []
@@ -343,14 +341,7 @@ def theoretical_subset_losses(model: ArModel, h: int, window: int, *,
         fit_series = Series(values[:n])
         cond_mean = float(cond_coeffs @ values[n - p: n][::-1])
         for bits, method in live:
-            lags = tuple(i + 1 for i, b in enumerate(bits) if b)
-            if method is Method.DIRECT:
-                coeffs = masked_fit_direct(fit_series, h, lags)
-                lag_view = values[:n][::-1][[lag - 1 for lag in lags]]
-            else:
-                coeffs = masked_fit_plugin(fit_series, h, lags, window)
-                lag_view = values[n - window: n][::-1]
-            deviation = float(lag_view @ coeffs) - cond_mean
+            deviation = forecast(fit_series, h, bits, method) - cond_mean
             sq_errors[(bits, method)].append(deviation ** 2)
 
     out: dict[tuple[int, ...], SubsetLossEstimate] = {}
@@ -358,7 +349,7 @@ def theoretical_subset_losses(model: ArModel, h: int, window: int, *,
         stats = {}
         for method, required in ((Method.PLUGIN, plugin_req),
                                  (Method.DIRECT, direct_req)):
-            if not _mask_geq(bits, required):
+            if not _contains(bits, required):
                 stats[method] = (math.inf, None)
                 continue
             errs = np.asarray(sq_errors[(bits, method)])

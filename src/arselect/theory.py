@@ -20,7 +20,7 @@ newest first: the order-k regressor at time t is
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -40,8 +40,6 @@ from .errors import (
 from .methods import Method
 from .tolerances import (
     COND_GUARD,
-    MA_TRUNCATION_CAP,
-    MA_TRUNCATION_EPS,
     STATIONARITY_MARGIN,
     TOL_TIE,
     TOL_ZERO,
@@ -51,7 +49,6 @@ __all__ = [
     "ArModel",
     "MaCoefficients",
     "AutocovarianceTable",
-    "HorizonTheory",
     "LossTable",
     "DriftResult",
     "companion_matrix",
@@ -62,10 +59,8 @@ __all__ = [
     "autocovariances",
     "optimal_direct_coeffs",
     "h_step_order",
-    "horizon_theory",
     "plugin_excess_constant",
     "direct_excess_constant",
-    "monotonicity_condition",
     "three_step_excess_ratio",
     "loss_table",
     "optimal_candidates",
@@ -176,49 +171,23 @@ class MaCoefficients:
         """Index of the last stored weight."""
         return int(self.b.size - 1)
 
-    def weight(self, i: int) -> float:
-        """``b_i``, with ``b_i = 0`` for negative ``i``."""
-        if i < 0:
-            return 0.0
-        if i > self.truncation:
-            raise InsufficientLagsError(
-                f"moving-average weights stored only up to index {self.truncation}")
-        return float(self.b[i])
 
-
-def ma_coefficients(model: ArModel, n_terms: int | None = None) -> MaCoefficients:
+def ma_coefficients(model: ArModel, n_terms: int) -> MaCoefficients:
     """Moving-average weights of the model.
 
-    ``b_0 = 1`` and ``b_i = sum_{j=1}^{min(i,p)} a_j b_{i-j}``.  With
-    ``n_terms`` given, exactly ``b_0..b_{n_terms}`` are returned.
-    Otherwise the recursion stops once ``p`` consecutive weights fall
-    below ``MA_TRUNCATION_EPS`` (a single small weight is not enough:
-    interior weights can vanish exactly while the tail is still large),
-    capped at ``MA_TRUNCATION_CAP`` terms.
+    ``b_0 = 1`` and ``b_i = sum_{j=1}^{min(i,p)} a_j b_{i-j}``; exactly
+    ``b_0..b_{n_terms}`` are returned.
     """
     a = model.coeffs
     p = model.order
-    if n_terms is not None:
-        if n_terms < 0:
-            raise ValueError("n_terms must be >= 0")
-        b = np.zeros(n_terms + 1)
-        b[0] = 1.0
-        for i in range(1, n_terms + 1):
-            m = min(i, p)
-            b[i] = float(np.dot(a[:m], b[i - 1::-1][:m]))
-        return MaCoefficients(b)
-
-    b_list = [1.0]
-    small_run = 0
-    while len(b_list) - 1 < MA_TRUNCATION_CAP:
-        i = len(b_list)
+    if n_terms < 0:
+        raise ValueError("n_terms must be >= 0")
+    b = np.zeros(n_terms + 1)
+    b[0] = 1.0
+    for i in range(1, n_terms + 1):
         m = min(i, p)
-        nxt = sum(a[j - 1] * b_list[i - j] for j in range(1, m + 1))
-        b_list.append(nxt)
-        small_run = small_run + 1 if abs(nxt) < MA_TRUNCATION_EPS else 0
-        if small_run >= p and i >= p:
-            break
-    return MaCoefficients(np.asarray(b_list))
+        b[i] = float(np.dot(a[:m], b[i - 1::-1][:m]))
+    return MaCoefficients(b)
 
 
 def horizon_variance(model: ArModel, h: int) -> float:
@@ -376,39 +345,6 @@ def h_step_order(model: ArModel, h: int,
     return int(nonzero[-1] + 1) if nonzero.size else 0
 
 
-@dataclass(frozen=True)
-class HorizonTheory:
-    """Everything the population knows about one forecasting horizon."""
-
-    horizon: int
-    #: optimal direct coefficients, one vector per order 1..K
-    direct_coeffs: Mapping[int, np.ndarray]
-    #: order of the h-step projection after stripping exact zeros
-    order: int
-    #: variance of the best possible h-step forecast error
-    irreducible_variance: float
-    ma: MaCoefficients = field(repr=False)
-
-
-def horizon_theory(model: ArModel, h: int, max_order: int) -> HorizonTheory:
-    """Assemble the horizon-h population quantities for orders ``1..max_order``."""
-    if max_order < 1:
-        raise ValueError("max_order must be >= 1")
-    table = autocovariances(model, h + max(max_order, model.order) - 1)
-    coeffs = {k: optimal_direct_coeffs(table, h, k)
-              for k in range(1, max_order + 1)}
-    ma = ma_coefficients(model)
-    if ma.truncation < h - 1:
-        ma = ma_coefficients(model, n_terms=h - 1)
-    return HorizonTheory(
-        horizon=h,
-        direct_coeffs=coeffs,
-        order=h_step_order(model, h, table),
-        irreducible_variance=horizon_variance(model, h),
-        ma=ma,
-    )
-
-
 # ---------------------------------------------------------------------------
 # asymptotic excess-MSPE constants
 
@@ -492,31 +428,6 @@ def direct_excess_constant(model: ArModel, h: int, k: int,
     cov = toeplitz(u)
     gam = table.gamma_matrix(k)
     return float(model.sigma2 * np.trace(_solve_gamma(gam, cov)))
-
-
-def monotonicity_condition(model: ArModel, h: int, k: int) -> bool:
-    """Whether the direct loss is strictly increasing from order k to k+1.
-
-    True when ``b_{h-1}`` is nonzero, or when the vector with entries
-    ``sum_{i<h} b_{h-1-k+l-i} b_i`` for ``l = 0..k`` (weights with
-    negative index read as zero) is nonzero.  Either condition is enough;
-    for horizons up to five at least one always holds.
-    """
-    if h < 1:
-        raise ValueError("horizon must be >= 1")
-    if k < model.order:
-        raise UnderspecifiedOrderError(
-            f"monotonicity condition stated for k >= {model.order}, got {k}")
-    ma = ma_coefficients(model, n_terms=h - 1)
-    if abs(ma.b[h - 1]) > TOL_ZERO:
-        return True
-
-    def b_at(i: int) -> float:
-        return float(ma.b[i]) if 0 <= i <= h - 1 else 0.0
-
-    probe = [sum(b_at(h - 1 - k + ell - i) * b_at(i) for i in range(h))
-             for ell in range(k + 1)]
-    return bool(max(abs(v) for v in probe) > TOL_ZERO)
 
 
 def three_step_excess_ratio(a2: float) -> float:

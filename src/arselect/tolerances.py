@@ -23,13 +23,6 @@ TOL_TIE = 1e-9
 #: is treated as numerically singular.
 COND_GUARD = 1e12
 
-#: Moving-average expansions are truncated once a full window of weights
-#: falls below this threshold ...
-MA_TRUNCATION_EPS = 1e-14
-
-#: ... or once this many terms have been generated, whichever comes first.
-MA_TRUNCATION_CAP = 10_000
-
 #: Largest lag window allowed for exhaustive subset enumeration
 #: (2**cap - 1 candidate masks).
 SUBSET_ORDER_CAP = 12

@@ -13,9 +13,11 @@ import numpy as np
 import pytest
 
 import arselect
+from arselect import errors
 from arselect.cli import main, read_series_csv, write_series_csv
+from arselect.estimation import fit_plugin, predict_with
 from arselect.methods import Method
-from arselect.montecarlo import _candidate_forecast, simulate
+from arselect.montecarlo import simulate
 from arselect.selection import bic_values, select_predictor
 from arselect.theory import ArModel
 
@@ -75,6 +77,16 @@ class TestSeriesFiles:
         assert code == 2
         assert "header" in capsys.readouterr().err
 
+    def test_short_row_is_validation_error(self, tmp_path, capsys):
+        bad = tmp_path / "short.csv"
+        bad.write_text("index,x\n1,0.5\n2\n3,0.25\n")
+        with pytest.raises(ValueError, match="line 3"):
+            read_series_csv(str(bad))
+        code = run_cli("select", "--input", str(bad),
+                       "--horizon", "1", "--max-order", "1")
+        assert code == 2
+        assert "line 3" in capsys.readouterr().err
+
 
 class TestTheoryReport:
     def test_benchmark_model_report(self, tmp_path):
@@ -117,9 +129,8 @@ class TestSelectReport:
         result = select_predictor(sim.series, 3, 4)
         assert report["method"] == result.method.label == "plugin"
         assert report["order"] == result.order == 2
-        expected = _candidate_forecast(sim.series.values, 400, 3,
-                                       result.order, result.method, None)
-        assert report["forecast"] == expected
+        assert report["forecast"] == predict_with(sim.series,
+                                                  fit_plugin(sim.series, 3, 2))
         audit = report["audit"]
         assert audit["one_step_choice"] == 2
         assert audit["direct_choice"] == 1
@@ -190,6 +201,22 @@ class TestMspeCommand:
 
 class TestExitCodes:
     """Invalid requests exit 2, defeated-by-data requests exit 3."""
+
+    def test_every_error_derives_from_one_exit_base(self):
+        validation = {"NonStationaryError", "ZeroLeadCoefficientError",
+                      "NonPositiveVarianceError", "OutOfDomainError",
+                      "UnderspecifiedOrderError", "SubsetTooLargeError",
+                      "DegenerateHorizonError"}
+        bases = (errors.ArSelectError, errors.ValidationError,
+                 errors.NumericalError)
+        leaves = {name: cls for name, cls in vars(errors).items()
+                  if isinstance(cls, type) and issubclass(cls, bases[0])
+                  and cls not in bases}
+        assert len(leaves) == 14
+        for name, cls in leaves.items():
+            is_validation = issubclass(cls, errors.ValidationError)
+            assert is_validation != issubclass(cls, errors.NumericalError), name
+            assert is_validation == (name in validation), name
 
     def test_nonstationary_model(self, capsys):
         code = run_cli("theory", "--coeffs", "1.5,0.9",

@@ -14,6 +14,7 @@ from arselect import (
     fit_direct,
     fit_one_step,
     fit_plugin,
+    forecast,
     masked_fit_direct,
     masked_fit_plugin,
     predict_with,
@@ -22,6 +23,7 @@ from arselect import (
     simulate,
 )
 from arselect.errors import TooFewObservationsError
+from arselect.methods import Method
 
 
 def naive_moment(values, h, k):
@@ -105,6 +107,21 @@ class TestPrediction:
         # forecast = c0*x_n + c1*x_{n-1}
         assert predict_with(series, np.array([0.5, 0.25])) == \
             pytest.approx(0.5 * 5.0 + 0.25 * 2.0, abs=1e-15)
+
+    def test_forecast_applies_the_candidate_fit(self, path):
+        series, values = path.series, path.series.values
+        for k in (1, 3):
+            assert forecast(series, 3, k, Method.DIRECT) == \
+                predict_with(series, fit_direct(series, 3, k))
+            assert forecast(series, 3, k, Method.PLUGIN) == \
+                predict_with(series, fit_plugin(series, 3, k))
+        # a direct mask fit weighs only the flagged lags x_n and x_{n-2}
+        coeffs = masked_fit_direct(series, 3, (1, 3))
+        assert forecast(series, 3, (1, 0, 1), Method.DIRECT) == pytest.approx(
+            coeffs[0] * values[-1] + coeffs[1] * values[-3], abs=1e-12)
+        plugin = masked_fit_plugin(series, 3, (1, 3), 3)
+        assert forecast(series, 3, (1, 0, 1), Method.PLUGIN) == \
+            predict_with(series, plugin)
 
 
 class TestMaskedFits:

@@ -14,7 +14,8 @@ from arselect import (
     simulate,
     three_step_excess_ratio,
 )
-from arselect.errors import OutOfDomainError
+import arselect.montecarlo
+from arselect.errors import OutOfDomainError, TooFewObservationsError
 from arselect.methods import Method
 from arselect.montecarlo import ThreeStepRatio
 
@@ -77,6 +78,34 @@ class TestMcMspe:
         est = mc_mspe(MODEL, 3, (1, 0), Method.DIRECT, 150, 40, seed=4)
         assert est.candidate == (1, 0)
         assert est.mean > 0
+
+
+def count_simulations(monkeypatch):
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(kwargs.get("seed"))
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(arselect.montecarlo, "simulate", spy)
+    return calls
+
+
+class TestRedraws:
+    """Only a singular draw is redrawn; a too-short series is a
+    configuration error that no fresh draw can cure."""
+
+    def test_mc_mspe_raises_on_first_short_draw(self, monkeypatch):
+        calls = count_simulations(monkeypatch)
+        with pytest.raises(TooFewObservationsError):
+            mc_mspe(MODEL, 3, 4, Method.DIRECT, 5, 10, seed=1)
+        assert len(calls) == 1
+
+    def test_ratio_table_raises_on_first_short_draw(self, monkeypatch):
+        calls = count_simulations(monkeypatch)
+        with pytest.raises(TooFewObservationsError):
+            replicate_table1(n=3, reps=2, seed=0, models=BENCHMARK_MODELS[:1])
+        assert len(calls) == 1
 
 
 class TestRatioTable:

@@ -1,9 +1,11 @@
 """Selection procedure, subset variant, and the multistep BIC."""
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import arselect.selection
 from arselect import (
     ArModel,
     Series,
@@ -28,6 +30,19 @@ from test_ape import naive_ape
 @pytest.fixture(scope="module")
 def path():
     return simulate(ArModel((0.9, -0.81), 1.0), 400, seed=42)
+
+
+def stub_apes(monkeypatch, table):
+    """Replace the APE engine seen by the selector with fixed values keyed
+    by (horizon, method) and candidate."""
+    def fake(method):
+        return lambda series, h, candidate, start: SimpleNamespace(
+            ape=table[h, method][candidate])
+
+    monkeypatch.setattr(arselect.selection, "start_index",
+                        lambda series, h, max_order: 20)
+    monkeypatch.setattr(arselect.selection, "ape_direct", fake(Method.DIRECT))
+    monkeypatch.setattr(arselect.selection, "ape_plugin", fake(Method.PLUGIN))
 
 
 class TestDenseSelection:
@@ -75,6 +90,38 @@ class TestDenseSelection:
         result = select_predictor(path.series, 1, 4)
         assert result.method is Method.DIRECT
         assert result.order == result.audit.one_step_choice
+
+    def test_horizon_one_reuses_the_one_step_map(self, path, monkeypatch):
+        calls = []
+
+        def spy(func):
+            def wrapped(*args, **kwargs):
+                calls.append(func.__name__)
+                return func(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(arselect.selection, "ape_direct", spy(ape_direct))
+        monkeypatch.setattr(arselect.selection, "ape_plugin", spy(ape_plugin))
+        audit = select_predictor(path.series, 1, 4).audit
+        assert calls == ["ape_direct"] * 4
+        start = start_index(path.series, 1, 4)
+        for k in range(1, 5):
+            one_step = audit.one_step_direct_ape[k]
+            assert audit.direct_ape[k] == audit.plugin_ape[k] == one_step
+            assert ape_plugin(path.series, 1, k, start).ape == one_step
+
+    def test_plugin_search_starts_at_the_one_step_choice(self, path,
+                                                         monkeypatch):
+        # Step 1 picks order 3; the unrestricted plug-in minimum is order 1.
+        stub_apes(monkeypatch, {
+            (1, Method.DIRECT): {1: 5.0, 2: 5.0, 3: 1.0, 4: 2.0},
+            (3, Method.DIRECT): {1: 10.0, 2: 10.0, 3: 10.0, 4: 10.0},
+            (3, Method.PLUGIN): {1: 0.5, 2: 9.0, 3: 8.0, 4: 9.0},
+        })
+        result = select_predictor(path.series, 3, 4)
+        assert result.audit.one_step_choice == 3
+        assert result.audit.plugin_choice == 3
+        assert (result.order, result.method) == (3, Method.PLUGIN)
 
     def test_scaling_by_two_is_exactly_invariant(self, path):
         result = select_predictor(path.series, 3, 4)
@@ -130,6 +177,19 @@ class TestSubsetSelection:
         step1 = result.audit.one_step_choice
         assert all(all(s <= b for s, b in zip(step1, bits))
                    for bits in result.audit.plugin_ape)
+
+    def test_plugin_search_keeps_to_containing_masks(self, path,
+                                                    monkeypatch):
+        # Step 1 picks (1, 0); the unrestricted plug-in minimum is (0, 1).
+        stub_apes(monkeypatch, {
+            (1, Method.DIRECT): {(0, 1): 5.0, (1, 0): 1.0, (1, 1): 3.0},
+            (3, Method.DIRECT): {(0, 1): 10.0, (1, 0): 10.0, (1, 1): 10.0},
+            (3, Method.PLUGIN): {(0, 1): 0.5, (1, 0): 9.0, (1, 1): 8.0},
+        })
+        result = subset_select(path.series, 3, 2)
+        assert set(result.audit.plugin_ape) == {(1, 0), (1, 1)}
+        assert result.audit.plugin_choice == (1, 1)
+        assert (result.mask.bits, result.method) == ((1, 1), Method.PLUGIN)
 
     def test_window_cap_enforced(self, path):
         with pytest.raises(SubsetTooLargeError):
