@@ -14,6 +14,7 @@ or a 0/1 mask over a lag window (regress on the flagged lags only).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy.signal import lfilter
@@ -24,14 +25,16 @@ from .estimation import (
     _CrossProducts,
     _resolve_candidate,
     prefix_direct_solutions,
-    prefix_plugin_solutions,
-    prefix_predictions,
 )
 from .methods import Method
 from .theory import MaCoefficients
 from .tolerances import COND_GUARD
 
-__all__ = ["ApeResult", "start_index", "ape_plugin", "ape_direct", "ape_excess"]
+__all__ = ["ApeResult", "start_index", "ape_plugin", "ape_direct", "ape_excess",
+           "family_apes"]
+
+#: Window uppers whose condition numbers one batched start probe takes.
+_PROBE_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -64,70 +67,93 @@ def start_index(series: Series, h: int, max_order: int) -> int:
     """
     if h < 1 or max_order < 1:
         raise ValueError("horizon and max_order must be >= 1")
-    n = series.n
-    first = max(2 * max_order, 2 * max_order + h - 1)
-    if first > n - h:
+    return _probe(_CrossProducts(series.values, h, max_order), h, max_order)
+
+
+def _probe(table: _CrossProducts, h: int, max_order: int) -> int:
+    """:func:`start_index` on a built table (moment sums do not depend on h).
+
+    Condition numbers are taken ``_PROBE_CHUNK`` windows at a time, as
+    the scan reaches them: the scan usually stops in the first chunk, so
+    probing every window at once costs more than it saves.
+    """
+    n = table.values.size
+    first, last = 2 * max_order + h - 1, n - h
+    if first > last:
         raise NoValidStartError(
             f"series of length {n} cannot support horizon {h} with "
             f"max order {max_order}")
-    cp = _CrossProducts(series.values, h, max_order)
     offsets = tuple(range(max_order))
-    verdicts: dict[int, bool] = {}
-
-    def usable(i: int) -> bool:
-        if i not in verdicts:
-            ok = True
-            for hh in (1, h) if h != 1 else (1,):
-                moment = cp.moment_windows(offsets, max_order,
-                                           np.array([i - hh]))[0]
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    cond = np.linalg.cond(moment)
-                if not np.isfinite(cond) or cond > COND_GUARD:
-                    ok = False
-                    break
-            verdicts[i] = ok
-        return verdicts[i]
-
-    for i in range(first, n - h + 1):
-        probe = min(10, n - h - i)
-        if all(usable(i + step) for step in range(probe + 1)):
+    base = first - h
+    ok = np.empty(last - base, dtype=bool)  # verdict of window upper base + j
+    done, i = 0, first
+    while i <= last:
+        times = np.arange(i, min(i + 10, last) + 1)
+        while base + done < times[-1]:
+            uppers = np.arange(base + done, min(base + done + _PROBE_CHUNK, last))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                cond = np.linalg.cond(table.moment_windows(offsets, max_order, uppers))
+            ok[done: done + uppers.size] = np.isfinite(cond) & (cond <= COND_GUARD)
+            done += uppers.size
+        bad = np.flatnonzero(~(ok[times - 1 - base] & ok[times - h - base]))
+        if not bad.size:
             return i
+        i = int(times[bad[-1]]) + 1
     raise NoValidStartError(
-        f"no time in [{first}, {n - h}] passes the well-definedness probe")
+        f"no time in [{first}, {last}] passes the well-definedness probe")
+
+
+def _errors(values: np.ndarray, solutions: np.ndarray, offsets, h: int,
+            i_values: np.ndarray) -> np.ndarray:
+    """h-step errors of per-prefix coefficient rows, each applied to the
+    newest lag window of its own prefix."""
+    lag = np.empty((i_values.size, len(offsets)))
+    for ai, r in enumerate(offsets):
+        lag[:, ai] = values[i_values - r - 1]
+    return values[i_values + h - 1] - np.einsum("tm,tm->t", solutions, lag)
+
+
+def _plugin_errors(values: np.ndarray, one: np.ndarray, offsets: tuple[int, ...],
+                   width: int, h: int, i_values: np.ndarray) -> np.ndarray:
+    """Plug-in errors from one-step rows ``one``, zero-embedded at ``width``.
+
+    The companion recursion is iterated as ``v' = v[0] a + shift(v)``:
+    each entry of the companion product has these two nonzero terms
+    only, so the two agree bit for bit.
+    """
+    coeffs = one
+    if len(offsets) != width:
+        coeffs = np.zeros((one.shape[0], width))
+        coeffs[:, list(offsets)] = one
+    vec = coeffs
+    for _ in range(h - 1):
+        vec, prev = vec[:, :1] * coeffs, vec
+        vec[:, :-1] += prev[:, 1:]
+    return _errors(values, vec, range(width), h, i_values)
 
 
 def _accumulate(series: Series, h: int, candidate, start: int,
                 method: Method, keep_steps: bool) -> ApeResult:
-    lags, embed_dim, label = _resolve_candidate(candidate)
+    lags, width, label = _resolve_candidate(candidate)
     offsets = tuple(lag - 1 for lag in lags)
     n = series.n
-    max_lag = lags[-1]
-    if start < h + max_lag:
+    if start < h + lags[-1]:
         raise ValueError(
             f"start {start} is before the first well-defined fit "
-            f"(needs >= {h + max_lag})")
+            f"(needs >= {h + lags[-1]})")
     if start > n - h:
         raise ValueError(f"start {start} leaves no targets in a series of length {n}")
     i_values = np.arange(start, n - h + 1)
-    cp = _CrossProducts(series.values, h, max_lag)
+    table = _CrossProducts(series.values, h, lags[-1])
     if method is Method.DIRECT:
-        solutions = prefix_direct_solutions(cp, offsets, h, i_values)
-        pred_offsets = offsets
+        direct = prefix_direct_solutions(table, offsets, h, i_values)
+        errors = _errors(series.values, direct, offsets, h, i_values)
     else:
-        solutions = prefix_plugin_solutions(cp, offsets, h, i_values, embed_dim)
-        pred_offsets = tuple(range(embed_dim))
-    predictions = prefix_predictions(series.values, solutions, pred_offsets,
-                                     i_values)
-    errors = series.values[i_values + h - 1] - predictions
-    return ApeResult(
-        horizon=h,
-        candidate=label,
-        method=method,
-        start=start,
-        ape=float(np.sum(errors ** 2)),
-        n=n,
-        step_errors=errors if keep_steps else None,
-    )
+        one = prefix_direct_solutions(table, offsets, 1, i_values)
+        errors = _plugin_errors(series.values, one, offsets, width, h, i_values)
+    return ApeResult(horizon=h, candidate=label, method=method, start=start,
+                     ape=float(np.sum(errors ** 2)), n=n,
+                     step_errors=errors if keep_steps else None)
 
 
 def ape_direct(series: Series, h: int, candidate, start: int,
@@ -140,6 +166,53 @@ def ape_plugin(series: Series, h: int, candidate, start: int,
                keep_steps: bool = False) -> ApeResult:
     """APE of the plug-in predictor for one order or mask."""
     return _accumulate(series, h, candidate, start, Method.PLUGIN, keep_steps)
+
+
+def _candidate_apes(table: _CrossProducts, candidate, h: int, start_one: int,
+                    start_h: int) -> tuple[float, float, float]:
+    """(one-step, direct, plug-in) APE of one candidate on a shared table.
+
+    One one-step prefix stack, solved from the earlier start, gives the
+    one-step APE and, sliced at ``start_h``, the plug-in APE; at h=1 it
+    gives all three.  It is dropped before the direct stack is solved.
+    """
+    lags, width, _ = _resolve_candidate(candidate)
+    offsets = tuple(lag - 1 for lag in lags)
+    values, n = table.values, table.values.size
+    lo = min(start_one, start_h)
+    one = prefix_direct_solutions(table, offsets, 1, np.arange(lo, n))
+    one_step = float(np.sum(_errors(values, one[start_one - lo:], offsets, 1,
+                                    np.arange(start_one, n)) ** 2))
+    if h == 1:
+        return one_step, one_step, one_step
+    i_values = np.arange(start_h, n - h + 1)
+    plugin = _plugin_errors(values, one[start_h - lo: start_h - lo + i_values.size],
+                            offsets, width, h, i_values)
+    del one
+    solutions = prefix_direct_solutions(table, offsets, h, i_values)
+    direct = _errors(values, solutions, offsets, h, i_values)
+    return one_step, float(np.sum(direct ** 2)), float(np.sum(plugin ** 2))
+
+
+def family_apes(series: Series, h: int, candidates: Sequence, max_lag: int
+                ) -> tuple[int, int, list[tuple[float, float, float]]]:
+    """Both start indices and every candidate's (one-step, direct, plug-in)
+    APE, from one cross-product table.
+
+    The starts are :func:`start_index` at horizons 1 and h with order
+    ``max_lag``.  Errors keep the precedence of the per-candidate path:
+    the one-step start, the one-step APEs, the horizon-h start, the rest.
+    """
+    table = _CrossProducts(series.values, h, max_lag)
+    start_one = _probe(table, 1, max_lag)
+    try:
+        start_h = start_one if h == 1 else _probe(table, h, max_lag)
+    except NoValidStartError:
+        for candidate in candidates:
+            _candidate_apes(table, candidate, 1, start_one, start_one)
+        raise
+    return start_one, start_h, [_candidate_apes(table, c, h, start_one, start_h)
+                                for c in candidates]
 
 
 def ape_excess(result: ApeResult, innovations: np.ndarray,

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -104,7 +105,10 @@ def write_series_csv(path: str, values: np.ndarray,
 
 
 def read_series_csv(path: str) -> tuple[Series, np.ndarray | None]:
-    """Read a series CSV; returns the series and innovations if present."""
+    """Read a series CSV; returns the series and innovations if present.
+
+    Each row's index is an integer one more than the previous row's.
+    """
     with open(path, newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
@@ -119,6 +123,14 @@ def read_series_csv(path: str) -> tuple[Series, np.ndarray | None]:
                 continue
             if len(row) < width:
                 raise ValueError(f"{path}: line {reader.line_num}: expected {width} fields")
+            try:
+                index = int(row[0])
+            except ValueError:
+                index = None
+            if index is None or (xs and index != last + 1):
+                raise ValueError(f"{path}: line {reader.line_num}: index {row[0]!r} is "
+                                 "not an integer one more than the previous row's")
+            last = index
             xs.append(float(row[1]))
             if has_eps:
                 eps.append(float(row[2]))
@@ -223,7 +235,6 @@ def cmd_select(args: argparse.Namespace) -> int:
     select = subset_select if args.subset else select_predictor
     result = select(series, h, kmax)
     candidate = result.order if result.mask is None else result.mask.bits
-    audit = result.audit
     report = {
         "command": "select",
         "config": {"input": args.input, "horizon": h, "max_order": kmax,
@@ -233,16 +244,7 @@ def cmd_select(args: argparse.Namespace) -> int:
         "order": result.order,
         "mask": list(result.mask.bits) if result.mask is not None else None,
         "forecast": forecast(series, h, candidate, result.method),
-        "audit": {
-            "start_one_step": audit.start_one_step,
-            "start": audit.start,
-            "one_step_direct_ape": audit.one_step_direct_ape,
-            "direct_ape": audit.direct_ape,
-            "plugin_ape": audit.plugin_ape,
-            "one_step_choice": audit.one_step_choice,
-            "direct_choice": audit.direct_choice,
-            "plugin_choice": audit.plugin_choice,
-        },
+        "audit": dataclasses.asdict(result.audit),
     }
     _emit(report, args)
     return EXIT_OK

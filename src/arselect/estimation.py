@@ -10,10 +10,11 @@ statistics honest out-of-sample quantities.
 Two layers live here.  The public batch fits (:func:`fit_one_step`,
 :func:`fit_direct`, :func:`fit_plugin` and their lag-subset variants)
 work on a whole series, and :func:`forecast` applies them.  The
-prefix machinery (:class:`_CrossProducts` and the ``prefix_*`` helpers)
-evaluates the same least-squares problems for every prefix of the series
-at once, via cumulative sums of lagged cross products and a batched
-solve; :func:`sequential_fitter` exposes it as a per-time stream.
+prefix machinery (:class:`_CrossProducts` and
+:func:`prefix_direct_solutions`) evaluates the same least-squares
+problems for every prefix of the series at once, via cumulative sums of
+lagged cross products and a batched solve; :func:`sequential_fitter`
+exposes it as a per-time stream.
 """
 
 from __future__ import annotations
@@ -273,8 +274,6 @@ class _CrossProducts:
     def __init__(self, values: np.ndarray, horizon: int, max_offset: int) -> None:
         n = values.size
         self.values = values
-        self.horizon = horizon
-        self.max_offset = max_offset
         self._moment: dict[tuple[int, int], np.ndarray] = {}
         for s in range(max_offset):
             for r in range(s + 1):
@@ -348,37 +347,6 @@ def prefix_direct_solutions(cp: _CrossProducts, offsets: Sequence[int],
                           f"sequential direct fit h={horizon}")
 
 
-def prefix_plugin_solutions(cp: _CrossProducts, offsets: Sequence[int],
-                            horizon: int, i_values: np.ndarray,
-                            embed_dim: int) -> np.ndarray:
-    """Plug-in coefficients per prefix, embedded at length ``embed_dim``."""
-    one = prefix_direct_solutions(cp, offsets, 1, i_values)
-    if len(offsets) == embed_dim:
-        embedded = one
-    else:
-        embedded = np.zeros((i_values.size, embed_dim))
-        embedded[:, list(offsets)] = one
-    if horizon == 1:
-        return embedded
-    comp = np.zeros((i_values.size, embed_dim, embed_dim))
-    comp[:, 0, :] = embedded
-    if embed_dim > 1:
-        comp[:, np.arange(1, embed_dim), np.arange(embed_dim - 1)] = 1.0
-    vec = embedded.copy()
-    for _ in range(horizon - 1):
-        vec = np.einsum("tij,ti->tj", comp, vec)
-    return vec
-
-
-def prefix_predictions(values: np.ndarray, solutions: np.ndarray,
-                       offsets: Sequence[int], i_values: np.ndarray) -> np.ndarray:
-    """Apply per-prefix coefficient rows to their own newest lag windows."""
-    lag = np.empty((i_values.size, len(offsets)))
-    for ai, r in enumerate(offsets):
-        lag[:, ai] = values[i_values - r - 1]
-    return np.einsum("tm,tm->t", solutions, lag)
-
-
 # ---------------------------------------------------------------------------
 # streaming interface
 
@@ -418,13 +386,8 @@ def sequential_fitter(series: Series, h: int, max_order: int,
                     raise SingularMomentError(
                         f"sequential fit h={h} k={k}: condition number "
                         f"{cond:.3e} exceeds guard at time {i}")
-                a_one = _batched_solve(
-                    cp.moment_windows(offsets, k, i_arr - 1),
-                    cp.rhs_windows(offsets, 1, k, i_arr - 1),
-                    i_arr, f"sequential one-step fit k={k}")[0]
-                a_direct = _batched_solve(
-                    moment[None], cp.rhs_windows(offsets, h, k, i_arr - h),
-                    i_arr, f"sequential direct fit h={h} k={k}")[0]
+                a_one = prefix_direct_solutions(cp, offsets, 1, i_arr)[0]
+                a_direct = prefix_direct_solutions(cp, offsets, h, i_arr)[0]
                 a_plugin = a_one if h == 1 else iterate_plugin_coeffs(a_one, h)
                 fits[k] = LsFit(horizon=h, order=k, gamma_hat=gamma_hat,
                                 a_one_step=a_one, a_plugin=a_plugin,

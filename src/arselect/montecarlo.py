@@ -86,9 +86,9 @@ def _draw_innovations(rng: np.random.Generator, size: int, sigma2: float,
         return rng.uniform(-half_width, half_width, size)
     if dist == "student-t":
         dof = 12.0 if df is None else float(df)
-        if dof <= 8.0:
-            raise OutOfDomainError(
-                "student-t innovations need more than 8 degrees of freedom")
+        if not 8.0 < dof < math.inf:
+            raise OutOfDomainError("student-t innovations need finite degrees "
+                                   f"of freedom above 8, got {dof}")
         return scale * math.sqrt((dof - 2.0) / dof) * rng.standard_t(dof, size)
     raise ValueError(f"unknown innovation distribution {dist!r}")
 

@@ -13,13 +13,14 @@ read as mask containment.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import product
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .ape import ape_direct, ape_plugin, start_index
+from .ape import family_apes
 from .errors import SubsetTooLargeError, UnderspecifiedOrderError
 from .estimation import (
     Series,
@@ -66,10 +67,6 @@ class SubsetMask:
         """One-based lags flagged by the mask."""
         return _resolve_candidate(self.bits)[0]
 
-    def contains(self, other: "SubsetMask") -> bool:
-        """True when every lag flagged by ``other`` is flagged here too."""
-        return _contains(self.bits, other.bits)
-
 
 @dataclass(frozen=True)
 class SelectionAudit:
@@ -96,10 +93,6 @@ class SelectionResult:
     mask: SubsetMask | None
     audit: SelectionAudit
 
-    @property
-    def chosen(self) -> int | SubsetMask:
-        return self.order if self.order is not None else self.mask
-
 
 def _argmin(apes: Mapping, keys: Sequence) -> object:
     """Smallest key (in the given enumeration order) attaining the minimum."""
@@ -113,6 +106,30 @@ def _argmin(apes: Mapping, keys: Sequence) -> object:
     return best_key
 
 
+def _three_steps(series: Series, h: int, width: int, candidates: list,
+                 contains, audit_every_plugin: bool):
+    """(method, choice, audit) of the three steps over one candidate family.
+
+    ``contains(big, small)`` is step 2's "at or above"; the audit's plug-in
+    map covers all candidates or, if not ``audit_every_plugin``, those.
+    """
+    start_one, start_h, apes = family_apes(series, h, candidates, width)
+    one_step, direct, plugin = ({c: ape[j] for c, ape in zip(candidates, apes)}
+                                for j in range(3))
+    one_step_choice = _argmin(one_step, candidates)
+    searched = [c for c in candidates if contains(c, one_step_choice)]
+    if not audit_every_plugin:
+        plugin = {c: plugin[c] for c in searched}
+    direct_choice = _argmin(direct, candidates)
+    plugin_choice = _argmin(plugin, searched)
+    if direct[direct_choice] > plugin[plugin_choice]:
+        method, chosen = Method.PLUGIN, plugin_choice
+    else:
+        method, chosen = Method.DIRECT, direct_choice
+    return method, chosen, SelectionAudit(start_one, start_h, one_step, direct, plugin,
+                                          one_step_choice, direct_choice, plugin_choice)
+
+
 def select_predictor(series: Series, h: int, max_order: int) -> SelectionResult:
     """Pick the forecasting order and method for horizon h.
 
@@ -122,38 +139,9 @@ def select_predictor(series: Series, h: int, max_order: int) -> SelectionResult:
     """
     if h < 1 or max_order < 1:
         raise ValueError("horizon and max_order must be >= 1")
-    orders = range(1, max_order + 1)
-
-    start_one = start_index(series, 1, max_order)
-    one_step_ape = {k: ape_direct(series, 1, k, start_one).ape for k in orders}
-    k_one = _argmin(one_step_ape, orders)
-
-    if h == 1:
-        # Both methods are the one-step fit, on the same start and targets.
-        start_h = start_one
-        direct_ape_map = plugin_ape_map = one_step_ape
-    else:
-        start_h = start_index(series, h, max_order)
-        direct_ape_map = {k: ape_direct(series, h, k, start_h).ape for k in orders}
-        plugin_ape_map = {k: ape_plugin(series, h, k, start_h).ape for k in orders}
-    k_direct = _argmin(direct_ape_map, orders)
-    k_plugin = _argmin(plugin_ape_map, range(k_one, max_order + 1))
-
-    if direct_ape_map[k_direct] > plugin_ape_map[k_plugin]:
-        method, order = Method.PLUGIN, k_plugin
-    else:
-        method, order = Method.DIRECT, k_direct
-
-    audit = SelectionAudit(
-        start_one_step=start_one,
-        start=start_h,
-        one_step_direct_ape=one_step_ape,
-        direct_ape=direct_ape_map,
-        plugin_ape=plugin_ape_map,
-        one_step_choice=k_one,
-        direct_choice=k_direct,
-        plugin_choice=k_plugin,
-    )
+    method, order, audit = _three_steps(series, h, max_order,
+                                        list(range(1, max_order + 1)),
+                                        operator.ge, True)
     return SelectionResult(horizon=h, max_order=max_order, method=method,
                            order=order, mask=None, audit=audit)
 
@@ -219,40 +207,14 @@ def subset_select(series: Series, h: int, window: int) -> SelectionResult:
 
     Enumeration is exhaustive (``2**window - 1`` masks), so the window
     is capped.  Step 2 restricts the plug-in search to masks containing
-    the step-1 mask; argmin ties go to the lexicographically smallest
-    mask and the step-3 tie to the direct predictor.
+    the step-1 mask, and the audit's plug-in map to those masks; argmin
+    ties go to the lexicographically smallest mask and the step-3 tie
+    to the direct predictor.  At h=1 all three maps are one-step APEs.
     """
     if h < 1 or window < 1:
         raise ValueError("horizon and window must be >= 1")
-    masks = _all_masks(window)
-
-    start_one = start_index(series, 1, window)
-    one_step_ape = {m: ape_direct(series, 1, m, start_one).ape for m in masks}
-    mask_one = _argmin(one_step_ape, masks)
-
-    start_h = start_one if h == 1 else start_index(series, h, window)
-    direct_ape_map = {m: ape_direct(series, h, m, start_h).ape for m in masks}
-    mask_direct = _argmin(direct_ape_map, masks)
-    containing = [m for m in masks if _contains(m, mask_one)]
-    plugin_ape_map = {m: ape_plugin(series, h, m, start_h).ape
-                      for m in containing}
-    mask_plugin = _argmin(plugin_ape_map, containing)
-
-    if direct_ape_map[mask_direct] > plugin_ape_map[mask_plugin]:
-        method, chosen = Method.PLUGIN, mask_plugin
-    else:
-        method, chosen = Method.DIRECT, mask_direct
-
-    audit = SelectionAudit(
-        start_one_step=start_one,
-        start=start_h,
-        one_step_direct_ape=one_step_ape,
-        direct_ape=direct_ape_map,
-        plugin_ape=plugin_ape_map,
-        one_step_choice=mask_one,
-        direct_choice=mask_direct,
-        plugin_choice=mask_plugin,
-    )
+    method, chosen, audit = _three_steps(series, h, window, _all_masks(window),
+                                         _contains, False)
     return SelectionResult(horizon=h, max_order=window, method=method,
                            order=None, mask=SubsetMask(chosen), audit=audit)
 

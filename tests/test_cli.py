@@ -87,6 +87,20 @@ class TestSeriesFiles:
         assert code == 2
         assert "line 3" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rows", ["foo,0.5\n2,0.25\n3,0.125\n",
+                                      "1,0.5\n1,0.25\n2,0.125\n",
+                                      "1,0.5\n3,0.25\n4,0.125\n"])
+    def test_index_must_count_up_by_one(self, tmp_path, capsys, rows):
+        bad = tmp_path / "index.csv"
+        bad.write_text("index,x\n" + rows)
+        line = 2 if rows.startswith("foo") else 3
+        with pytest.raises(ValueError, match=f"line {line}: index"):
+            read_series_csv(str(bad))
+        code = run_cli("select", "--input", str(bad),
+                       "--horizon", "1", "--max-order", "1")
+        assert code == 2
+        assert f"line {line}: index" in capsys.readouterr().err
+
 
 class TestTheoryReport:
     def test_benchmark_model_report(self, tmp_path):
@@ -238,6 +252,18 @@ class TestExitCodes:
                        "--max-order", "13", "--subset")
         assert code == 2
         assert "SubsetTooLarge" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("df", ["nan", "inf"])
+    @pytest.mark.parametrize("command", ["simulate", "mspe"])
+    def test_non_finite_degrees_of_freedom(self, tmp_path, capsys, df,
+                                           command):
+        args = {"simulate": ("--output", str(tmp_path / "x.csv")),
+                "mspe": ("--horizon", "2", "--order", "1", "--method",
+                         "direct", "--reps", "5")}[command]
+        code = run_cli(command, "--coeffs", "0.5", "--n", "60", "--seed", "1",
+                       "--dist", "student-t", "--df", df, *args)
+        assert code == 2
+        assert "degrees of freedom" in capsys.readouterr().err
 
     def test_missing_seed_is_a_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,11 +1,10 @@
 """Selection procedure, subset variant, and the multistep BIC."""
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-import arselect.selection
+import arselect.ape
 from arselect import (
     ArModel,
     Series,
@@ -32,17 +31,32 @@ def path():
     return simulate(ArModel((0.9, -0.81), 1.0), 400, seed=42)
 
 
-def stub_apes(monkeypatch, table):
-    """Replace the APE engine seen by the selector with fixed values keyed
-    by (horizon, method) and candidate."""
-    def fake(method):
-        return lambda series, h, candidate, start: SimpleNamespace(
-            ape=table[h, method][candidate])
+def stub_family(monkeypatch, table):
+    """Replace the engine's start probe and per-candidate APE hook: every
+    start is 20, and a candidate's (one-step, direct, plug-in) APEs come
+    from ``table``."""
+    monkeypatch.setattr(arselect.ape, "_probe", lambda table_, h, max_lag: 20)
+    monkeypatch.setattr(arselect.ape, "_candidate_apes",
+                        lambda table_, candidate, h, start_one, start_h:
+                        table[candidate])
 
-    monkeypatch.setattr(arselect.selection, "start_index",
-                        lambda series, h, max_order: 20)
-    monkeypatch.setattr(arselect.selection, "ape_direct", fake(Method.DIRECT))
-    monkeypatch.setattr(arselect.selection, "ape_plugin", fake(Method.PLUGIN))
+
+def count_work(monkeypatch):
+    """Record each per-candidate hook call and each batched solve stack."""
+    calls = {"candidates": [], "stacks": 0}
+    hook, solve = arselect.ape._candidate_apes, np.linalg.solve
+
+    def spy_hook(table, candidate, *args):
+        calls["candidates"].append(candidate)
+        return hook(table, candidate, *args)
+
+    def spy_solve(a, b):
+        calls["stacks"] += np.ndim(a) == 3
+        return solve(a, b)
+
+    monkeypatch.setattr(arselect.ape, "_candidate_apes", spy_hook)
+    monkeypatch.setattr(np.linalg, "solve", spy_solve)
+    return calls
 
 
 class TestDenseSelection:
@@ -92,34 +106,30 @@ class TestDenseSelection:
         assert result.order == result.audit.one_step_choice
 
     def test_horizon_one_reuses_the_one_step_map(self, path, monkeypatch):
-        calls = []
-
-        def spy(func):
-            def wrapped(*args, **kwargs):
-                calls.append(func.__name__)
-                return func(*args, **kwargs)
-            return wrapped
-
-        monkeypatch.setattr(arselect.selection, "ape_direct", spy(ape_direct))
-        monkeypatch.setattr(arselect.selection, "ape_plugin", spy(ape_plugin))
+        calls = count_work(monkeypatch)
         audit = select_predictor(path.series, 1, 4).audit
-        assert calls == ["ape_direct"] * 4
+        assert calls == {"candidates": [1, 2, 3, 4], "stacks": 4}
         start = start_index(path.series, 1, 4)
         for k in range(1, 5):
             one_step = audit.one_step_direct_ape[k]
             assert audit.direct_ape[k] == audit.plugin_ape[k] == one_step
             assert ape_plugin(path.series, 1, k, start).ape == one_step
 
+    def test_dense_selection_solves_two_stacks_per_order(self, path,
+                                                         monkeypatch):
+        calls = count_work(monkeypatch)
+        select_predictor(path.series, 3, 4)
+        assert calls == {"candidates": [1, 2, 3, 4], "stacks": 8}
+
     def test_plugin_search_starts_at_the_one_step_choice(self, path,
                                                          monkeypatch):
         # Step 1 picks order 3; the unrestricted plug-in minimum is order 1.
-        stub_apes(monkeypatch, {
-            (1, Method.DIRECT): {1: 5.0, 2: 5.0, 3: 1.0, 4: 2.0},
-            (3, Method.DIRECT): {1: 10.0, 2: 10.0, 3: 10.0, 4: 10.0},
-            (3, Method.PLUGIN): {1: 0.5, 2: 9.0, 3: 8.0, 4: 9.0},
-        })
+        # Entries are (one-step, direct, plug-in) APEs.
+        stub_family(monkeypatch, {1: (5.0, 10.0, 0.5), 2: (5.0, 10.0, 9.0),
+                                  3: (1.0, 10.0, 8.0), 4: (2.0, 10.0, 9.0)})
         result = select_predictor(path.series, 3, 4)
         assert result.audit.one_step_choice == 3
+        assert result.audit.plugin_ape == {1: 0.5, 2: 9.0, 3: 8.0, 4: 9.0}
         assert result.audit.plugin_choice == 3
         assert (result.order, result.method) == (3, Method.PLUGIN)
 
@@ -181,15 +191,26 @@ class TestSubsetSelection:
     def test_plugin_search_keeps_to_containing_masks(self, path,
                                                     monkeypatch):
         # Step 1 picks (1, 0); the unrestricted plug-in minimum is (0, 1).
-        stub_apes(monkeypatch, {
-            (1, Method.DIRECT): {(0, 1): 5.0, (1, 0): 1.0, (1, 1): 3.0},
-            (3, Method.DIRECT): {(0, 1): 10.0, (1, 0): 10.0, (1, 1): 10.0},
-            (3, Method.PLUGIN): {(0, 1): 0.5, (1, 0): 9.0, (1, 1): 8.0},
-        })
+        # Entries are (one-step, direct, plug-in) APEs.
+        stub_family(monkeypatch, {(0, 1): (5.0, 10.0, 0.5),
+                                  (1, 0): (1.0, 10.0, 9.0),
+                                  (1, 1): (3.0, 10.0, 8.0)})
         result = subset_select(path.series, 3, 2)
         assert set(result.audit.plugin_ape) == {(1, 0), (1, 1)}
         assert result.audit.plugin_choice == (1, 1)
         assert (result.mask.bits, result.method) == ((1, 1), Method.PLUGIN)
+
+    def test_horizon_one_solves_one_stack_per_mask(self, path, monkeypatch):
+        calls = count_work(monkeypatch)
+        result = subset_select(path.series, 1, 4)
+        assert calls["stacks"] == len(calls["candidates"]) == 2 ** 4 - 1
+        audit = result.audit
+        assert audit.direct_ape == audit.one_step_direct_ape
+        step1 = audit.one_step_choice
+        assert audit.plugin_ape == {
+            bits: ape for bits, ape in audit.one_step_direct_ape.items()
+            if all(s <= b for s, b in zip(step1, bits))}
+        assert (result.mask.bits, result.method) == (step1, Method.DIRECT)
 
     def test_window_cap_enforced(self, path):
         with pytest.raises(SubsetTooLargeError):
