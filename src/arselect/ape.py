@@ -67,7 +67,17 @@ def start_index(series: Series, h: int, max_order: int) -> int:
     """
     if h < 1 or max_order < 1:
         raise ValueError("horizon and max_order must be >= 1")
+    _probe_range(series.n, h, max_order)
     return _probe(_CrossProducts(series.values, h, max_order), h, max_order)
+
+
+def _probe_range(n: int, h: int, max_order: int) -> tuple[int, int]:
+    """First and last time a start may take; checked before any table is built."""
+    first, last = 2 * max_order + h - 1, n - h
+    if first > last:
+        raise NoValidStartError(f"series of length {n} cannot support horizon {h} "
+                                f"with max order {max_order}")
+    return first, last
 
 
 def _probe(table: _CrossProducts, h: int, max_order: int) -> int:
@@ -77,12 +87,7 @@ def _probe(table: _CrossProducts, h: int, max_order: int) -> int:
     the scan reaches them: the scan usually stops in the first chunk, so
     probing every window at once costs more than it saves.
     """
-    n = table.values.size
-    first, last = 2 * max_order + h - 1, n - h
-    if first > last:
-        raise NoValidStartError(
-            f"series of length {n} cannot support horizon {h} with "
-            f"max order {max_order}")
+    first, last = _probe_range(table.values.size, h, max_order)
     offsets = tuple(range(max_order))
     base = first - h
     ok = np.empty(last - base, dtype=bool)  # verdict of window upper base + j
@@ -203,6 +208,7 @@ def family_apes(series: Series, h: int, candidates: Sequence, max_lag: int
     ``max_lag``.  Errors keep the precedence of the per-candidate path:
     the one-step start, the one-step APEs, the horizon-h start, the rest.
     """
+    _probe_range(series.n, 1, max_lag)
     table = _CrossProducts(series.values, h, max_lag)
     start_one = _probe(table, 1, max_lag)
     try:

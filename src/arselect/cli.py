@@ -94,14 +94,10 @@ def write_series_csv(path: str, values: np.ndarray,
     """Write ``index,x[,eps]`` rows with round-trip-exact floats."""
     with open(path, "w", newline="") as handle:
         writer = csv.writer(handle)
-        if innovations is None:
-            writer.writerow(["index", "x"])
-            for i, x in enumerate(values, start=1):
-                writer.writerow([i, f"{x:.17g}"])
-        else:
-            writer.writerow(["index", "x", "eps"])
-            for i, (x, e) in enumerate(zip(values, innovations), start=1):
-                writer.writerow([i, f"{x:.17g}", f"{e:.17g}"])
+        columns = [values] if innovations is None else [values, innovations]
+        writer.writerow(["index", "x", "eps"][:1 + len(columns)])
+        for i, row in enumerate(zip(*columns), start=1):
+            writer.writerow([i, *(f"{v:.17g}" for v in row)])
 
 
 def read_series_csv(path: str) -> tuple[Series, np.ndarray | None]:
@@ -131,9 +127,14 @@ def read_series_csv(path: str) -> tuple[Series, np.ndarray | None]:
                 raise ValueError(f"{path}: line {reader.line_num}: index {row[0]!r} is "
                                  "not an integer one more than the previous row's")
             last = index
-            xs.append(float(row[1]))
-            if has_eps:
-                eps.append(float(row[2]))
+            try:
+                xs.append(float(row[1]))
+                if has_eps:
+                    eps.append(float(row[2]))
+            except ValueError:
+                col = 2 if has_eps and len(xs) > len(eps) else 1
+                raise ValueError(f"{path}: line {reader.line_num}: {header[col].strip()} "
+                                 f"{row[col]!r} is not a number") from None
     series = Series(np.asarray(xs, dtype=float))
     return series, (np.asarray(eps, dtype=float) if has_eps else None)
 

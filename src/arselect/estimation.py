@@ -370,7 +370,7 @@ def sequential_fitter(series: Series, h: int, max_order: int,
         raise ValueError("horizon and max_order must be >= 1")
     n = series.n
     values = series.values
-    first = max(2 * max_order, 2 * max_order + h - 1)
+    first = 2 * max_order + h - 1
     cp = _CrossProducts(values, h, max_order)
     for i in range(first, n - h + 1):
         i_arr = np.array([i])

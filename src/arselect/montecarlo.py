@@ -1,14 +1,20 @@
 """Simulation experiments: paths, MSPE estimates, and benchmark ratios.
 
-Seeding is hierarchical: an experiment takes one integer seed, and
-replication r draws from the substream keyed ``(seed, r)`` (plus an
-attempt counter when a degenerate draw must be redone), so runs are
-reproducible and replications are independent regardless of order.
+Every experiment runs its replications through one driver,
+:func:`_replicate`: replication r draws from the substream keyed
+``(*key, r, attempt)``, and a numerically singular draw is redrawn with
+the next attempt, at most three times.  The key is ``(seed,)`` for
+:func:`mc_mspe`, :func:`selection_frequency` and
+:func:`arselect.selection.theoretical_subset_losses`, and
+``(seed, index)`` for model ``index`` of :func:`replicate_table1`.  For
+seeds below 2**64, ``(seed, r, 0)`` is the stream of ``(seed, r)``, as
+numpy's ``SeedSequence`` pads its entropy with zeros.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -18,7 +24,7 @@ from scipy.signal import lfilter
 from .errors import OutOfDomainError, SingularMomentError
 from .estimation import Series, _resolve_candidate, forecast
 from .methods import Method
-from .selection import SelectionResult, select_predictor, subset_select
+from .selection import select_predictor, subset_select
 from .theory import (
     ArModel,
     companion_matrix,
@@ -29,18 +35,9 @@ from .theory import (
 )
 from .tolerances import DEFAULT_BURN_IN
 
-__all__ = [
-    "SimPath",
-    "simulate",
-    "MspeEstimate",
-    "mc_mspe",
-    "ThreeStepRatio",
-    "BENCHMARK_MODELS",
-    "REFERENCE_RATIOS",
-    "replicate_table1",
-    "FrequencyResult",
-    "selection_frequency",
-]
+__all__ = ["SimPath", "simulate", "MspeEstimate", "mc_mspe", "ThreeStepRatio",
+           "BENCHMARK_MODELS", "REFERENCE_RATIOS", "replicate_table1",
+           "FrequencyResult", "selection_frequency"]
 
 #: The four second-order benchmark models ``a_1 = sqrt(-a_2)``, newest first.
 BENCHMARK_MODELS: tuple[tuple[float, float], ...] = (
@@ -120,6 +117,54 @@ def simulate(model: ArModel, n: int, seed, burn_in: int = DEFAULT_BURN_IN,
 
 
 # ---------------------------------------------------------------------------
+# the replication driver
+
+
+def _replicate(model: ArModel, length: int, reps: int, key: tuple, score,
+               burn_in: int = DEFAULT_BURN_IN, dist: str = "normal",
+               df: float | None = None) -> tuple[list, int]:
+    """``(scores, redraws)``: ``score(values)`` of ``reps`` paths of ``length``.
+
+    Replication r draws from ``(*key, r, attempt)``.  A draw whose score
+    raises :class:`SingularMomentError` is redrawn with the next attempt,
+    at most three times; any other error propagates at once.
+    """
+    scores, redraws = [], 0
+    for rep in range(reps):
+        for attempt in range(4):
+            path = simulate(model, length, seed=(*key, rep, attempt),
+                            burn_in=burn_in, dist=dist, df=df)
+            try:
+                scores.append(score(path.series.values))
+                break
+            except SingularMomentError:
+                if attempt == 3:
+                    raise
+                redraws += 1
+    return scores, redraws
+
+
+def _excess_deviations(model: ArModel, h: int, n: int, reps: int, key: tuple,
+                       pairs: Sequence, burn_in: int = DEFAULT_BURN_IN,
+                       ) -> np.ndarray:
+    """(reps, len(pairs)) squared deviations of each (candidate, method)
+    forecast of ``x_{n+h}`` from ``E[x_{n+h} | x_1..x_n]``, fitted on the
+    first ``n`` observations; their mean is the excess MSPE over the floor.
+    Squares are Python-float powers, which can differ from numpy's ``x * x``.
+    """
+    p = model.order
+    cond_coeffs = np.linalg.matrix_power(companion_matrix(model.coeffs), h)[0, :]
+
+    def score(values: np.ndarray) -> list[float]:
+        fit_series = Series(values[:n])
+        cond_mean = float(cond_coeffs @ values[n - p: n][::-1])
+        return [(forecast(fit_series, h, candidate, method) - cond_mean) ** 2
+                for candidate, method in pairs]
+
+    return np.array(_replicate(model, n + h, reps, key, score, burn_in)[0])
+
+
+# ---------------------------------------------------------------------------
 # MSPE of a fixed candidate
 
 
@@ -151,23 +196,14 @@ def mc_mspe(model: ArModel, h: int, candidate, method: Method, n: int,
     if reps < 2:
         raise ValueError("reps must be >= 2")
     method = Method(method)
-    sq = np.empty(reps)
-    redraws = 0
-    for rep in range(reps):
-        for attempt in range(4):
-            path = simulate(model, n + h, seed=(seed, rep, attempt),
-                            burn_in=burn_in, dist=dist, df=df)
-            values = path.series.values
-            try:
-                err = values[n + h - 1] - forecast(Series(values[:n]), h,
-                                                   candidate, method)
-            except SingularMomentError:
-                if attempt == 3:
-                    raise
-                redraws += 1
-                continue
-            sq[rep] = err ** 2
-            break
+
+    def score(values: np.ndarray) -> float:
+        return (values[n + h - 1] - forecast(Series(values[:n]), h, candidate,
+                                             method)) ** 2
+
+    scores, redraws = _replicate(model, n + h, reps, (seed,), score, burn_in,
+                                 dist, df)
+    sq = np.array(scores)
     mean = float(sq.mean())
     std_error = float(sq.std(ddof=1)) / math.sqrt(reps)
     return MspeEstimate(horizon=h, candidate=_resolve_candidate(candidate)[2],
@@ -212,37 +248,19 @@ def replicate_table1(n: int = 300, reps: int = 20000, seed: int = 0,
     Monte Carlo error.  The reported ratio is the direct excess over the
     plug-in excess, with a delta-method standard error that accounts for
     the pairing.  The accompanying limit is the exact asymptotic value
-    of the same ratio.
+    of the same ratio.  A path on which either fit is numerically
+    singular is redrawn, at most three times.
     """
     if reps < 2:
         raise ValueError("reps must be >= 2")
     h = 3
+    pairs = ((1, Method.DIRECT), (2, Method.PLUGIN))
     out = []
     for index, coeffs in enumerate(models):
         model = ArModel(coeffs, 1.0)
         floor = horizon_variance(model, h)
-        p = model.order
-        cond_coeffs = np.linalg.matrix_power(
-            companion_matrix(np.asarray(coeffs, dtype=float)), h)[0, :]
-        direct_sq = np.empty(reps)
-        plugin_sq = np.empty(reps)
-        for rep in range(reps):
-            for attempt in range(4):
-                path = simulate(model, n + h, seed=(seed, index, rep, attempt),
-                                burn_in=burn_in)
-                values = path.series.values
-                cond_mean = float(cond_coeffs @ values[n - p: n][::-1])
-                fit_series = Series(values[:n])
-                try:
-                    d_hat = forecast(fit_series, h, 1, Method.DIRECT)
-                    p_hat = forecast(fit_series, h, 2, Method.PLUGIN)
-                except SingularMomentError:
-                    if attempt == 3:
-                        raise
-                    continue
-                direct_sq[rep] = (d_hat - cond_mean) ** 2
-                plugin_sq[rep] = (p_hat - cond_mean) ** 2
-                break
+        direct_sq, plugin_sq = _excess_deviations(model, h, n, reps, (seed, index),
+                                                  pairs, burn_in).T
         dx = float(direct_sq.mean())
         dy = float(plugin_sq.mean())
         ratio = dx / dy
@@ -250,13 +268,9 @@ def replicate_table1(n: int = 300, reps: int = 20000, seed: int = 0,
         var = (cov[0, 0] - 2.0 * ratio * cov[0, 1] + ratio ** 2 * cov[1, 1]) \
             / dy ** 2
         out.append(ThreeStepRatio(
-            coeffs=tuple(coeffs), n=n, reps=reps,
-            direct_mspe=floor + dx,
-            plugin_mspe=floor + dy,
-            floor=floor, ratio=ratio,
-            std_error=math.sqrt(max(var, 0.0)),
-            limit=three_step_excess_ratio(coeffs[1]),
-        ))
+            coeffs=tuple(coeffs), n=n, reps=reps, direct_mspe=floor + dx,
+            plugin_mspe=floor + dy, floor=floor, ratio=ratio,
+            std_error=math.sqrt(max(var, 0.0)), limit=three_step_excess_ratio(coeffs[1])))
     return out
 
 
@@ -307,17 +321,19 @@ class FrequencyResult:
 def selection_frequency(model: ArModel, h: int, max_order: int, n: int,
                         reps: int, seed, subset: bool = False,
                         burn_in: int = DEFAULT_BURN_IN) -> FrequencyResult:
-    """Selection frequencies over independent simulated paths."""
+    """Selection frequencies over independent simulated paths.
+
+    A path on which the selection hits a numerically singular fit is
+    redrawn, at most three times.
+    """
     if reps < 1:
         raise ValueError("reps must be >= 1")
-    counts: dict = {}
-    for rep in range(reps):
-        path = simulate(model, n, seed=(seed, rep), burn_in=burn_in)
-        result: SelectionResult = (
-            subset_select(path.series, h, max_order) if subset
-            else select_predictor(path.series, h, max_order))
-        key = ((result.mask.bits if subset else result.order), result.method)
-        counts[key] = counts.get(key, 0) + 1
+
+    def score(values: np.ndarray) -> tuple:
+        result = (subset_select if subset else select_predictor)(Series(values), h, max_order)
+        return (result.mask.bits if subset else result.order), result.method
+
+    counts = dict(Counter(_replicate(model, n, reps, (seed,), score, burn_in)[0]))
     optimal = None
     if not subset and max_order >= model.order:
         optimal = optimal_candidates(loss_table(model, h, max_order))

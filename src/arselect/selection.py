@@ -28,13 +28,11 @@ from .estimation import (
     _order_lags,
     _resolve_candidate,
     fit_direct,
-    forecast,
 )
 from .methods import Method
 from .theory import (
     ArModel,
     autocovariances,
-    companion_matrix,
     h_step_order,
     optimal_direct_coeffs,
 )
@@ -274,54 +272,27 @@ def theoretical_subset_losses(model: ArModel, h: int, window: int, *,
     that value; the mean squared deviation equals the excess MSPE over
     the floor exactly (the future noise is orthogonal to any fit), so
     the report is ``n * mean`` with a matching standard error and none
-    of the future-noise variance.  Masks missing a required lag get an
-    infinite loss outright.
+    of the future-noise variance.  A path on which any fit is
+    numerically singular is redrawn, at most three times.  Masks missing
+    a required lag get an infinite loss outright.
     """
-    from .montecarlo import simulate  # deferred: montecarlo imports this module
+    from .montecarlo import _excess_deviations  # deferred: montecarlo imports this module
 
     masks = _all_masks(window)
     if reps < 2:
         raise ValueError("reps must be >= 2")
     plugin_req, direct_req = required_masks(model, h, window)
-    p = model.order
-    cond_coeffs = np.linalg.matrix_power(
-        companion_matrix(np.asarray(model.coeffs, dtype=float)), h)[0, :]
-
-    sq_errors: dict[tuple[tuple[int, ...], Method], list[float]] = {}
-    live: list[tuple[tuple[int, ...], Method]] = []
-    for bits in masks:
-        if _contains(bits, plugin_req):
-            live.append((bits, Method.PLUGIN))
-        if _contains(bits, direct_req):
-            live.append((bits, Method.DIRECT))
-    for key in live:
-        sq_errors[key] = []
-
-    for rep in range(reps):
-        path = simulate(model, n + h, seed=(seed, rep))
-        values = path.series.values
-        fit_series = Series(values[:n])
-        cond_mean = float(cond_coeffs @ values[n - p: n][::-1])
-        for bits, method in live:
-            deviation = forecast(fit_series, h, bits, method) - cond_mean
-            sq_errors[(bits, method)].append(deviation ** 2)
-
+    pairs = [(bits, method) for bits in masks
+             for method, required in ((Method.PLUGIN, plugin_req),
+                                      (Method.DIRECT, direct_req))
+             if _contains(bits, required)]
+    squares = _excess_deviations(model, h, n, reps, (seed,), pairs).T
+    stats = {pair: (n * float(sq.mean()), n * float(sq.std(ddof=1)) / math.sqrt(reps))
+             for pair, sq in zip(pairs, squares)}
     out: dict[tuple[int, ...], SubsetLossEstimate] = {}
     for bits in masks:
-        stats = {}
-        for method, required in ((Method.PLUGIN, plugin_req),
-                                 (Method.DIRECT, direct_req)):
-            if not _contains(bits, required):
-                stats[method] = (math.inf, None)
-                continue
-            errs = np.asarray(sq_errors[(bits, method)])
-            loss = n * float(errs.mean())
-            se = n * float(errs.std(ddof=1)) / math.sqrt(reps)
-            stats[method] = (loss, se)
-        out[bits] = SubsetLossEstimate(
-            plugin_loss=stats[Method.PLUGIN][0],
-            direct_loss=stats[Method.DIRECT][0],
-            plugin_se=stats[Method.PLUGIN][1],
-            direct_se=stats[Method.DIRECT][1],
-        )
+        plugin_loss, plugin_se = stats.get((bits, Method.PLUGIN), (math.inf, None))
+        direct_loss, direct_se = stats.get((bits, Method.DIRECT), (math.inf, None))
+        out[bits] = SubsetLossEstimate(plugin_loss=plugin_loss, direct_loss=direct_loss,
+                                       plugin_se=plugin_se, direct_se=direct_se)
     return out

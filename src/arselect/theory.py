@@ -338,9 +338,7 @@ def h_step_order(model: ArModel, h: int,
     if h < 1:
         raise ValueError("horizon must be >= 1")
     p = model.order
-    if table is None or table.max_lag < h + p - 1:
-        table = autocovariances(model, h + p - 1)
-    full = optimal_direct_coeffs(table, h, p)
+    full = optimal_direct_coeffs(_require_table(model, table, h + p - 1), h, p)
     nonzero = np.flatnonzero(np.abs(full) > TOL_ZERO)
     return int(nonzero[-1] + 1) if nonzero.size else 0
 
@@ -520,6 +518,18 @@ class DriftResult:
     underfit: bool
 
 
+def _padded_gap(table: AutocovarianceTable, h: int, k: int, order: int
+                ) -> tuple[float, np.ndarray]:
+    """``(gap' Gamma(order) gap, a_low)`` for the gap between the order-``order``
+    and zero-padded order-k direct coefficients ``a_low`` at horizon h."""
+    a_full = optimal_direct_coeffs(table, h, order)
+    a_low = optimal_direct_coeffs(table, h, k)
+    padded = np.zeros(order)
+    padded[:k] = a_low
+    gap = a_full - padded
+    return float(gap @ table.gamma_matrix(order) @ gap), a_low
+
+
 def underfit_ape_drift(model: ArModel, h: int, k: int, method: Method) -> DriftResult:
     """Asymptotic per-step APE excess of an underfitted candidate.
 
@@ -542,12 +552,7 @@ def underfit_ape_drift(model: ArModel, h: int, k: int, method: Method) -> DriftR
     if method is Method.PLUGIN:
         if k >= p:
             return DriftResult(0.0, underfit=False)
-        a_full = optimal_direct_coeffs(table, h, p)
-        a_low = optimal_direct_coeffs(table, h, k)
-        padded = np.zeros(p)
-        padded[:k] = a_low
-        gap_full = a_full - padded
-        q1 = float(gap_full @ table.gamma_matrix(p) @ gap_full)
+        q1, a_low = _padded_gap(table, h, k, p)
         iterated = iterate_plugin_coeffs(optimal_direct_coeffs(table, 1, k), h)
         gap_low = iterated - a_low
         q2 = float(gap_low @ table.gamma_matrix(k) @ gap_low)
@@ -560,9 +565,4 @@ def underfit_ape_drift(model: ArModel, h: int, k: int, method: Method) -> DriftR
             "no direct candidate is underfitted")
     if k >= p_h:
         return DriftResult(0.0, underfit=False)
-    a_full = optimal_direct_coeffs(table, h, p_h)
-    a_low = optimal_direct_coeffs(table, h, k)
-    padded = np.zeros(p_h)
-    padded[:k] = a_low
-    gap = a_full - padded
-    return DriftResult(float(gap @ table.gamma_matrix(p_h) @ gap), underfit=True)
+    return DriftResult(_padded_gap(table, h, k, p_h)[0], underfit=True)

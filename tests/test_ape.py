@@ -13,8 +13,11 @@ from arselect import (
     simulate,
     start_index,
 )
+import arselect.ape
+from arselect.ape import family_apes
 from arselect.errors import LengthMismatchError, NoValidStartError
 from arselect.methods import Method
+from arselect.selection import select_predictor
 
 from test_estimation import naive_direct, naive_plugin
 
@@ -54,6 +57,26 @@ class TestStartIndex:
         values = simulate(ArModel((0.5,), 1.0), 11, seed=1).series.values
         with pytest.raises(NoValidStartError):
             start_index(Series(values), 3, 4)
+
+    def test_structural_bound_is_checked_before_the_table(self, monkeypatch):
+        # K=200 on 300 observations: the cross-product table would hold
+        # 20,100 cumulative columns, none of which the verdict needs.
+        built = []
+        table = arselect.ape._CrossProducts
+
+        def spy(*args, **kwargs):
+            built.append(args[1:])
+            return table(*args, **kwargs)
+
+        monkeypatch.setattr(arselect.ape, "_CrossProducts", spy)
+        series = simulate(ArModel((0.9, -0.81), 1.0), 300, seed=1).series
+        with pytest.raises(NoValidStartError, match="horizon 3 with max order 200"):
+            start_index(series, 3, 200)
+        for call in (lambda: family_apes(series, 3, [1, 200], 200),
+                     lambda: select_predictor(series, 3, 200)):
+            with pytest.raises(NoValidStartError, match="horizon 1 with max order 200"):
+                call()
+        assert built == []
 
 
 class TestApeAgainstRefitOracle:

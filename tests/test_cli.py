@@ -8,6 +8,7 @@ on the in-memory array, down to the last ulp of the forecast.
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -100,6 +101,18 @@ class TestSeriesFiles:
                        "--horizon", "1", "--max-order", "1")
         assert code == 2
         assert f"line {line}: index" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("column, row", [("x", "2,abc,0.1"), ("eps", "2,0.25,abc")])
+    def test_non_numeric_field_names_file_and_line(self, tmp_path, capsys, column, row):
+        bad = tmp_path / "field.csv"
+        bad.write_text(f"index,x,eps\n1,0.5,0.1\n{row}\n3,0.125,0.1\n")
+        message = f"{bad}: line 3: {column} 'abc' is not a number"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_series_csv(str(bad))
+        code = run_cli("select", "--input", str(bad),
+                       "--horizon", "1", "--max-order", "1")
+        assert code == 2
+        assert message in capsys.readouterr().err
 
 
 class TestTheoryReport:

@@ -1,4 +1,8 @@
-"""Simulation harness: determinism, distributions, and the ratio table."""
+"""Simulation harness: determinism, distributions, the ratio table, and
+the substreams every experiment draws its replications from."""
+import math
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -15,9 +19,16 @@ from arselect import (
     three_step_excess_ratio,
 )
 import arselect.montecarlo
-from arselect.errors import OutOfDomainError, TooFewObservationsError
+from arselect.errors import OutOfDomainError, SingularMomentError, TooFewObservationsError
+from arselect.estimation import Series, forecast
 from arselect.methods import Method
 from arselect.montecarlo import ThreeStepRatio
+from arselect.selection import (
+    required_masks,
+    select_predictor,
+    subset_select,
+    theoretical_subset_losses,
+)
 
 MODEL = ArModel((0.9, -0.81), 1.0)
 
@@ -171,3 +182,151 @@ class TestSelectionFrequency:
         assert freq.optimal == {(1, Method.DIRECT)}
         again = selection_frequency(MODEL, 3, 4, n=300, reps=6, seed=1)
         assert freq.counts == again.counts
+
+
+def conditional_mean(coeffs, values, n, h):
+    """E[x_{n+h} | x_1..x_n]: run the recursion h steps with zero noise."""
+    path = list(values[:n])
+    for _ in range(h):
+        path.append(sum(a * path[-1 - i] for i, a in enumerate(coeffs)))
+    return path[-1]
+
+
+def draw(model, length, seed):
+    return simulate(model, length, seed=seed).series.values
+
+
+def subset_loss_loop(model, h, window, n, reps, key_of):
+    """Per-mask (plug-in, direct) scaled excess losses from a plain loop."""
+    plugin_req, direct_req = required_masks(model, h, window)
+    sq = {}
+    for rep in range(reps):
+        values = draw(model, n + h, key_of(rep))
+        cond = conditional_mean(model.coeffs, values, n, h)
+        for bits in product((0, 1), repeat=window):
+            for method, req in ((Method.PLUGIN, plugin_req), (Method.DIRECT, direct_req)):
+                if any(bits) and all(b >= r for b, r in zip(bits, req)):
+                    dev = forecast(Series(values[:n]), h, bits, method) - cond
+                    sq.setdefault((bits, method), []).append(dev ** 2)
+    return {key: n * float(np.mean(errs)) for key, errs in sq.items()}
+
+
+def frequency_loop(model, h, max_order, n, reps, subset, key_of):
+    counts = {}
+    for rep in range(reps):
+        series = Series(draw(model, n, key_of(rep)))
+        if subset:
+            result = subset_select(series, h, max_order)
+            key = (result.mask.bits, result.method)
+        else:
+            result = select_predictor(series, h, max_order)
+            key = (result.order, result.method)
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+class TestSubstreams:
+    """Replication r of every experiment draws from ``(*key, r, attempt)``;
+    the loops below use the keys each experiment had before it shared one
+    driver, so they pin that no stream moved."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**32 + 5, 2**64 - 1])
+    @pytest.mark.parametrize("rep", [0, 3, 2**31])
+    def test_first_attempt_is_the_two_word_key(self, seed, rep):
+        a = np.random.default_rng((seed, rep)).standard_normal(8)
+        b = np.random.default_rng((seed, rep, 0)).standard_normal(8)
+        assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("candidate, method", [(2, Method.PLUGIN), ((1, 0, 1), Method.DIRECT)])
+    def test_mc_mspe(self, candidate, method):
+        n, h, reps, seed = 120, 3, 25, 4
+        sq = []
+        for rep in range(reps):
+            values = draw(MODEL, n + h, (seed, rep, 0))
+            sq.append((values[-1] - forecast(Series(values[:n]), h, candidate, method)) ** 2)
+        est = mc_mspe(MODEL, h, candidate, method, n, reps, seed)
+        assert est.redraws == 0
+        assert est.mean == pytest.approx(np.mean(sq), rel=1e-12)
+        assert est.std_error == pytest.approx(np.std(sq, ddof=1) / np.sqrt(reps), rel=1e-12)
+
+    def test_replicate_table1(self):
+        n, reps, seed = 120, 30, 2
+        rows = replicate_table1(n=n, reps=reps, seed=seed)
+        for index, (coeffs, row) in enumerate(zip(BENCHMARK_MODELS, rows)):
+            model = ArModel(coeffs, 1.0)
+            direct, plugin = [], []
+            for rep in range(reps):
+                values = draw(model, n + 3, (seed, index, rep, 0))
+                cond = conditional_mean(coeffs, values, n, 3)
+                fit = Series(values[:n])
+                direct.append((forecast(fit, 3, 1, Method.DIRECT) - cond) ** 2)
+                plugin.append((forecast(fit, 3, 2, Method.PLUGIN) - cond) ** 2)
+            assert row.ratio == pytest.approx(np.mean(direct) / np.mean(plugin), rel=1e-12)
+            assert row.direct_mspe - row.floor == pytest.approx(np.mean(direct), rel=1e-12)
+
+    @pytest.mark.parametrize("subset", [False, True])
+    def test_selection_frequency(self, subset):
+        freq = selection_frequency(MODEL, 3, 3, 200, 6, 5, subset=subset)
+        assert freq.counts == frequency_loop(MODEL, 3, 3, 200, 6, subset,
+                                             lambda rep: (5, rep))
+
+    def test_theoretical_subset_losses(self):
+        out = theoretical_subset_losses(MODEL, 3, 3, n=150, reps=20, seed=3)
+        want = subset_loss_loop(MODEL, 3, 3, 150, 20, lambda rep: (3, rep))
+        got = {(bits, method): getattr(est, f"{method.label}_loss")
+               for bits, est in out.items() for method in Method
+               if math.isfinite(getattr(est, f"{method.label}_loss"))}
+        assert got.keys() == want.keys()
+        for key, loss in want.items():
+            assert got[key] == pytest.approx(loss, rel=1e-12)
+
+
+def zero_first_draw(monkeypatch, seed, rep):
+    """Make replication ``rep``'s first draw the all-zero path, on which
+    every fit is singular; returns the seeds drawn."""
+    seeds = []
+
+    def spy(*args, **kwargs):
+        key = kwargs["seed"]
+        seeds.append(key)
+        if tuple(key[:2]) == (seed, rep) and tuple(key[2:]) in ((), (0,)):
+            return simulate(*args, **kwargs, sigma2=0.0)
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(arselect.montecarlo, "simulate", spy)
+    return seeds
+
+
+class TestSingularDrawsAreRedrawn:
+    """A singular draw is redrawn from ``(seed, r, 1)`` in every experiment."""
+
+    def test_theoretical_subset_losses(self, monkeypatch):
+        seeds = zero_first_draw(monkeypatch, 3, 2)
+        out = theoretical_subset_losses(MODEL, 3, 3, n=150, reps=5, seed=3)
+        assert (3, 2, 1) in seeds
+        want = subset_loss_loop(MODEL, 3, 3, 150, 5,
+                                lambda rep: (3, rep, 1) if rep == 2 else (3, rep))
+        for (bits, method), loss in want.items():
+            assert getattr(out[bits], f"{method.label}_loss") == pytest.approx(loss, rel=1e-12)
+
+    def test_selection_frequency(self, monkeypatch):
+        calls = []
+
+        def flaky(series, h, max_order):
+            calls.append(series)
+            if len(calls) == 3:  # replication 2, first attempt
+                raise SingularMomentError("stubbed singular draw")
+            return select_predictor(series, h, max_order)
+
+        monkeypatch.setattr(arselect.montecarlo, "select_predictor", flaky)
+        freq = selection_frequency(MODEL, 3, 3, 200, 5, 8)
+        assert len(calls) == 6
+        assert np.array_equal(calls[3].values, draw(MODEL, 200, (8, 2, 1)))
+        assert freq.counts == frequency_loop(
+            MODEL, 3, 3, 200, 5, False, lambda rep: (8, rep, 1) if rep == 2 else (8, rep))
+
+    def test_mc_mspe_counts_the_redraw(self, monkeypatch):
+        seeds = zero_first_draw(monkeypatch, 4, 1)
+        est = mc_mspe(MODEL, 3, 2, Method.PLUGIN, 120, 4, 4)
+        assert est.redraws == 1
+        assert seeds == [(4, 0, 0), (4, 1, 0), (4, 1, 1), (4, 2, 0), (4, 3, 0)]
