@@ -6,6 +6,11 @@ and should the h-step forecast iterate a one-step fit or regress h steps
 ahead directly?  It provides the exact population answer (loss tables
 from the model), the data-driven answer (accumulated-prediction-error
 selection), and simulation tools to compare the two.
+
+Importing the package loads numpy only.  SciPy is imported inside the
+few functions that call it (simulation, the excess-APE oracle and the
+autocovariance solves of :mod:`arselect.theory`), so selection and BIC
+never load it.
 """
 
 from .ape import ApeResult, ape_direct, ape_excess, ape_plugin, start_index
@@ -19,6 +24,7 @@ from .errors import (
     NoValidStartError,
     NumericalError,
     OutOfDomainError,
+    SeriesOverflowError,
     SingularGammaError,
     SingularMomentError,
     SingularYuleWalkerError,

@@ -17,9 +17,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.signal import lfilter
 
-from .errors import LengthMismatchError, NoValidStartError
+from .errors import LengthMismatchError, NoValidStartError, SeriesOverflowError
 from .estimation import (
     Series,
     _CrossProducts,
@@ -108,6 +107,15 @@ def _probe(table: _CrossProducts, h: int, max_order: int) -> int:
         f"no time in [{first}, {last}] passes the well-definedness probe")
 
 
+def _ape(errors: np.ndarray) -> float:
+    """Sum of squared errors; one that overflows is an error, not an APE."""
+    ape = float(np.sum(errors ** 2))
+    if not np.isfinite(ape):
+        raise SeriesOverflowError(
+            f"series overflows: an accumulated prediction error is {ape}")
+    return ape
+
+
 def _errors(values: np.ndarray, solutions: np.ndarray, offsets, h: int,
             i_values: np.ndarray) -> np.ndarray:
     """h-step errors of per-prefix coefficient rows, each applied to the
@@ -157,7 +165,7 @@ def _accumulate(series: Series, h: int, candidate, start: int,
         one = prefix_direct_solutions(table, offsets, 1, i_values)
         errors = _plugin_errors(series.values, one, offsets, width, h, i_values)
     return ApeResult(horizon=h, candidate=label, method=method, start=start,
-                     ape=float(np.sum(errors ** 2)), n=n,
+                     ape=_ape(errors), n=n,
                      step_errors=errors if keep_steps else None)
 
 
@@ -186,8 +194,8 @@ def _candidate_apes(table: _CrossProducts, candidate, h: int, start_one: int,
     values, n = table.values, table.values.size
     lo = min(start_one, start_h)
     one = prefix_direct_solutions(table, offsets, 1, np.arange(lo, n))
-    one_step = float(np.sum(_errors(values, one[start_one - lo:], offsets, 1,
-                                    np.arange(start_one, n)) ** 2))
+    one_step = _ape(_errors(values, one[start_one - lo:], offsets, 1,
+                            np.arange(start_one, n)))
     if h == 1:
         return one_step, one_step, one_step
     i_values = np.arange(start_h, n - h + 1)
@@ -196,7 +204,7 @@ def _candidate_apes(table: _CrossProducts, candidate, h: int, start_one: int,
     del one
     solutions = prefix_direct_solutions(table, offsets, h, i_values)
     direct = _errors(values, solutions, offsets, h, i_values)
-    return one_step, float(np.sum(direct ** 2)), float(np.sum(plugin ** 2))
+    return one_step, _ape(direct), _ape(plugin)
 
 
 def family_apes(series: Series, h: int, candidates: Sequence, max_lag: int
@@ -239,6 +247,8 @@ def ape_excess(result: ApeResult, innovations: np.ndarray,
         raise LengthMismatchError(
             f"need moving-average weights up to index {h - 1}, "
             f"have {ma.truncation}")
+    from scipy.signal import lfilter  # deferred: loads SciPy on first use
+
     eta = lfilter(ma.b[:h], [1.0], eps)
     i_values = np.arange(result.start, result.n - h + 1)
     oracle = eta[i_values + h - 1]

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .errors import NumericalError, UnderspecifiedOrderError, ValidationError
-from .estimation import Series, forecast
+from .estimation import Series, _resolve_candidate, forecast
 from .methods import Method
 from .montecarlo import (
     REFERENCE_RATIOS,
@@ -67,11 +67,32 @@ def _parse_coeffs(text: str) -> tuple[float, ...]:
 
 
 def _parse_mask(text: str) -> tuple[int, ...]:
-    bits = tuple(int(ch) for ch in text if ch in "01")
-    if len(bits) != len(text.replace(",", "")):
-        raise argparse.ArgumentTypeError(
-            f"expected a bit string such as 101, got {text!r}")
-    return bits
+    flags = tuple("01".find(ch) for ch in text.replace(",", ""))  # -1: not a bit
+    try:
+        return _resolve_candidate(flags)[2]
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{exc}, got {text!r}") from None
+
+
+def _join_coeffs(argv: list[str]) -> list[str]:
+    """Read ``--coeffs -0.5,0.2`` as ``--coeffs=-0.5,0.2``.
+
+    argparse takes a value that starts with '-' and is not a single
+    number for an option.  A number list after ``--coeffs`` is attached
+    to it; anything else is left for argparse to judge.
+    """
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--coeffs" and arg.startswith("-"):
+            try:
+                _parse_coeffs(arg)
+            except argparse.ArgumentTypeError:
+                pass
+            else:
+                out[-1] = f"--coeffs={arg}"
+                continue
+        out.append(arg)
+    return out
 
 
 def _model_from(args: argparse.Namespace) -> ArModel:
@@ -80,8 +101,7 @@ def _model_from(args: argparse.Namespace) -> ArModel:
 
 def _add_model_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--coeffs", type=_parse_coeffs, required=True,
-                        help="lag coefficients, newest first, e.g. 0.9,-0.81 "
-                             "(write --coeffs=-0.5,0.2 if the first is negative)")
+                        help="lag coefficients, newest first, e.g. 0.9,-0.81")
     parser.add_argument("--sigma2", type=float, default=1.0,
                         help="innovation variance (default 1.0)")
 
@@ -311,6 +331,7 @@ def cmd_replicate_table1(args: argparse.Namespace) -> int:
             "ratio": row.ratio,
             "std_error": row.std_error,
             "limit": row.limit,
+            "redraws": row.redraws,
         }
         if refs is not None:
             entry["reference"] = refs[index]
@@ -411,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_join_coeffs(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except ValidationError as err:

@@ -74,6 +74,10 @@ class NoValidStartError(NumericalError):
     """No starting time passes the well-definedness probe for the APE sum."""
 
 
+class SeriesOverflowError(NumericalError):
+    """The series is so large that its sums of squared values overflow."""
+
+
 class LengthMismatchError(NumericalError):
     """Two sequences that must align have different lengths."""
 

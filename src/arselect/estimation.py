@@ -25,6 +25,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import (
+    SeriesOverflowError,
     SingularMomentError,
     TooFewObservationsError,
 )
@@ -275,18 +276,25 @@ class _CrossProducts:
         n = values.size
         self.values = values
         self._moment: dict[tuple[int, int], np.ndarray] = {}
-        for s in range(max_offset):
-            for r in range(s + 1):
-                prod = np.zeros(n + 1)
-                prod[s + 1:] = values[s - r: n - r] * values[: n - s]
-                self._moment[(r, s)] = np.cumsum(prod)
         self._rhs: dict[tuple[int, int], np.ndarray] = {}
-        for hh in {1, horizon}:
-            for r in range(max_offset):
-                prod = np.zeros(n + 1)
-                if n - hh - r > 0:
-                    prod[r + 1: n - hh + 1] = values[: n - hh - r] * values[r + hh:]
-                self._rhs[(r, hh)] = np.cumsum(prod)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for s in range(max_offset):
+                for r in range(s + 1):
+                    prod = np.zeros(n + 1)
+                    prod[s + 1:] = values[s - r: n - r] * values[: n - s]
+                    self._moment[(r, s)] = np.cumsum(prod)
+            for hh in {1, horizon}:
+                for r in range(max_offset):
+                    prod = np.zeros(n + 1)
+                    if n - hh - r > 0:
+                        prod[r + 1: n - hh + 1] = values[: n - hh - r] * values[r + hh:]
+                    self._rhs[(r, hh)] = np.cumsum(prod)
+        # A cumulative sum that overflows stays inf (or nan) to its end.
+        if not all(np.isfinite(col[-1]) for cols in (self._moment, self._rhs)
+                   for col in cols.values()):
+            raise SeriesOverflowError(
+                f"series overflows: values up to {np.max(np.abs(values)):.3e} make "
+                "its cumulative cross products non-finite")
 
     def moment_windows(self, offsets: Sequence[int], j0: int,
                        uppers: np.ndarray) -> np.ndarray:
@@ -328,7 +336,9 @@ def _batched_solve(systems: np.ndarray, rhs: np.ndarray,
     residual = np.abs(np.einsum("tij,tj->ti", systems, sol) - rhs).max(axis=1)
     scale = (np.abs(systems).max(axis=(1, 2)) * np.abs(sol).max(axis=1)
              + np.abs(rhs).max(axis=1))
-    bad = np.flatnonzero((scale > 0.0) & (residual > TOL_LIN * scale))
+    # A solve that overflowed leaves a non-finite residual: that fails too.
+    bad = np.flatnonzero(~np.isfinite(residual)
+                         | ((scale > 0.0) & (residual > TOL_LIN * scale)))
     if bad.size:
         raise SingularMomentError(
             f"{what}: unreliable solve at time {int(i_values[bad[0]])} "

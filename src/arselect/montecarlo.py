@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import OutOfDomainError, SingularMomentError
 from .estimation import Series, _resolve_candidate, forecast
@@ -107,6 +106,8 @@ def simulate(model: ArModel, n: int, seed, burn_in: int = DEFAULT_BURN_IN,
     variance = model.sigma2 if sigma2 is None else float(sigma2)
     if variance < 0.0:
         raise ValueError("sigma2 override must be >= 0")
+    from scipy.signal import lfilter  # deferred: loads SciPy on first use
+
     rng = np.random.default_rng(seed)
     eps = _draw_innovations(rng, burn_in + n, variance, dist, df)
     denom = np.concatenate(([1.0], -model.coeffs))
@@ -146,10 +147,11 @@ def _replicate(model: ArModel, length: int, reps: int, key: tuple, score,
 
 def _excess_deviations(model: ArModel, h: int, n: int, reps: int, key: tuple,
                        pairs: Sequence, burn_in: int = DEFAULT_BURN_IN,
-                       ) -> np.ndarray:
+                       ) -> tuple[np.ndarray, int]:
     """(reps, len(pairs)) squared deviations of each (candidate, method)
     forecast of ``x_{n+h}`` from ``E[x_{n+h} | x_1..x_n]``, fitted on the
-    first ``n`` observations; their mean is the excess MSPE over the floor.
+    first ``n`` observations, and the redraw count; the deviations' mean is
+    the excess MSPE over the floor.
     Squares are Python-float powers, which can differ from numpy's ``x * x``.
     """
     p = model.order
@@ -161,7 +163,8 @@ def _excess_deviations(model: ArModel, h: int, n: int, reps: int, key: tuple,
         return [(forecast(fit_series, h, candidate, method) - cond_mean) ** 2
                 for candidate, method in pairs]
 
-    return np.array(_replicate(model, n + h, reps, key, score, burn_in)[0])
+    scores, redraws = _replicate(model, n + h, reps, key, score, burn_in)
+    return np.array(scores), redraws
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +221,8 @@ def mc_mspe(model: ArModel, h: int, candidate, method: Method, n: int,
 @dataclass(frozen=True)
 class ThreeStepRatio:
     """Excess-MSPE ratio of the order-1 direct to order-2 plug-in
-    three-step predictor for one benchmark model."""
+    three-step predictor for one benchmark model, with the number of
+    singular draws its replications redrew."""
 
     coeffs: tuple[float, float]
     n: int
@@ -229,6 +233,7 @@ class ThreeStepRatio:
     ratio: float
     std_error: float
     limit: float
+    redraws: int
 
 
 def replicate_table1(n: int = 300, reps: int = 20000, seed: int = 0,
@@ -259,8 +264,9 @@ def replicate_table1(n: int = 300, reps: int = 20000, seed: int = 0,
     for index, coeffs in enumerate(models):
         model = ArModel(coeffs, 1.0)
         floor = horizon_variance(model, h)
-        direct_sq, plugin_sq = _excess_deviations(model, h, n, reps, (seed, index),
-                                                  pairs, burn_in).T
+        squares, redraws = _excess_deviations(model, h, n, reps, (seed, index),
+                                              pairs, burn_in)
+        direct_sq, plugin_sq = squares.T
         dx = float(direct_sq.mean())
         dy = float(plugin_sq.mean())
         ratio = dx / dy
@@ -270,7 +276,8 @@ def replicate_table1(n: int = 300, reps: int = 20000, seed: int = 0,
         out.append(ThreeStepRatio(
             coeffs=tuple(coeffs), n=n, reps=reps, direct_mspe=floor + dx,
             plugin_mspe=floor + dy, floor=floor, ratio=ratio,
-            std_error=math.sqrt(max(var, 0.0)), limit=three_step_excess_ratio(coeffs[1])))
+            std_error=math.sqrt(max(var, 0.0)), limit=three_step_excess_ratio(coeffs[1]),
+            redraws=redraws))
     return out
 
 
@@ -307,7 +314,8 @@ def check_ratios(rows: Sequence[ThreeStepRatio], *,
 
 @dataclass(frozen=True)
 class FrequencyResult:
-    """How often each (candidate, method) pair was selected."""
+    """How often each (candidate, method) pair was selected, and how many
+    singular draws were redrawn."""
 
     horizon: int
     max_order: int
@@ -316,6 +324,7 @@ class FrequencyResult:
     counts: dict
     #: asymptotically optimal (order, method) pairs, dense search only
     optimal: set | None
+    redraws: int
 
 
 def selection_frequency(model: ArModel, h: int, max_order: int, n: int,
@@ -333,9 +342,10 @@ def selection_frequency(model: ArModel, h: int, max_order: int, n: int,
         result = (subset_select if subset else select_predictor)(Series(values), h, max_order)
         return (result.mask.bits if subset else result.order), result.method
 
-    counts = dict(Counter(_replicate(model, n, reps, (seed,), score, burn_in)[0]))
+    choices, redraws = _replicate(model, n, reps, (seed,), score, burn_in)
+    counts = dict(Counter(choices))
     optimal = None
     if not subset and max_order >= model.order:
         optimal = optimal_candidates(loss_table(model, h, max_order))
     return FrequencyResult(horizon=h, max_order=max_order, n=n, reps=reps,
-                           counts=counts, optimal=optimal)
+                           counts=counts, optimal=optimal, redraws=redraws)

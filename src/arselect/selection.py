@@ -227,13 +227,15 @@ class SubsetLossEstimate:
 
     A loss is ``math.inf`` when the mask drops a lag the corresponding
     population coefficient vector needs; standard errors are ``None``
-    for infinite entries.
+    for infinite entries.  ``redraws`` counts the singular draws redrawn
+    by the experiment that scored every mask.
     """
 
     plugin_loss: float
     direct_loss: float
     plugin_se: float | None
     direct_se: float | None
+    redraws: int
 
 
 def required_masks(model: ArModel, h: int, window: int
@@ -286,13 +288,14 @@ def theoretical_subset_losses(model: ArModel, h: int, window: int, *,
              for method, required in ((Method.PLUGIN, plugin_req),
                                       (Method.DIRECT, direct_req))
              if _contains(bits, required)]
-    squares = _excess_deviations(model, h, n, reps, (seed,), pairs).T
+    squares, redraws = _excess_deviations(model, h, n, reps, (seed,), pairs)
     stats = {pair: (n * float(sq.mean()), n * float(sq.std(ddof=1)) / math.sqrt(reps))
-             for pair, sq in zip(pairs, squares)}
+             for pair, sq in zip(pairs, squares.T)}
     out: dict[tuple[int, ...], SubsetLossEstimate] = {}
     for bits in masks:
         plugin_loss, plugin_se = stats.get((bits, Method.PLUGIN), (math.inf, None))
         direct_loss, direct_se = stats.get((bits, Method.DIRECT), (math.inf, None))
         out[bits] = SubsetLossEstimate(plugin_loss=plugin_loss, direct_loss=direct_loss,
-                                       plugin_se=plugin_se, direct_se=direct_se)
+                                       plugin_se=plugin_se, direct_se=direct_se,
+                                       redraws=redraws)
     return out

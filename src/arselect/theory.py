@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve as _pivoted_solve, toeplitz
 
 from .errors import (
     DegenerateHorizonError,
@@ -228,6 +227,8 @@ class AutocovarianceTable:
         if k - 1 > self.max_lag:
             raise InsufficientLagsError(
                 f"need lags up to {k - 1}, table stops at {self.max_lag}")
+        from scipy.linalg import toeplitz  # deferred: loads SciPy on first use
+
         return toeplitz(self.gamma[:k])
 
 
@@ -279,10 +280,12 @@ def _solve_gamma(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     if not np.isfinite(cond) or cond > COND_GUARD:
         raise SingularGammaError(
             f"autocovariance matrix condition number {cond:.3e} exceeds guard")
+    from scipy.linalg import cho_factor, cho_solve, solve  # deferred: loads SciPy on first use
+
     try:
         return cho_solve(cho_factor(mat, lower=True), rhs)
     except np.linalg.LinAlgError:
-        return _pivoted_solve(mat, rhs)
+        return solve(mat, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -423,6 +426,8 @@ def direct_excess_constant(model: ArModel, h: int, k: int,
     u = np.empty(k)
     for e in range(k):
         u[e] = float(np.dot(w, [table.value(d + e) for d in d_vals]))
+    from scipy.linalg import toeplitz  # deferred: loads SciPy on first use
+
     cov = toeplitz(u)
     gam = table.gamma_matrix(k)
     return float(model.sigma2 * np.trace(_solve_gamma(gam, cov)))

@@ -15,9 +15,15 @@ from arselect import (
 )
 import arselect.ape
 from arselect.ape import family_apes
-from arselect.errors import LengthMismatchError, NoValidStartError
+from arselect.errors import (
+    LengthMismatchError,
+    NoValidStartError,
+    SeriesOverflowError,
+    SingularMomentError,
+)
+from arselect.estimation import _batched_solve
 from arselect.methods import Method
-from arselect.selection import select_predictor
+from arselect.selection import select_predictor, subset_select
 
 from test_estimation import naive_direct, naive_plugin
 
@@ -186,3 +192,35 @@ class TestExcess:
         res = ape_direct(sim.series, 1, 1, m)
         with pytest.raises(LengthMismatchError):
             ape_excess(res, sim.innovations[:-5], ma_coefficients(model, 0))
+
+
+class TestOverflow:
+    """A finite series whose sums overflow is a numerical error, never a
+    nan APE, a ``None`` choice or a failed SVD."""
+
+    @pytest.mark.parametrize("scale", [1e153, 1e160])
+    def test_overflowing_cross_products(self, scale):
+        series = Series(simulate(ArModel((0.9, -0.81)), 800, seed=1).series.values * scale)
+        for call in (lambda: family_apes(series, 3, [1, 2, 3, 4], 4),
+                     lambda: start_index(series, 3, 4),
+                     lambda: select_predictor(series, 3, 4),
+                     lambda: subset_select(series, 3, 4)):
+            with pytest.raises(SeriesOverflowError, match="series overflows"):
+                call()
+
+    def test_overflowing_errors(self):
+        # Finite cross products, but one spike's forecast errors overflow.
+        rng = np.random.default_rng(2)
+        values = rng.standard_normal(60) * 1e153
+        values[rng.integers(0, 60)] *= 10.0 ** rng.uniform(0, 3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SeriesOverflowError, match="accumulated prediction error"):
+                family_apes(Series(values), 2, [1, 2], 2)
+            with pytest.raises(SeriesOverflowError):
+                arselect.ape._ape(np.array([1e200, 1e200]))
+
+    def test_non_finite_residual_is_a_failed_solve(self):
+        systems, rhs = np.array([[[1e-300]]]), np.array([[1e300]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SingularMomentError, match="unreliable solve at time 7"):
+                _batched_solve(systems, rhs, np.array([7]), "test")

@@ -8,7 +8,10 @@ on the in-memory array, down to the last ulp of the forecast.
 """
 
 import json
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -144,6 +147,20 @@ class TestTheoryReport:
         report = json.loads(capsys.readouterr().out)
         assert report["optimal"] == [[2, "plugin"]]
 
+    def test_negative_first_coefficient_parses_with_a_space(self, capsys):
+        reports = []
+        for coeffs in (["--coeffs", "-0.5,0.2"], ["--coeffs=-0.5,0.2"]):
+            assert run_cli("theory", *coeffs, "--horizon", "2", "--max-order", "3") == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])["config"]["coeffs"] == [-0.5, 0.2]
+
+    def test_missing_coefficients_stay_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("theory", "--coeffs", "--horizon", "2", "--max-order", "3")
+        assert exc.value.code == 2
+        assert "--coeffs: expected one argument" in capsys.readouterr().err
+
 
 class TestSelectReport:
     def test_matches_in_memory_selection(self, series_csv, tmp_path):
@@ -214,6 +231,16 @@ class TestMspeCommand:
             200 * (report["mean"] - 1.81), rel=1e-12)
         assert report["config"]["candidate"] == "1"
 
+    @pytest.mark.parametrize("mask, message", [("000", "flag at least one lag"),
+                                               ("", "be a nonempty sequence of 0/1"),
+                                               ("102", "be a nonempty sequence of 0/1")])
+    def test_bad_mask_is_a_usage_error(self, capsys, mask, message):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("mspe", "--coeffs", "0.5", "--horizon", "2", "--mask", mask,
+                    "--method", "direct", "--n", "60", "--reps", "5", "--seed", "1")
+        assert exc.value.code == 2
+        assert f"argument --mask: mask must {message}" in capsys.readouterr().err
+
     def test_candidate_flags_are_exclusive(self, capsys):
         both = run_cli("mspe", "--coeffs", "0.9,-0.81", "--horizon", "2",
                        "--order", "1", "--mask", "101", "--method", "direct",
@@ -239,7 +266,7 @@ class TestExitCodes:
         leaves = {name: cls for name, cls in vars(errors).items()
                   if isinstance(cls, type) and issubclass(cls, bases[0])
                   and cls not in bases}
-        assert len(leaves) == 14
+        assert len(leaves) == 15
         for name, cls in leaves.items():
             is_validation = issubclass(cls, errors.ValidationError)
             assert is_validation != issubclass(cls, errors.NumericalError), name
@@ -258,6 +285,16 @@ class TestExitCodes:
         code = run_cli("select", "--input", str(tiny),
                        "--horizon", "3", "--max-order", "4")
         assert code == 3
+
+    @pytest.mark.parametrize("scale", [1e153, 1e160])
+    @pytest.mark.parametrize("subset", [[], ["--subset"]])
+    def test_overflowing_series_is_numerical(self, tmp_path, capsys, scale, subset):
+        big = tmp_path / "big.csv"
+        write_series_csv(str(big), simulate(MODEL, 800, seed=1).series.values * scale)
+        code = run_cli("select", "--input", str(big), "--horizon", "3",
+                       "--max-order", "4", *subset)
+        assert code == 3
+        assert "SeriesOverflowError: series overflows" in capsys.readouterr().err
 
     def test_subset_window_cap(self, series_csv, capsys):
         path, _ = series_csv
@@ -313,3 +350,54 @@ class TestReplicateCommand:
         assert code == 0
         report = json.loads(capsys.readouterr().out)
         assert report["failures"]
+
+
+class TestColdStart:
+    """Selection and BIC never load SciPy; the commands that need it load
+    it on first use.  Each case runs in a fresh interpreter."""
+
+    @staticmethod
+    def run_python(code, *args):
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(arselect.__file__)))
+        done = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
+    def test_select_and_bic_never_import_scipy(self, series_csv, tmp_path):
+        code = """
+import sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+import arselect
+print(scipy_modules())
+import arselect.cli
+print(scipy_modules())
+try:
+    arselect.cli.main(["--version"])
+except SystemExit as exc:
+    assert exc.code == 0
+print(scipy_modules())
+path, out = sys.argv[1:]
+for argv in (["select", "--input", path, "--horizon", "3", "--max-order", "4"],
+             ["select", "--input", path, "--horizon", "3", "--max-order", "3", "--subset"],
+             ["bic", "--input", path, "--horizon", "2", "--max-order", "4"]):
+    assert arselect.cli.main(argv + ["--output", out]) == 0
+    print(scipy_modules())
+"""
+        lines = self.run_python(code, series_csv[0], str(tmp_path / "r.json")).splitlines()
+        assert lines == ["[]", "[]", arselect.__version__, "[]", "[]", "[]", "[]"]
+
+    def test_theory_and_mspe_load_scipy_when_they_run(self):
+        code = """
+import sys
+import arselect.cli
+for argv in (["theory", "--coeffs", "0.9,-0.81", "--horizon", "3", "--max-order", "3"],
+             ["mspe", "--coeffs", "0.9,-0.81", "--horizon", "2", "--order", "2",
+              "--method", "plugin", "--n", "100", "--reps", "5", "--seed", "1"]):
+    assert arselect.cli.main(argv) == 0
+print("scipy.linalg" in sys.modules, "scipy.signal" in sys.modules)
+"""
+        assert self.run_python(code).splitlines()[-1] == "True True"

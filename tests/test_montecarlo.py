@@ -148,7 +148,7 @@ class TestCheckRatios:
         return ThreeStepRatio(coeffs=coeffs, n=n, reps=1000, direct_mspe=0.0,
                               plugin_mspe=0.0, floor=0.0, ratio=ratio,
                               std_error=se,
-                              limit=three_step_excess_ratio(coeffs[1]))
+                              limit=three_step_excess_ratio(coeffs[1]), redraws=0)
 
     def test_accepts_values_near_reference(self):
         rows = [self._row(c, 300, r, 0.01) for c, r in
@@ -253,6 +253,7 @@ class TestSubstreams:
         n, reps, seed = 120, 30, 2
         rows = replicate_table1(n=n, reps=reps, seed=seed)
         for index, (coeffs, row) in enumerate(zip(BENCHMARK_MODELS, rows)):
+            assert row.redraws == 0
             model = ArModel(coeffs, 1.0)
             direct, plugin = [], []
             for rep in range(reps):
@@ -267,6 +268,7 @@ class TestSubstreams:
     @pytest.mark.parametrize("subset", [False, True])
     def test_selection_frequency(self, subset):
         freq = selection_frequency(MODEL, 3, 3, 200, 6, 5, subset=subset)
+        assert freq.redraws == 0
         assert freq.counts == frequency_loop(MODEL, 3, 3, 200, 6, subset,
                                              lambda rep: (5, rep))
 
@@ -279,17 +281,40 @@ class TestSubstreams:
         assert got.keys() == want.keys()
         for key, loss in want.items():
             assert got[key] == pytest.approx(loss, rel=1e-12)
+        assert {est.redraws for est in out.values()} == {0}
+
+    def test_one_singular_draw_is_one_redraw_in_every_result(self, monkeypatch):
+        zero_first_draw(monkeypatch, 2, 1, 3)  # model 1 of the table, replication 3
+        rows = replicate_table1(n=120, reps=5, seed=2)
+        assert [row.redraws for row in rows] == [0, 1, 0, 0]
+
+        zero_first_draw(monkeypatch, 3, 2)
+        out = theoretical_subset_losses(MODEL, 3, 3, n=150, reps=5, seed=3)
+        assert {est.redraws for est in out.values()} == {1}
+
+        # An all-zero path fails the start probe, which is not redrawn, so
+        # the selection itself is made singular once.
+        calls = []
+
+        def flaky(series, h, max_order):
+            calls.append(series)
+            if len(calls) == 2:
+                raise SingularMomentError("stubbed singular draw")
+            return select_predictor(series, h, max_order)
+
+        monkeypatch.setattr(arselect.montecarlo, "select_predictor", flaky)
+        assert selection_frequency(MODEL, 3, 3, 200, 4, 8).redraws == 1
 
 
-def zero_first_draw(monkeypatch, seed, rep):
-    """Make replication ``rep``'s first draw the all-zero path, on which
-    every fit is singular; returns the seeds drawn."""
+def zero_first_draw(monkeypatch, *key):
+    """Make the first draw of the replication keyed ``key`` (experiment key,
+    then replication) the all-zero path, on which every fit is singular;
+    returns the seeds drawn."""
     seeds = []
 
     def spy(*args, **kwargs):
-        key = kwargs["seed"]
-        seeds.append(key)
-        if tuple(key[:2]) == (seed, rep) and tuple(key[2:]) in ((), (0,)):
+        seeds.append(kwargs["seed"])
+        if tuple(kwargs["seed"]) in (key, (*key, 0)):
             return simulate(*args, **kwargs, sigma2=0.0)
         return simulate(*args, **kwargs)
 
