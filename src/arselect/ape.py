@@ -109,7 +109,8 @@ def _probe(table: _CrossProducts, h: int, max_order: int) -> int:
 
 def _ape(errors: np.ndarray) -> float:
     """Sum of squared errors; one that overflows is an error, not an APE."""
-    ape = float(np.sum(errors ** 2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        ape = float(np.sum(errors ** 2))
     if not np.isfinite(ape):
         raise SeriesOverflowError(
             f"series overflows: an accumulated prediction error is {ape}")

@@ -9,7 +9,9 @@ statistics honest out-of-sample quantities.
 
 Two layers live here.  The public batch fits (:func:`fit_one_step`,
 :func:`fit_direct`, :func:`fit_plugin` and their lag-subset variants)
-work on a whole series, and :func:`forecast` applies them.  The
+work on a whole series, and :func:`forecast` applies them; each is the
+one-row case of a guarded fit over every row of a block of series
+(:func:`_fit_rows`), which the Monte Carlo driver runs a block at a time.  The
 prefix machinery (:class:`_CrossProducts` and
 :func:`prefix_direct_solutions`) evaluates the same least-squares
 problems for every prefix of the series at once, via cumulative sums of
@@ -122,19 +124,22 @@ def _resolve_candidate(candidate) -> tuple[tuple[int, ...], int, int | tuple[int
     return lags, len(bits), bits
 
 
-def _lag_window(series: Series, h: int, lags: tuple[int, ...]) -> tuple[np.ndarray, int]:
-    """Rows ``(x_{j+1-l})_{l in lags}`` for j = max(lags)..n-h, and their count."""
+def _require_windows(n: int, h: int, j0: int) -> None:
+    """Raise unless n observations give a horizon-h fit with max lag j0 a window."""
     if h < 1:
         raise ValueError("horizon must be >= 1")
-    values = series.values
-    n = values.size
-    j0 = lags[-1]
-    count = n - h - j0 + 1
-    if count < 1:
+    if n - h - j0 + 1 < 1:
         raise TooFewObservationsError(f"need at least {h + j0} observations for "
                                       f"horizon {h} and max lag {j0}, have {n}")
-    cols = [values[j0 - lag: n - h - lag + 1] for lag in lags]
-    return np.stack(cols, axis=1), count
+
+
+def _lag_windows(block: np.ndarray, h: int, lags: tuple[int, ...]) -> np.ndarray:
+    """(rows, count, m): rows ``(x_{j+1-l})_{l in lags}`` for j = max(lags)..n-h
+    of each row of a (rows, n) block."""
+    n = block.shape[1]
+    j0 = lags[-1]
+    _require_windows(n, h, j0)
+    return np.stack([block[:, j0 - lag: n - h - lag + 1] for lag in lags], axis=2)
 
 
 def sample_moment(series: Series, h: int, k: int) -> np.ndarray:
@@ -142,51 +147,69 @@ def sample_moment(series: Series, h: int, k: int) -> np.ndarray:
 
     Exactly ``n - h - k + 1`` outer products enter the average.
     """
-    window, count = _lag_window(series, h, _order_lags(k))
-    return window.T @ window / count
+    window = _lag_windows(series.values[None], h, _order_lags(k))[0]
+    return window.T @ window / window.shape[0]
 
 
-def _guarded_solve(moment: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _fit_rows(block: np.ndarray, h: int, lags: tuple[int, ...], width: int,
+              plugin: bool) -> tuple[np.ndarray, dict[int, str]]:
+    """Whole-series fits of every row of a (rows, n) block, on sorted one-based
+    ``lags`` in a ``width``-lag window, and the guard message of each row
+    whose fit failed (its coefficients are nan).
+
+    The direct fit solves the normal equations of each row: one stacked
+    condition number, one stacked solve and a residual check per row, the
+    same arithmetic per row as a fit of that row alone.  See
+    :func:`masked_fit_direct` and :func:`masked_fit_plugin`; an order k is
+    the lag set ``1..k`` at width k.
+    """
+    if plugin:
+        one, faults = _fit_rows(block, 1, lags, width, False)
+        if len(lags) != width:
+            embedded = np.zeros((one.shape[0], width))
+            embedded[:, [lag - 1 for lag in lags]] = one
+            one = embedded
+        if h == 1:
+            return one, faults
+        return np.array([iterate_plugin_coeffs(row, h) for row in one]), faults
+    window = _lag_windows(block, h, lags)
+    count = window.shape[1]
+    window_t = window.transpose(0, 2, 1)
+    moment = window_t @ window / count
+    rhs = (window_t @ block[:, lags[-1] + h - 1:, None])[..., 0] / count
     cond = np.linalg.cond(moment)
-    if not np.isfinite(cond) or cond > COND_GUARD:
-        raise SingularMomentError(
-            f"moment matrix condition number {cond:.3e} exceeds guard")
+    bad = ~np.isfinite(cond) | (cond > COND_GUARD)
+    # Named here, so that fits that succeed never format the lag set.
+    what = f"direct fit h={h} lags={lags}"
+    faults = {int(r): f"{what}: moment matrix condition number {cond[r]:.3e} "
+              "exceeds guard" for r in np.flatnonzero(bad)}
+    sol = np.full(rhs.shape, np.nan)
+    good = np.flatnonzero(~bad)
     try:
-        sol = np.linalg.solve(moment, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMomentError(str(exc)) from exc
-    residual = np.max(np.abs(moment @ sol - rhs))
-    scale = (np.max(np.abs(moment)) * np.max(np.abs(sol), initial=0.0)
-             + np.max(np.abs(rhs), initial=0.0))
-    if scale > 0.0 and residual > TOL_LIN * scale:
-        raise SingularMomentError(
-            f"normal-equation residual {residual:.3e} above tolerance")
-    return np.atleast_1d(sol)
+        sol[good] = np.linalg.solve(moment[good], rhs[good, :, None])[..., 0]
+    except np.linalg.LinAlgError:
+        for r in good:
+            try:
+                sol[r] = np.linalg.solve(moment[r], rhs[r])
+            except np.linalg.LinAlgError as exc:
+                faults[int(r)] = f"{what}: {exc}"
+    residual = np.abs((moment @ sol[..., None])[..., 0] - rhs).max(axis=1)
+    scale = (np.abs(moment).max(axis=(1, 2)) * np.abs(sol).max(axis=1)
+             + np.abs(rhs).max(axis=1))
+    for r in np.flatnonzero((scale > 0.0) & (residual > TOL_LIN * scale)):
+        faults[int(r)] = (f"{what}: normal-equation residual {residual[r]:.3e} "
+                          "above tolerance")
+    sol[list(faults)] = np.nan
+    return sol, faults
 
 
 def _fit(series: Series, h: int, lags: tuple[int, ...], width: int,
          plugin: bool) -> np.ndarray:
-    """Whole-series fit on sorted one-based ``lags`` in a ``width``-lag window.
-
-    See :func:`masked_fit_direct` and :func:`masked_fit_plugin`; an order
-    k is the lag set ``1..k`` at width k.
-    """
-    if plugin:
-        one = _fit(series, 1, lags, width, False)
-        if len(lags) != width:
-            embedded = np.zeros(width)
-            embedded[[lag - 1 for lag in lags]] = one
-            one = embedded
-        return one if h == 1 else iterate_plugin_coeffs(one, h)
-    window, count = _lag_window(series, h, lags)
-    targets = series.values[lags[-1] + h - 1:]
-    moment = window.T @ window / count
-    rhs = window.T @ targets / count
-    try:
-        return _guarded_solve(moment, rhs)
-    except SingularMomentError as exc:
-        # Named here, so that fits that succeed never format the lag set.
-        raise SingularMomentError(f"direct fit h={h} lags={lags}: {exc}") from exc
+    """:func:`_fit_rows` of one series; a failed fit raises."""
+    coeffs, faults = _fit_rows(series.values[None], h, lags, width, plugin)
+    if faults:
+        raise SingularMomentError(faults[0])
+    return coeffs[0]
 
 
 def fit_direct(series: Series, h: int, k: int) -> np.ndarray:
@@ -241,6 +264,36 @@ def masked_fit_plugin(series: Series, h: int, lags: Sequence[int],
     return _fit(series, h, lags, window_size, True)
 
 
+def _check_forecast(n: int, h: int, candidate, method: Method,
+                    ) -> tuple[tuple[int, ...], int, int | tuple[int, ...], bool]:
+    """(lags, width, label, plug-in?) of a candidate, after raising what its
+    fit and forecast from n observations would raise on any data."""
+    plugin = method == Method.PLUGIN
+    lags, width, label = _resolve_candidate(candidate)
+    if h < 1:
+        raise ValueError("horizon must be >= 1")
+    _require_windows(n, 1 if plugin else h, lags[-1])
+    if plugin and width > n:
+        raise TooFewObservationsError(
+            f"need {width} observations for an order-{width} forecast, have {n}")
+    return lags, width, label, plugin
+
+
+def _forecast_rows(block: np.ndarray, h: int, candidate, method: Method,
+                   ) -> tuple[list[float], dict[int, str]]:
+    """:func:`forecast` from every row of a (rows, n) block, and the guard
+    message of each row whose fit failed (its forecast is nan)."""
+    n = block.shape[1]
+    lags, width, label, plugin = _check_forecast(n, h, candidate, method)
+    coeffs, faults = _fit_rows(block, h, lags, width, plugin)
+    if plugin or isinstance(label, int):
+        return [float(row[n - width:][::-1] @ c) for row, c in zip(block, coeffs)], faults
+    # A gathered copy and the reversed window view round differently in
+    # the dot product; orders use the view, as predict_with does.
+    picks = [lag - 1 for lag in lags]
+    return [float(row[::-1][picks] @ c) for row, c in zip(block, coeffs)], faults
+
+
 def forecast(series: Series, h: int, candidate, method: Method) -> float:
     """Forecast ``x_{n+h}`` from a fit of one candidate on the whole series.
 
@@ -248,14 +301,10 @@ def forecast(series: Series, h: int, candidate, method: Method) -> float:
     lag first).  A plug-in mask fit is applied to the full window, a
     direct mask fit to the flagged lags only.
     """
-    plugin = method == Method.PLUGIN
-    lags, width, label = _resolve_candidate(candidate)
-    coeffs = _fit(series, h, lags, width, plugin)
-    if plugin or isinstance(label, int):
-        return predict_with(series, coeffs)
-    # A gathered copy and the reversed window view round differently in
-    # the dot product; orders use the view, as predict_with does.
-    return float(series.values[::-1][[lag - 1 for lag in lags]] @ coeffs)
+    forecasts, faults = _forecast_rows(series.values[None], h, candidate, method)
+    if faults:
+        raise SingularMomentError(faults[0])
+    return forecasts[0]
 
 
 # ---------------------------------------------------------------------------
@@ -333,9 +382,10 @@ def _batched_solve(systems: np.ndarray, rhs: np.ndarray,
                 raise SingularMomentError(
                     f"{what}: singular moment matrix at time {int(i_values[t])}"
                 ) from exc
-    residual = np.abs(np.einsum("tij,tj->ti", systems, sol) - rhs).max(axis=1)
-    scale = (np.abs(systems).max(axis=(1, 2)) * np.abs(sol).max(axis=1)
-             + np.abs(rhs).max(axis=1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = np.abs(np.einsum("tij,tj->ti", systems, sol) - rhs).max(axis=1)
+        scale = (np.abs(systems).max(axis=(1, 2)) * np.abs(sol).max(axis=1)
+                 + np.abs(rhs).max(axis=1))
     # A solve that overflowed leaves a non-finite residual: that fails too.
     bad = np.flatnonzero(~np.isfinite(residual)
                          | ((scale > 0.0) & (residual > TOL_LIN * scale)))

@@ -24,7 +24,7 @@ from .ape import family_apes
 from .errors import SubsetTooLargeError, UnderspecifiedOrderError
 from .estimation import (
     Series,
-    _lag_window,
+    _lag_windows,
     _order_lags,
     _resolve_candidate,
     fit_direct,
@@ -164,7 +164,7 @@ def bic_values(series: Series, h: int, max_order: int,
     out: dict[int, float] = {}
     for k in range(1, max_order + 1):
         coeffs = fit_direct(series, h, k)
-        window, _ = _lag_window(series, h, _order_lags(k))
+        window = _lag_windows(series.values[None], h, _order_lags(k))[0]
         targets = series.values[k + h - 1:]
         rss = float(np.sum((targets - window @ coeffs) ** 2))
         sigma2_hat = rss / n

@@ -208,16 +208,25 @@ class TestOverflow:
             with pytest.raises(SeriesOverflowError, match="series overflows"):
                 call()
 
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_errors(self):
-        # Finite cross products, but one spike's forecast errors overflow.
+        # Finite cross products, but one spike's forecast errors overflow,
+        # and no overflow warning is printed on the way to the error.
         rng = np.random.default_rng(2)
         values = rng.standard_normal(60) * 1e153
         values[rng.integers(0, 60)] *= 10.0 ** rng.uniform(0, 3)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(SeriesOverflowError, match="accumulated prediction error"):
-                family_apes(Series(values), 2, [1, 2], 2)
-            with pytest.raises(SeriesOverflowError):
-                arselect.ape._ape(np.array([1e200, 1e200]))
+        with pytest.raises(SeriesOverflowError, match="accumulated prediction error"):
+            family_apes(Series(values), 2, [1, 2], 2)
+        with pytest.raises(SeriesOverflowError):
+            arselect.ape._ape(np.array([1e200, 1e200]))
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_solve_scale(self):
+        # The residual scale of a one-step solve overflows before the APE does.
+        values = np.random.default_rng(5).standard_normal(60) * 1e152
+        values[50] *= 100.0
+        with pytest.raises(SeriesOverflowError, match="accumulated prediction error"):
+            family_apes(Series(values), 2, [1, 2, 3], 3)
 
     def test_non_finite_residual_is_a_failed_solve(self):
         systems, rhs = np.array([[[1e-300]]]), np.array([[1e300]])

@@ -241,6 +241,12 @@ class TestMspeCommand:
         assert exc.value.code == 2
         assert f"argument --mask: mask must {message}" in capsys.readouterr().err
 
+    def test_zero_n_names_the_option(self, capsys):
+        code = run_cli("mspe", "--coeffs", "0.5", "--horizon", "1", "--order", "1",
+                       "--method", "direct", "--n", "0", "--reps", "5", "--seed", "1")
+        assert code == 2
+        assert capsys.readouterr().err == "error: n must be >= 1\n"
+
     def test_candidate_flags_are_exclusive(self, capsys):
         both = run_cli("mspe", "--coeffs", "0.9,-0.81", "--horizon", "2",
                        "--order", "1", "--mask", "101", "--method", "direct",

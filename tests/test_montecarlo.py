@@ -1,10 +1,14 @@
-"""Simulation harness: determinism, distributions, the ratio table, and
-the substreams every experiment draws its replications from."""
+"""Simulation harness: determinism, distributions, the ratio table, the
+substreams every experiment draws its replications from, and the block
+driver that draws, filters and fits them a block at a time."""
 import math
+import tracemalloc
 from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from arselect import (
     BENCHMARK_MODELS,
@@ -29,6 +33,9 @@ from arselect.selection import (
     subset_select,
     theoretical_subset_losses,
 )
+from arselect.theory import companion_matrix
+
+from conftest import random_stationary_model
 
 MODEL = ArModel((0.9, -0.81), 1.0)
 
@@ -92,13 +99,15 @@ class TestMcMspe:
 
 
 def count_simulations(monkeypatch):
+    """Record the substream of every replication's draw."""
     calls = []
+    draw_innovations = arselect.montecarlo._draw_innovations
 
-    def spy(*args, **kwargs):
-        calls.append(kwargs.get("seed"))
-        return simulate(*args, **kwargs)
+    def spy(seed, *args):
+        calls.append(tuple(seed))
+        return draw_innovations(seed, *args)
 
-    monkeypatch.setattr(arselect.montecarlo, "simulate", spy)
+    monkeypatch.setattr(arselect.montecarlo, "_draw_innovations", spy)
     return calls
 
 
@@ -110,13 +119,13 @@ class TestRedraws:
         calls = count_simulations(monkeypatch)
         with pytest.raises(TooFewObservationsError):
             mc_mspe(MODEL, 3, 4, Method.DIRECT, 5, 10, seed=1)
-        assert len(calls) == 1
+        assert calls == []
 
     def test_ratio_table_raises_on_first_short_draw(self, monkeypatch):
         calls = count_simulations(monkeypatch)
         with pytest.raises(TooFewObservationsError):
             replicate_table1(n=3, reps=2, seed=0, models=BENCHMARK_MODELS[:1])
-        assert len(calls) == 1
+        assert calls == []
 
 
 class TestRatioTable:
@@ -311,14 +320,15 @@ def zero_first_draw(monkeypatch, *key):
     then replication) the all-zero path, on which every fit is singular;
     returns the seeds drawn."""
     seeds = []
+    draw_innovations = arselect.montecarlo._draw_innovations
 
-    def spy(*args, **kwargs):
-        seeds.append(kwargs["seed"])
-        if tuple(kwargs["seed"]) in (key, (*key, 0)):
-            return simulate(*args, **kwargs, sigma2=0.0)
-        return simulate(*args, **kwargs)
+    def spy(seed, size, *args):
+        seeds.append(tuple(seed))
+        if tuple(seed) in (key, (*key, 0)):
+            return np.zeros(size)
+        return draw_innovations(seed, size, *args)
 
-    monkeypatch.setattr(arselect.montecarlo, "simulate", spy)
+    monkeypatch.setattr(arselect.montecarlo, "_draw_innovations", spy)
     return seeds
 
 
@@ -346,7 +356,8 @@ class TestSingularDrawsAreRedrawn:
         monkeypatch.setattr(arselect.montecarlo, "select_predictor", flaky)
         freq = selection_frequency(MODEL, 3, 3, 200, 5, 8)
         assert len(calls) == 6
-        assert np.array_equal(calls[3].values, draw(MODEL, 200, (8, 2, 1)))
+        # A block's first attempts come first, then its redraws.
+        assert np.array_equal(calls[5].values, draw(MODEL, 200, (8, 2, 1)))
         assert freq.counts == frequency_loop(
             MODEL, 3, 3, 200, 5, False, lambda rep: (8, rep, 1) if rep == 2 else (8, rep))
 
@@ -354,4 +365,178 @@ class TestSingularDrawsAreRedrawn:
         seeds = zero_first_draw(monkeypatch, 4, 1)
         est = mc_mspe(MODEL, 3, 2, Method.PLUGIN, 120, 4, 4)
         assert est.redraws == 1
-        assert seeds == [(4, 0, 0), (4, 1, 0), (4, 1, 1), (4, 2, 0), (4, 3, 0)]
+        assert seeds == [(4, 0, 0), (4, 1, 0), (4, 2, 0), (4, 3, 0), (4, 1, 1)]
+
+
+def block_rows(n, h, burn_in=500):
+    """Replications per block for paths of n + h observations."""
+    return max(1, arselect.montecarlo._BLOCK_ELEMENTS // (burn_in + n + h))
+
+
+def mspe_loop(model, h, candidate, method, n, reps, key_of, **draw_args):
+    """(mean, std_error) of ``mc_mspe`` from one ``simulate`` and one
+    ``forecast`` per replication."""
+    sq = []
+    for rep in range(reps):
+        values = simulate(model, n + h, seed=key_of(rep), **draw_args).series.values
+        sq.append((values[n + h - 1] - forecast(Series(values[:n]), h, candidate, method)) ** 2)
+    sq = np.array(sq)
+    return float(sq.mean()), float(sq.std(ddof=1)) / math.sqrt(reps)
+
+
+def deviation_loop(model, h, n, reps, key_of, pairs):
+    """(reps, len(pairs)) squared deviations from the conditional mean, one
+    ``simulate`` and one ``forecast`` per replication and pair."""
+    cond_coeffs = np.linalg.matrix_power(companion_matrix(model.coeffs), h)[0, :]
+    rows = []
+    for rep in range(reps):
+        values = simulate(model, n + h, seed=key_of(rep)).series.values
+        cond = float(cond_coeffs @ values[n - model.order: n][::-1])
+        rows.append([(forecast(Series(values[:n]), h, c, m) - cond) ** 2 for c, m in pairs])
+    return np.array(rows)
+
+
+def ratio_loop(coeffs, index, n, reps, seed):
+    """(direct excess, plug-in excess, ratio, std_error) of one ratio-table row."""
+    pairs = ((1, Method.DIRECT), (2, Method.PLUGIN))
+    direct_sq, plugin_sq = deviation_loop(ArModel(coeffs, 1.0), 3, n, reps,
+                                          lambda rep: (seed, index, rep), pairs).T
+    dx, dy = float(direct_sq.mean()), float(plugin_sq.mean())
+    ratio = dx / dy
+    cov = np.cov(direct_sq, plugin_sq, ddof=1) / reps
+    var = (cov[0, 0] - 2.0 * ratio * cov[0, 1] + ratio ** 2 * cov[1, 1]) / dy ** 2
+    return dx, dy, ratio, math.sqrt(max(var, 0.0))
+
+
+BLOCK_SETTINGS = settings(max_examples=25, deadline=None, derandomize=True, database=None,
+                          suppress_health_check=[HealthCheck.function_scoped_fixture])
+CANDIDATES = st.one_of(st.integers(1, 3),
+                       st.sampled_from([(1, 0, 1), (0, 1), (1, 0, 0, 1), (0, 1, 1), (0, 0, 1)]))
+
+
+class TestBlockDriver:
+    """A block of replications gives, bit for bit, what one ``simulate``
+    and one ``forecast`` per replication give."""
+
+    @BLOCK_SETTINGS
+    @given(model_seed=st.integers(0, 2**32 - 1), h=st.integers(1, 5), candidate=CANDIDATES,
+           method=st.sampled_from(list(Method)), n=st.integers(20, 120),
+           reps=st.integers(2, 70), burn_in=st.sampled_from([0, 37, 500]),
+           dist=st.sampled_from([("normal", None), ("uniform", None), ("student-t", 9.5),
+                                 ("student-t", None)]),
+           seed=st.integers(0, 2**40))
+    def test_mc_mspe(self, model_seed, h, candidate, method, n, reps, burn_in, dist, seed):
+        assume(reps % block_rows(n, h, burn_in))
+        model = random_stationary_model(np.random.default_rng(model_seed), max_order=3)
+        est = mc_mspe(model, h, candidate, method, n, reps, seed, burn_in=burn_in,
+                      dist=dist[0], df=dist[1])
+        want = mspe_loop(model, h, candidate, method, n, reps, lambda rep: (seed, rep),
+                         burn_in=burn_in, dist=dist[0], df=dist[1])
+        assert (est.mean, est.std_error) == want
+        assert est.redraws == 0
+
+    @BLOCK_SETTINGS
+    @given(a2=st.floats(-0.9, -0.05), n=st.integers(20, 120), reps=st.integers(2, 70),
+           seed=st.integers(0, 2**40))
+    def test_replicate_table1(self, a2, n, reps, seed):
+        assume(reps % block_rows(n, 3))
+        coeffs = ((-a2) ** 0.5, a2)
+        row, = replicate_table1(n=n, reps=reps, seed=seed, models=[coeffs])
+        dx, dy, ratio, std_error = ratio_loop(coeffs, 0, n, reps, seed)
+        assert (row.direct_mspe, row.plugin_mspe) == (row.floor + dx, row.floor + dy)
+        assert (row.ratio, row.std_error, row.redraws) == (ratio, std_error, 0)
+
+    @BLOCK_SETTINGS
+    @given(model_seed=st.integers(0, 2**32 - 1), h=st.integers(1, 5), window=st.integers(1, 3),
+           n=st.integers(20, 90), reps=st.integers(2, 45), seed=st.integers(0, 2**40))
+    def test_theoretical_subset_losses(self, model_seed, h, window, n, reps, seed):
+        assume(reps % block_rows(n, h))
+        model = random_stationary_model(np.random.default_rng(model_seed), max_order=window)
+        out = theoretical_subset_losses(model, h, window, n=n, reps=reps, seed=seed)
+        pairs = [(bits, method) for bits, est in out.items() for method in Method
+                 if math.isfinite(getattr(est, f"{method.label}_loss"))]
+        squares = deviation_loop(model, h, n, reps, lambda rep: (seed, rep), pairs)
+        for (bits, method), sq in zip(pairs, squares.T):
+            assert getattr(out[bits], f"{method.label}_loss") == n * float(sq.mean())
+            assert getattr(out[bits], f"{method.label}_se") == \
+                n * float(sq.std(ddof=1)) / math.sqrt(reps)
+
+    def test_singular_row_in_the_middle_of_a_block(self, monkeypatch):
+        n, h, reps, seed = 120, 3, 12, 4
+        assert block_rows(n, h) > reps
+        seeds = zero_first_draw(monkeypatch, seed, 5)
+        est = mc_mspe(MODEL, h, 2, Method.PLUGIN, n, reps, seed)
+        assert est.redraws == 1
+        assert seeds == [(seed, rep, 0) for rep in range(reps)] + [(seed, 5, 1)]
+        monkeypatch.undo()
+        want = mspe_loop(MODEL, h, 2, Method.PLUGIN, n, reps,
+                         lambda rep: (seed, rep, 1) if rep == 5 else (seed, rep))
+        assert (est.mean, est.std_error) == want
+
+        zero_first_draw(monkeypatch, seed, 1, 5)  # model 1 of the table
+        rows = replicate_table1(n=n, reps=reps, seed=seed)
+        assert [row.redraws for row in rows] == [0, 1, 0, 0]
+        monkeypatch.undo()
+        pairs = ((1, Method.DIRECT), (2, Method.PLUGIN))
+        direct_sq, plugin_sq = deviation_loop(
+            ArModel(BENCHMARK_MODELS[1], 1.0), 3, n, reps,
+            lambda rep: (seed, 1, rep, 1) if rep == 5 else (seed, 1, rep), pairs).T
+        assert rows[1].ratio == float(direct_sq.mean()) / float(plugin_sq.mean())
+
+    def test_a_row_singular_on_every_attempt_raises(self, monkeypatch):
+        draw_innovations = arselect.montecarlo._draw_innovations
+        seeds = []
+
+        def spy(seed, size, *args):
+            seeds.append(tuple(seed))
+            return np.zeros(size) if seed[1] == 2 else draw_innovations(seed, size, *args)
+
+        monkeypatch.setattr(arselect.montecarlo, "_draw_innovations", spy)
+        with pytest.raises(SingularMomentError, match="condition number"):
+            mc_mspe(MODEL, 3, 2, Method.DIRECT, 120, 6, 4)
+        assert seeds[6:] == [(4, 2, 1), (4, 2, 2), (4, 2, 3)]
+
+    def test_memory_does_not_grow_with_reps(self):
+        def peak(reps):
+            mc_mspe(MODEL, 3, 2, Method.PLUGIN, 500, reps, 1)  # warm: imports, caches
+            tracemalloc.start()
+            try:
+                mc_mspe(MODEL, 3, 2, Method.PLUGIN, 500, reps, 1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        reps = 2 * block_rows(500, 3)
+        assert peak(10 * reps) <= 1.5 * peak(reps)
+
+
+class TestPinnedValues:
+    """Hex values the driver gave when it drew, fitted and scored one
+    replication at a time.  A batched form that rounds differently from
+    the per-row one (a stacked plug-in recursion, an einsum moment) moves
+    them, where the loops above, which share the fit code, cannot tell."""
+
+    @pytest.mark.parametrize("coeffs, h, candidate, method, n, reps, seed, burn_in, dist, df, "
+                             "mean, std_error", [
+        ((0.9, -0.81), 2, (1, 1, 0, 1), "plugin", 150, 7, 5, 500, "normal", None,
+         "0x1.6ca5e131ed153p-1", "0x1.c2e2315327bffp-3"),
+        ((0.95,), 5, (1, 0, 0, 1), "plugin", 150, 7, 5, 37, "student-t", 9.5,
+         "0x1.f13806e514847p+0", "0x1.bc48599699cd4p-1"),
+        ((0.9, -0.81), 3, 2, "plugin", 120, 33, 5, 500, "uniform", None,
+         "0x1.a10f700ec2e77p+0", "0x1.68de8a5701887p-2"),
+        ((0.5, -0.25), 3, (1, 0, 1), "direct", 60, 70, 9, 0, "normal", None,
+         "0x1.7984b8d608af3p+0", "0x1.08931e94489d7p-2"),
+    ])
+    def test_mc_mspe(self, coeffs, h, candidate, method, n, reps, seed, burn_in, dist, df,
+                     mean, std_error):
+        est = mc_mspe(ArModel(coeffs, 1.0), h, candidate, Method.from_label(method), n, reps,
+                      seed, burn_in=burn_in, dist=dist, df=df)
+        assert (est.mean.hex(), est.std_error.hex()) == (mean, std_error)
+
+    def test_ratio_table_and_subset_losses(self):
+        row = replicate_table1(n=80, reps=45, seed=3)[2]
+        assert (row.ratio.hex(), row.std_error.hex()) == (
+            "0x1.1798181258bc4p+1", "0x1.5deec742ea028p-1")
+        out = theoretical_subset_losses(MODEL, 3, 3, n=80, reps=45, seed=2)
+        assert (out[(1, 0, 1)].direct_loss.hex(), out[(1, 1, 1)].plugin_loss.hex()) == (
+            "0x1.b12a418f8c1e3p+2", "0x1.7ad9e1cdcf01ap+2")

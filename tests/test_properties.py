@@ -4,7 +4,8 @@ Selection evaluates a whole candidate family from one cross-product table,
 one batched start probe and one one-step stack per candidate.  These
 properties hold it to the per-candidate functions (``start_index``,
 ``ape_direct``, ``ape_plugin``) bit for bit, and the probe to a naive
-per-time probe written here.
+per-time probe written here.  A fuzz of ``arselect mspe`` holds every
+accepted or rejected request to a documented exit code.
 """
 import numpy as np
 from hypothesis import HealthCheck, example, given, settings
@@ -20,6 +21,7 @@ from arselect import (
     start_index,
     subset_select,
 )
+from arselect.cli import main
 from arselect.errors import ArSelectError, NoValidStartError
 from arselect.tolerances import COND_GUARD
 
@@ -159,3 +161,33 @@ def test_late_one_step_start_matches_per_candidate_path(data, seed, zeros, n,
     want = outcome(lambda: per_candidate_audit(series, h, orders, start_one,
                                                start_h, lambda k, first: True))
     assert got == want
+
+
+def optional(flag, values):
+    """Either no argument or ``flag`` with a drawn value."""
+    return st.one_of(st.just([]), values.map(lambda v: [flag, str(v)]))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(coeffs=st.sampled_from(["0.9,-0.81", "0.5", "-0.5,0.2,0.1", "0.3,0.2", "1.2", "0"]),
+       n=st.integers(0, 60), reps=st.integers(1, 5), horizon=st.integers(0, 5),
+       burn_in=optional("--burn-in", st.integers(-1, 40)),
+       candidate=st.one_of(st.integers(0, 4).map(lambda k: ["--order", str(k)]),
+                           st.text("01", min_size=1, max_size=5).map(lambda m: ["--mask", m]),
+                           st.sampled_from([[], ["--order", "1", "--mask", "1"]])),
+       method=st.sampled_from(["plugin", "direct"]),
+       dist=optional("--dist", st.sampled_from(["normal", "uniform", "student-t"])),
+       df=optional("--df", st.sampled_from([5.0, 8.0, 8.5, 12.0, float("inf"), float("nan")])),
+       seed=st.integers(-1, 2 ** 64))
+def test_mspe_exits_with_a_documented_code(coeffs, n, reps, horizon, burn_in, candidate,
+                                           method, dist, df, seed, capsys):
+    argv = ["mspe", f"--coeffs={coeffs}", "--n", str(n), "--reps", str(reps),
+            "--horizon", str(horizon), "--method", method, "--seed", str(seed),
+            *burn_in, *candidate, *dist, *df]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse usage errors
+        code = exc.code
+    assert code in {0, 2, 3, 4}
+    assert "Traceback" not in capsys.readouterr().err
