@@ -94,11 +94,11 @@ def _probe(table: _CrossProducts, h: int, max_order: int) -> int:
     while i <= last:
         times = np.arange(i, min(i + 10, last) + 1)
         while base + done < times[-1]:
-            uppers = np.arange(base + done, min(base + done + _PROBE_CHUNK, last))
+            uppers = range(base + done, min(base + done + _PROBE_CHUNK, last))
             with np.errstate(divide="ignore", invalid="ignore"):
                 cond = np.linalg.cond(table.moment_windows(offsets, max_order, uppers))
-            ok[done: done + uppers.size] = np.isfinite(cond) & (cond <= COND_GUARD)
-            done += uppers.size
+            ok[done: done + len(uppers)] = np.isfinite(cond) & (cond <= COND_GUARD)
+            done += len(uppers)
         bad = np.flatnonzero(~(ok[times - 1 - base] & ok[times - h - base]))
         if not bad.size:
             return i
@@ -121,10 +121,15 @@ def _errors(values: np.ndarray, solutions: np.ndarray, offsets, h: int,
             i_values: np.ndarray) -> np.ndarray:
     """h-step errors of per-prefix coefficient rows, each applied to the
     newest lag window of its own prefix."""
-    lag = np.empty((i_values.size, len(offsets)))
-    for ai, r in enumerate(offsets):
-        lag[:, ai] = values[i_values - r - 1]
+    lag = values[i_values[:, None] - np.asarray(offsets) - 1]
     return values[i_values + h - 1] - np.einsum("tm,tm->t", solutions, lag)
+
+
+def _direct_errors(table: _CrossProducts, offsets: tuple[int, ...], h: int,
+                   i_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(errors, coefficient rows) of the direct h-step fits on each prefix ``x_1..x_i``."""
+    solutions = prefix_direct_solutions(table, offsets, h, i_values)
+    return _errors(table.values, solutions, offsets, h, i_values), solutions
 
 
 def _plugin_errors(values: np.ndarray, one: np.ndarray, offsets: tuple[int, ...],
@@ -159,11 +164,8 @@ def _accumulate(series: Series, h: int, candidate, start: int,
         raise ValueError(f"start {start} leaves no targets in a series of length {n}")
     i_values = np.arange(start, n - h + 1)
     table = _CrossProducts(series.values, h, lags[-1])
-    if method is Method.DIRECT:
-        direct = prefix_direct_solutions(table, offsets, h, i_values)
-        errors = _errors(series.values, direct, offsets, h, i_values)
-    else:
-        one = prefix_direct_solutions(table, offsets, 1, i_values)
+    errors, one = _direct_errors(table, offsets, h if method is Method.DIRECT else 1, i_values)
+    if method is Method.PLUGIN:
         errors = _plugin_errors(series.values, one, offsets, width, h, i_values)
     return ApeResult(horizon=h, candidate=label, method=method, start=start,
                      ape=_ape(errors), n=n,
@@ -192,19 +194,17 @@ def _candidate_apes(table: _CrossProducts, candidate, h: int, start_one: int,
     """
     lags, width, _ = _resolve_candidate(candidate)
     offsets = tuple(lag - 1 for lag in lags)
-    values, n = table.values, table.values.size
+    n = table.values.size
     lo = min(start_one, start_h)
-    one = prefix_direct_solutions(table, offsets, 1, np.arange(lo, n))
-    one_step = _ape(_errors(values, one[start_one - lo:], offsets, 1,
-                            np.arange(start_one, n)))
+    errors, one = _direct_errors(table, offsets, 1, np.arange(lo, n))
+    one_step = _ape(errors[start_one - lo:])
     if h == 1:
         return one_step, one_step, one_step
     i_values = np.arange(start_h, n - h + 1)
-    plugin = _plugin_errors(values, one[start_h - lo: start_h - lo + i_values.size],
+    plugin = _plugin_errors(table.values, one[start_h - lo: start_h - lo + i_values.size],
                             offsets, width, h, i_values)
     del one
-    solutions = prefix_direct_solutions(table, offsets, h, i_values)
-    direct = _errors(values, solutions, offsets, h, i_values)
+    direct, _ = _direct_errors(table, offsets, h, i_values)
     return one_step, _ape(direct), _ape(plugin)
 
 

@@ -14,8 +14,9 @@ one-row case of a guarded fit over every row of a block of series
 (:func:`_fit_rows`), which the Monte Carlo driver runs a block at a time.  The
 prefix machinery (:class:`_CrossProducts` and
 :func:`prefix_direct_solutions`) evaluates the same least-squares
-problems for every prefix of the series at once, via cumulative sums of
-lagged cross products and a batched solve; :func:`sequential_fitter`
+problems for every prefix of the series at once, from one table of
+cumulative cross products with a row per lag difference (K + h rows for
+max lag K at horizon h) and a batched solve; :func:`sequential_fitter`
 exposes it as a per-time stream.
 """
 
@@ -151,6 +152,11 @@ def sample_moment(series: Series, h: int, k: int) -> np.ndarray:
     return window.T @ window / window.shape[0]
 
 
+def _overflow_error(values: np.ndarray, what: str) -> SeriesOverflowError:
+    return SeriesOverflowError(f"series overflows: values up to "
+                               f"{np.max(np.abs(values)):.3e} make its {what} non-finite")
+
+
 def _fit_rows(block: np.ndarray, h: int, lags: tuple[int, ...], width: int,
               plugin: bool) -> tuple[np.ndarray, dict[int, str]]:
     """Whole-series fits of every row of a (rows, n) block, on sorted one-based
@@ -161,7 +167,7 @@ def _fit_rows(block: np.ndarray, h: int, lags: tuple[int, ...], width: int,
     condition number, one stacked solve and a residual check per row, the
     same arithmetic per row as a fit of that row alone.  See
     :func:`masked_fit_direct` and :func:`masked_fit_plugin`; an order k is
-    the lag set ``1..k`` at width k.
+    the lag set ``1..k`` at width k.  Overflowing cross products raise for the block.
     """
     if plugin:
         one, faults = _fit_rows(block, 1, lags, width, False)
@@ -175,8 +181,11 @@ def _fit_rows(block: np.ndarray, h: int, lags: tuple[int, ...], width: int,
     window = _lag_windows(block, h, lags)
     count = window.shape[1]
     window_t = window.transpose(0, 2, 1)
-    moment = window_t @ window / count
-    rhs = (window_t @ block[:, lags[-1] + h - 1:, None])[..., 0] / count
+    with np.errstate(over="ignore", invalid="ignore"):
+        moment = window_t @ window / count
+        rhs = (window_t @ block[:, lags[-1] + h - 1:, None])[..., 0] / count
+    if not (np.isfinite(moment).all() and np.isfinite(rhs).all()):
+        raise _overflow_error(block, "cross products")
     cond = np.linalg.cond(moment)
     bad = ~np.isfinite(cond) | (cond > COND_GUARD)
     # Named here, so that fits that succeed never format the lag set.
@@ -312,60 +321,53 @@ def forecast(series: Series, h: int, candidate, method: Method) -> float:
 
 
 class _CrossProducts:
-    """Cumulative lagged cross products of one series at one horizon.
+    """Cumulative lagged cross products of one series, one row per lag difference.
 
-    ``moment_windows`` and ``rhs_windows`` reconstruct, for any subset of
-    lag offsets and any collection of prefix ends, the exact sums that a
-    from-scratch refit on that prefix would accumulate.  Cumulative sums
-    are taken once; a window is a difference of two entries, so every
-    prefix gets the same arithmetic as a full batch pass.
+    Row d holds ``C_d[j] = sum_{d < i <= j} x_i x_{i-d}``, j = 0..n.  The moment
+    sum of offsets (r, s) over windows j = j0..u is ``C_d[u - m] - C_d[j0 - 1 - m]``
+    with d = |r - s| and m = min(r, s); the right-hand sum of offset r at
+    horizon hh is row r + hh shifted by hh.  These are the products and
+    additions of a from-scratch refit on each prefix, so every window is exact.
     """
 
     def __init__(self, values: np.ndarray, horizon: int, max_offset: int) -> None:
         n = values.size
+        rows = max_offset + horizon
         self.values = values
-        self._moment: dict[tuple[int, int], np.ndarray] = {}
-        self._rhs: dict[tuple[int, int], np.ndarray] = {}
+        # lagged[d, i] is values[i - d], and zero before the series starts.
+        lagged = np.lib.stride_tricks.sliding_window_view(
+            np.concatenate((np.zeros(rows - 1), values)), n)[::-1]
+        self._table = np.zeros((rows, n + 1))
         with np.errstate(over="ignore", invalid="ignore"):
-            for s in range(max_offset):
-                for r in range(s + 1):
-                    prod = np.zeros(n + 1)
-                    prod[s + 1:] = values[s - r: n - r] * values[: n - s]
-                    self._moment[(r, s)] = np.cumsum(prod)
-            for hh in {1, horizon}:
-                for r in range(max_offset):
-                    prod = np.zeros(n + 1)
-                    if n - hh - r > 0:
-                        prod[r + 1: n - hh + 1] = values[: n - hh - r] * values[r + hh:]
-                    self._rhs[(r, hh)] = np.cumsum(prod)
-        # A cumulative sum that overflows stays inf (or nan) to its end.
-        if not all(np.isfinite(col[-1]) for cols in (self._moment, self._rhs)
-                   for col in cols.values()):
-            raise SeriesOverflowError(
-                f"series overflows: values up to {np.max(np.abs(values)):.3e} make "
-                "its cumulative cross products non-finite")
+            np.multiply(values, lagged, out=self._table[:, 1:])
+            np.cumsum(self._table, axis=1, out=self._table)
+        # A cumulative sum that overflows stays inf (or nan) to its end;
+        # rows max_offset + 1 .. horizon - 1 are never read.
+        if not np.isfinite(self._table[np.r_[:max_offset + 1, horizon:rows], -1]).all():
+            raise _overflow_error(values, "cumulative cross products")
+
+    def _windows(self, first: np.ndarray, j0: int, uppers: range) -> np.ndarray:
+        """Flat entries ``u + first`` less ``j0 - 1 + first``, one block per u: row t
+        of a strided view starts at ``uppers[t] + first.min()``, so one gather serves all."""
+        start, step = first.min(), self._table.itemsize
+        view = np.ndarray((len(uppers), first.max() - start + 1), buffer=self._table,
+                          offset=(uppers[0] + start) * step, strides=(step, step))
+        out = view[:, first - start]
+        out -= self._table.take(j0 - 1 + first)
+        return out
 
     def moment_windows(self, offsets: Sequence[int], j0: int,
-                       uppers: np.ndarray) -> np.ndarray:
+                       uppers: range) -> np.ndarray:
         """Stack of moment-sum matrices for windows j = j0..u, one per u."""
-        m = len(offsets)
-        out = np.empty((uppers.size, m, m))
-        for ai in range(m):
-            for bi in range(ai, m):
-                r, s = offsets[ai], offsets[bi]
-                col = self._moment[(min(r, s), max(r, s))]
-                vals = col[uppers] - col[j0 - 1]
-                out[:, ai, bi] = vals
-                out[:, bi, ai] = vals
-        return out
+        column = np.asarray(offsets)[:, None]
+        return self._windows(np.abs(column - column.T) * self._table.shape[1]
+                             - np.minimum(column, column.T), j0, uppers)
 
     def rhs_windows(self, offsets: Sequence[int], hh: int, j0: int,
-                    uppers: np.ndarray) -> np.ndarray:
-        out = np.empty((uppers.size, len(offsets)))
-        for ai, r in enumerate(offsets):
-            col = self._rhs[(r, hh)]
-            out[:, ai] = col[uppers] - col[j0 - 1]
-        return out
+                    uppers: range) -> np.ndarray:
+        """Stack of right-hand sums at horizon hh for windows j = j0..u <= n - hh."""
+        return self._windows((np.asarray(offsets) + hh) * self._table.shape[1] + hh,
+                             j0, uppers)
 
 
 def _batched_solve(systems: np.ndarray, rhs: np.ndarray,
@@ -398,9 +400,9 @@ def _batched_solve(systems: np.ndarray, rhs: np.ndarray,
 
 def prefix_direct_solutions(cp: _CrossProducts, offsets: Sequence[int],
                             horizon: int, i_values: np.ndarray) -> np.ndarray:
-    """Direct-fit coefficients for each prefix ``x_1..x_i``, stacked."""
+    """Direct-fit coefficients for each prefix ``x_1..x_i``, i in consecutive ``i_values``."""
     j0 = offsets[-1] + 1
-    uppers = i_values - horizon
+    uppers = range(i_values[0] - horizon, i_values[-1] - horizon + 1)
     systems = cp.moment_windows(offsets, j0, uppers)
     rhs = cp.rhs_windows(offsets, horizon, j0, uppers)
     return _batched_solve(systems, rhs, i_values,
@@ -428,26 +430,23 @@ def sequential_fitter(series: Series, h: int, max_order: int,
     """
     if h < 1 or max_order < 1:
         raise ValueError("horizon and max_order must be >= 1")
-    n = series.n
-    values = series.values
     first = 2 * max_order + h - 1
-    cp = _CrossProducts(values, h, max_order)
-    for i in range(first, n - h + 1):
-        i_arr = np.array([i])
+    cp = _CrossProducts(series.values, h, max_order)
+    for i in range(first, series.n - h + 1):
         fits: dict[int, LsFit] = {}
         try:
             for k in range(1, max_order + 1):
                 offsets = tuple(range(k))
                 count = i - h - k + 1
-                moment = cp.moment_windows(offsets, k, i_arr - h)[0]
+                moment = cp.moment_windows(offsets, k, range(i - h, i - h + 1))[0]
                 gamma_hat = moment / count
                 cond = np.linalg.cond(gamma_hat)
                 if not np.isfinite(cond) or cond > COND_GUARD:
                     raise SingularMomentError(
                         f"sequential fit h={h} k={k}: condition number "
                         f"{cond:.3e} exceeds guard at time {i}")
-                a_one = prefix_direct_solutions(cp, offsets, 1, i_arr)[0]
-                a_direct = prefix_direct_solutions(cp, offsets, h, i_arr)[0]
+                a_one = prefix_direct_solutions(cp, offsets, 1, np.array([i]))[0]
+                a_direct = prefix_direct_solutions(cp, offsets, h, np.array([i]))[0]
                 a_plugin = a_one if h == 1 else iterate_plugin_coeffs(a_one, h)
                 fits[k] = LsFit(horizon=h, order=k, gamma_hat=gamma_hat,
                                 a_one_step=a_one, a_plugin=a_plugin,

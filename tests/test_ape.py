@@ -9,6 +9,8 @@ from arselect import (
     ape_direct,
     ape_excess,
     ape_plugin,
+    fit_direct,
+    fit_plugin,
     ma_coefficients,
     simulate,
     start_index,
@@ -66,7 +68,7 @@ class TestStartIndex:
 
     def test_structural_bound_is_checked_before_the_table(self, monkeypatch):
         # K=200 on 300 observations: the cross-product table would hold
-        # 20,100 cumulative columns, none of which the verdict needs.
+        # 203 cumulative rows, none of which the verdict needs.
         built = []
         table = arselect.ape._CrossProducts
 
@@ -207,6 +209,15 @@ class TestOverflow:
                      lambda: subset_select(series, 3, 4)):
             with pytest.raises(SeriesOverflowError, match="series overflows"):
                 call()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e153, 1e160, 1e200])
+    def test_overflowing_whole_series_fit(self, scale):
+        # Not a singular fit: a redraw of an overflowing series would not help.
+        series = Series(simulate(ArModel((0.9, -0.81)), 800, seed=1).series.values * scale)
+        for fit in (lambda: fit_direct(series, 3, 1), lambda: fit_plugin(series, 3, 2)):
+            with pytest.raises(SeriesOverflowError, match="series overflows"):
+                fit()
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_errors(self):

@@ -302,6 +302,15 @@ class TestExitCodes:
         assert code == 3
         assert "SeriesOverflowError: series overflows" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e153, 1e160, 1e200])
+    def test_overflowing_series_is_numerical_for_bic(self, tmp_path, capsys, scale):
+        big = tmp_path / "big.csv"
+        write_series_csv(str(big), simulate(MODEL, 800, seed=1).series.values * scale)
+        code = run_cli("bic", "--input", str(big), "--horizon", "3", "--max-order", "4")
+        assert code == 3
+        assert "SeriesOverflowError: series overflows" in capsys.readouterr().err
+
     def test_subset_window_cap(self, series_csv, capsys):
         path, _ = series_csv
         code = run_cli("select", "--input", path, "--horizon", "2",

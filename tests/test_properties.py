@@ -3,16 +3,20 @@
 Selection evaluates a whole candidate family from one cross-product table,
 one batched start probe and one one-step stack per candidate.  These
 properties hold it to the per-candidate functions (``start_index``,
-``ape_direct``, ``ape_plugin``) bit for bit, and the probe to a naive
-per-time probe written here.  A fuzz of ``arselect mspe`` holds every
-accepted or rejected request to a documented exit code.
+``ape_direct``, ``ape_plugin``) bit for bit, the probe to a naive
+per-time probe written here, and the lag-difference table to the
+per-pair cumulative columns it replaced.  Scaling a series by a power of
+two scales every APE exactly, and a full mask is its dense order.  A fuzz
+of ``arselect mspe`` holds every accepted or rejected request to a
+documented exit code.
 """
 import numpy as np
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import arselect.ape
 from arselect import (
+    ArModel,
     Series,
     ape_direct,
     ape_plugin,
@@ -22,7 +26,8 @@ from arselect import (
     subset_select,
 )
 from arselect.cli import main
-from arselect.errors import ArSelectError, NoValidStartError
+from arselect.errors import ArSelectError, NoValidStartError, SeriesOverflowError
+from arselect.estimation import _CrossProducts
 from arselect.tolerances import COND_GUARD
 
 from conftest import random_stationary_model
@@ -161,6 +166,109 @@ def test_late_one_step_start_matches_per_candidate_path(data, seed, zeros, n,
     want = outcome(lambda: per_candidate_audit(series, h, orders, start_one,
                                                start_h, lambda k, first: True))
     assert got == want
+
+
+def per_pair_columns(values, horizon, max_offset):
+    """The cumulative columns of the table keyed by lag pair: one per pair
+    r <= s of offsets and one per (offset, horizon) at horizons 1 and h,
+    or ``None`` where the guard on their last entries fires."""
+    n = values.size
+    moment, rhs = {}, {}
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in range(max_offset):
+            for r in range(s + 1):
+                prod = np.zeros(n + 1)
+                prod[s + 1:] = values[s - r: n - r] * values[: n - s]
+                moment[(r, s)] = np.cumsum(prod)
+        for hh in {1, horizon}:
+            for r in range(max_offset):
+                prod = np.zeros(n + 1)
+                if n - hh - r > 0:
+                    prod[r + 1: n - hh + 1] = values[: n - hh - r] * values[r + hh:]
+                rhs[(r, hh)] = np.cumsum(prod)
+    ends = [col[-1] for cols in (moment, rhs) for col in cols.values()]
+    return (moment, rhs) if np.isfinite(ends).all() else None
+
+
+@SETTINGS
+@given(data=st.data(), seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 400),
+       max_offset=st.integers(1, 12), h=st.integers(1, 5),
+       exponent=st.integers(-150, 150) | st.just(154))
+def test_lag_difference_table_is_the_per_pair_table(data, seed, n, max_offset, h,
+                                                      exponent):
+    # 10^154 overflows some sums, so the guard must fire on the same series.
+    assume(max_offset <= n)  # the per-pair table needs a product per offset
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(n) * 10.0 ** exponent
+    want = per_pair_columns(values, h, max_offset)
+    got = outcome(lambda: _CrossProducts(values, h, max_offset))
+    if want is None:
+        assert got is SeriesOverflowError
+        return
+    moment, rhs = want
+    offsets = tuple(data.draw(st.one_of(
+        st.integers(1, max_offset).map(range),
+        st.sets(st.integers(0, max_offset - 1), min_size=1).map(sorted))))
+    j0 = offsets[-1] + 1
+    for hh in sorted({1, h}):
+        if j0 - 1 > n - hh:
+            continue
+        lo = data.draw(st.integers(j0 - 1, n - hh))
+        uppers = range(lo, data.draw(st.integers(lo, n - hh)) + 1)
+        u = np.array(uppers)
+        stack = np.empty((u.size, len(offsets), len(offsets)))
+        for a, r in enumerate(offsets):
+            for b, s in enumerate(offsets):
+                col = moment[(min(r, s), max(r, s))]
+                stack[:, a, b] = col[u] - col[j0 - 1]
+        right = np.column_stack([rhs[(r, hh)][u] - rhs[(r, hh)][j0 - 1]
+                                 for r in offsets])
+        # Bit for bit: -0.0 differs from 0.0 here.
+        assert got.moment_windows(offsets, j0, uppers).tobytes() == stack.tobytes()
+        assert got.rhs_windows(offsets, hh, j0, uppers).tobytes() == right.tobytes()
+
+
+def test_table_holds_one_row_per_lag_difference():
+    values = simulate(ArModel((0.9, -0.81)), 2000, seed=1).series.values
+    for h in (1, 3):
+        assert _CrossProducts(values, h, 120)._table.shape == (120 + h, 2001)
+
+
+@SETTINGS
+@given(series=stationary_series(max_n=300), power=st.integers(-20, 40),
+       h=st.integers(1, 5), max_order=st.integers(1, 4))
+def test_power_of_two_scaling_scales_every_ape_exactly(series, power, h, max_order):
+    scaled = Series(series.values * 2.0 ** power)
+    for select in (select_predictor, subset_select):
+        base = outcome(lambda: select(series, h, max_order))
+        got = outcome(lambda: select(scaled, h, max_order))
+        if isinstance(base, type):
+            assert got is base
+            continue
+        assert (got.order, got.mask, got.method) == (base.order, base.mask, base.method)
+        old, new = base.audit, got.audit
+        assert (new.start_one_step, new.start) == (old.start_one_step, old.start)
+        assert ((new.one_step_choice, new.direct_choice, new.plugin_choice)
+                == (old.one_step_choice, old.direct_choice, old.plugin_choice))
+        for was, now in zip(engine_audit(base), engine_audit(got)):
+            assert now == {c: ape * 4.0 ** power for c, ape in was.items()}
+
+
+@SETTINGS
+@given(series=stationary_series(max_n=300), order=st.integers(1, 6),
+       h=st.integers(1, 5))
+def test_full_mask_is_the_dense_order(series, order, h):
+    start = outcome(lambda: start_index(series, h, order))
+    if isinstance(start, type):
+        return
+    for ape in (ape_direct, ape_plugin):
+        dense = outcome(lambda: ape(series, h, order, start, keep_steps=True))
+        full = outcome(lambda: ape(series, h, (1,) * order, start, keep_steps=True))
+        if isinstance(dense, type):
+            assert full is dense
+            continue
+        assert full.ape == dense.ape
+        assert full.step_errors.tobytes() == dense.step_errors.tobytes()
 
 
 def optional(flag, values):
