@@ -9,6 +9,12 @@ and all candidates are compared on identical targets.
 
 Candidates are either a plain order ``k`` (regress on the newest k lags)
 or a 0/1 mask over a lag window (regress on the flagged lags only).
+Every candidate's prefix fits come from the bordered solver of
+``estimation``: :func:`family_apes` walks each top lag's candidates depth
+first, and :func:`ape_direct` and :func:`ape_plugin` walk from the root to
+their one candidate with the same operations, so the two agree bit for
+bit.  Errors are formed from lag slices of the series, and a plug-in
+forecast iterates the one-step fit on its own forecasts.
 """
 
 from __future__ import annotations
@@ -21,9 +27,10 @@ import numpy as np
 from .errors import LengthMismatchError, NoValidStartError, SeriesOverflowError
 from .estimation import (
     Series,
+    _BorderedSolver,
     _CrossProducts,
+    _path,
     _resolve_candidate,
-    prefix_direct_solutions,
 )
 from .methods import Method
 from .theory import MaCoefficients
@@ -117,44 +124,56 @@ def _ape(errors: np.ndarray) -> float:
     return ape
 
 
-def _errors(values: np.ndarray, solutions: np.ndarray, offsets, h: int,
-            i_values: np.ndarray) -> np.ndarray:
-    """h-step errors of per-prefix coefficient rows, each applied to the
-    newest lag window of its own prefix."""
-    lag = values[i_values[:, None] - np.asarray(offsets) - 1]
-    return values[i_values + h - 1] - np.einsum("tm,tm->t", solutions, lag)
+def _lag_rows(values: np.ndarray, width: int, first: int, count: int) -> np.ndarray:
+    """(width, count) view of lag slices: row c, column t is x_{i-c} for the
+    prefix i = first + t, and zero before the series starts."""
+    pad = max(width - first, 0)
+    if pad:
+        values = np.concatenate((np.zeros(pad), values))
+    step = values.itemsize
+    return np.ndarray((width, count), buffer=values, offset=(first + pad - 1) * step,
+                      strides=(-step, step))
 
 
-def _direct_errors(table: _CrossProducts, offsets: tuple[int, ...], h: int,
-                   i_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(errors, coefficient rows) of the direct h-step fits on each prefix ``x_1..x_i``."""
-    solutions = prefix_direct_solutions(table, offsets, h, i_values)
-    return _errors(table.values, solutions, offsets, h, i_values), solutions
+def _errors(values: np.ndarray, coeffs: np.ndarray, lags: Sequence[int], hh: int,
+            first: int, scratch: np.ndarray) -> np.ndarray:
+    """hh-step errors of per-prefix coefficients on ``lags`` (one row each),
+    column t applied to the newest lags of the prefix ``first + t``; the lag
+    rows are copied into the flat buffer ``scratch``."""
+    count = coeffs.shape[1]
+    window = _lag_rows(values, max(lags), first, count)
+    known = scratch[:len(lags) * count].reshape(len(lags), count)
+    for row, lag in zip(known, lags):
+        row[:] = window[lag - 1]
+    return (values[first + hh - 1: first + hh - 1 + count]
+            - np.einsum("jt,jt->t", coeffs, known))
 
 
-def _plugin_errors(values: np.ndarray, one: np.ndarray, offsets: tuple[int, ...],
-                   width: int, h: int, i_values: np.ndarray) -> np.ndarray:
-    """Plug-in errors from one-step rows ``one``, zero-embedded at ``width``.
+def _plugin_errors(values: np.ndarray, one: np.ndarray, lags: Sequence[int], h: int,
+                   first: int, scratch: np.ndarray) -> np.ndarray:
+    """h-step plug-in errors of per-prefix one-step coefficients on ``lags``:
+    each one-step fit is iterated on its own forecasts, which is its
+    companion matrix (with zeros for the lags it leaves out) applied h-1
+    times.  The lag rows of each step are copied into ``scratch``."""
+    count = one.shape[1]
+    window = _lag_rows(values, max(lags), first, count)
+    known = scratch[:len(lags) * count].reshape(len(lags), count)
+    forecasts: list[np.ndarray] = []
+    for step in range(h):  # forecasts[s] is x_{i+s+1}
+        for row, lag in zip(known, lags):
+            row[:] = forecasts[step - lag] if lag <= step else window[lag - 1 - step]
+        forecasts.append(np.einsum("jt,jt->t", one, known))
+    return values[first + h - 1: first + h - 1 + count] - forecasts[-1]
 
-    The companion recursion is iterated as ``v' = v[0] a + shift(v)``:
-    each entry of the companion product has these two nonzero terms
-    only, so the two agree bit for bit.
-    """
-    coeffs = one
-    if len(offsets) != width:
-        coeffs = np.zeros((one.shape[0], width))
-        coeffs[:, list(offsets)] = one
-    vec = coeffs
-    for _ in range(h - 1):
-        vec, prev = vec[:, :1] * coeffs, vec
-        vec[:, :-1] += prev[:, 1:]
-    return _errors(values, vec, range(width), h, i_values)
+
+def _path_lags(lags: tuple[int, ...]) -> tuple[int, ...]:
+    """The lags of a candidate in its solver's order: the top lag first."""
+    return lags[-1:] + lags[:-1]
 
 
 def _accumulate(series: Series, h: int, candidate, start: int,
                 method: Method, keep_steps: bool) -> ApeResult:
-    lags, width, label = _resolve_candidate(candidate)
-    offsets = tuple(lag - 1 for lag in lags)
+    lags, _, label = _resolve_candidate(candidate)
     n = series.n
     if start < h + lags[-1]:
         raise ValueError(
@@ -162,11 +181,16 @@ def _accumulate(series: Series, h: int, candidate, start: int,
             f"(needs >= {h + lags[-1]})")
     if start > n - h:
         raise ValueError(f"start {start} leaves no targets in a series of length {n}")
-    i_values = np.arange(start, n - h + 1)
-    table = _CrossProducts(series.values, h, lags[-1])
-    errors, one = _direct_errors(table, offsets, h if method is Method.DIRECT else 1, i_values)
-    if method is Method.PLUGIN:
-        errors = _plugin_errors(series.values, one, offsets, width, h, i_values)
+    solver = _BorderedSolver(_CrossProducts(series.values, h, lags[-1]), lags[-1],
+                             [(h if method is Method.DIRECT else 1, start, n - h)])
+    solver.load(lags[-1])
+    solver.walk_to(_path(lags))
+    coeffs, order = solver.solve(0), _path_lags(lags)
+    scratch = solver.work.reshape(-1)
+    if method is Method.DIRECT or h == 1:  # at h=1 the plug-in predictor is direct
+        errors = _errors(series.values, coeffs, order, h, start, scratch)
+    else:
+        errors = _plugin_errors(series.values, coeffs, order, h, start, scratch)
     return ApeResult(horizon=h, candidate=label, method=method, start=start,
                      ape=_ape(errors), n=n,
                      step_errors=errors if keep_steps else None)
@@ -184,28 +208,56 @@ def ape_plugin(series: Series, h: int, candidate, start: int,
     return _accumulate(series, h, candidate, start, Method.PLUGIN, keep_steps)
 
 
-def _candidate_apes(table: _CrossProducts, candidate, h: int, start_one: int,
-                    start_h: int) -> tuple[float, float, float]:
-    """(one-step, direct, plug-in) APE of one candidate on a shared table.
+def _candidate_apes(values: np.ndarray, solver: _BorderedSolver, candidate, h: int,
+                    start_one: int, start_h: int) -> tuple[float, float, float]:
+    """(one-step, direct, plug-in) APE of the candidate the walk of
+    ``solver`` has just descended to.
 
-    One one-step prefix stack, solved from the earlier start, gives the
-    one-step APE and, sliced at ``start_h``, the plug-in APE; at h=1 it
-    gives all three.  It is dropped before the direct stack is solved.
+    The one-step rows, solved from the earlier start, give the one-step
+    APE and, sliced at ``start_h``, the plug-in APE; at h=1 they give all
+    three.  The direct rows are solved after both.
     """
-    lags, width, _ = _resolve_candidate(candidate)
-    offsets = tuple(lag - 1 for lag in lags)
-    n = table.values.size
+    order = _path_lags(_resolve_candidate(candidate)[0])
+    n = values.size
     lo = min(start_one, start_h)
-    errors, one = _direct_errors(table, offsets, 1, np.arange(lo, n))
-    one_step = _ape(errors[start_one - lo:])
+    scratch = solver.work.reshape(-1)
+    one = solver.solve(0)
+    one_step = _ape(_errors(values, one, order, 1, lo, scratch)[start_one - lo:])
     if h == 1:
         return one_step, one_step, one_step
-    i_values = np.arange(start_h, n - h + 1)
-    plugin = _plugin_errors(table.values, one[start_h - lo: start_h - lo + i_values.size],
-                            offsets, width, h, i_values)
-    del one
-    direct, _ = _direct_errors(table, offsets, h, i_values)
+    plugin = _plugin_errors(values, one[:, start_h - lo: n - h + 1 - lo], order, h, start_h,
+                            scratch)
+    direct = _errors(values, solver.solve(1), order, h, start_h, scratch)
     return one_step, _ape(direct), _ape(plugin)
+
+
+def _walk_family(table: _CrossProducts, candidates: Sequence, h: int, start_one: int,
+                 start_h: int) -> list[tuple[float, float, float]]:
+    """Every candidate's (one-step, direct, plug-in) APE from one solver.
+
+    The candidates are visited by top lag and then depth first, each
+    after the paths leading to it; the solver's columns serve the
+    one-step fits on prefixes ``min(start_one, start_h)..n-1`` and, at
+    h > 1, the direct fits on ``start_h..n-h``.  Errors are raised in
+    that order.
+    """
+    n = table.values.size
+    spans = [(1, min(start_one, start_h), n - 1)]
+    if h > 1:
+        spans.append((h, start_h, n - h))
+    lags = [_resolve_candidate(candidate)[0] for candidate in candidates]
+    order = sorted(range(len(candidates)), key=lambda j: (lags[j][-1], _path(lags[j])))
+    solver = _BorderedSolver(table, max(top[-1] for top in lags), spans)
+    apes: list = [None] * len(candidates)
+    top = 0
+    for index in order:
+        if lags[index][-1] != top:
+            top = lags[index][-1]
+            solver.load(top)
+        solver.walk_to(_path(lags[index]))
+        apes[index] = _candidate_apes(table.values, solver, candidates[index], h,
+                                      start_one, start_h)
+    return apes
 
 
 def family_apes(series: Series, h: int, candidates: Sequence, max_lag: int
@@ -223,11 +275,9 @@ def family_apes(series: Series, h: int, candidates: Sequence, max_lag: int
     try:
         start_h = start_one if h == 1 else _probe(table, h, max_lag)
     except NoValidStartError:
-        for candidate in candidates:
-            _candidate_apes(table, candidate, 1, start_one, start_one)
+        _walk_family(table, candidates, 1, start_one, start_one)
         raise
-    return start_one, start_h, [_candidate_apes(table, c, h, start_one, start_h)
-                                for c in candidates]
+    return start_one, start_h, _walk_family(table, candidates, h, start_one, start_h)
 
 
 def ape_excess(result: ApeResult, innovations: np.ndarray,

@@ -12,12 +12,15 @@ Two layers live here.  The public batch fits (:func:`fit_one_step`,
 work on a whole series, and :func:`forecast` applies them; each is the
 one-row case of a guarded fit over every row of a block of series
 (:func:`_fit_rows`), which the Monte Carlo driver runs a block at a time.  The
-prefix machinery (:class:`_CrossProducts` and
-:func:`prefix_direct_solutions`) evaluates the same least-squares
-problems for every prefix of the series at once, from one table of
+prefix machinery evaluates the same least-squares problems for every
+prefix of the series at once.  :class:`_CrossProducts` is one table of
 cumulative cross products with a row per lag difference (K + h rows for
-max lag K at horizon h) and a batched solve; :func:`sequential_fitter`
-exposes it as a per-time stream.
+max lag K at horizon h).  :class:`_BorderedSolver` solves, from it, every
+lag subset that shares a top lag, order-recursively: a candidate's
+inverse Cholesky factor is its parent's bordered by one row, so one
+depth-first walk per top lag serves every mask and both horizons, and a
+dense order k is the single path (k, 1, ..., k-1).
+:func:`sequential_fitter` exposes the prefix fits as a per-time stream.
 """
 
 from __future__ import annotations
@@ -363,50 +366,202 @@ class _CrossProducts:
         return self._windows(np.abs(column - column.T) * self._table.shape[1]
                              - np.minimum(column, column.T), j0, uppers)
 
-    def rhs_windows(self, offsets: Sequence[int], hh: int, j0: int,
-                    uppers: range) -> np.ndarray:
-        """Stack of right-hand sums at horizon hh for windows j = j0..u <= n - hh."""
-        return self._windows((np.asarray(offsets) + hh) * self._table.shape[1] + hh,
-                             j0, uppers)
+    def _rows(self, first: np.ndarray, j0: int, uppers: range, out: np.ndarray) -> None:
+        """:meth:`_windows` transposed into ``out``: one row per entry, each a
+        slice of the flat table less one entry, and one column per upper."""
+        flat = self._table.reshape(-1)
+        for row, entry in zip(out, first):
+            np.subtract(flat[uppers[0] + entry: uppers[-1] + entry + 1],
+                        flat[j0 - 1 + entry], out=row)
+
+    def moment_rows(self, offsets: Sequence[int], j0: int, uppers: range,
+                    out: np.ndarray) -> None:
+        """:meth:`moment_windows` into ``out`` with each matrix's lower triangle
+        packed, entry (a, b), b <= a, in row ``a(a+1)/2 + b``, and one column
+        per upper."""
+        row, col = np.tril_indices(len(offsets))
+        column = np.asarray(offsets)
+        self._rows(np.abs(column[row] - column[col]) * self._table.shape[1]
+                   - np.minimum(column[row], column[col]), j0, uppers, out)
+
+    def rhs_rows(self, offsets: Sequence[int], hh: int, j0: int, uppers: range,
+                 out: np.ndarray) -> None:
+        """Right-hand sums at horizon hh for windows j = j0..u <= n - hh into
+        ``out``: one row per offset, one column per upper."""
+        self._rows((np.asarray(offsets) + hh) * self._table.shape[1] + hh, j0, uppers, out)
 
 
-def _batched_solve(systems: np.ndarray, rhs: np.ndarray,
-                   i_values: np.ndarray, what: str) -> np.ndarray:
-    """Solve a stack of small normal-equation systems, naming bad steps."""
-    try:
-        sol = np.linalg.solve(systems, rhs[..., None])[..., 0]
-    except np.linalg.LinAlgError:
-        sol = np.empty_like(rhs)
-        for t in range(rhs.shape[0]):
-            try:
-                sol[t] = np.linalg.solve(systems[t], rhs[t])
-            except np.linalg.LinAlgError as exc:
-                raise SingularMomentError(
-                    f"{what}: singular moment matrix at time {int(i_values[t])}"
-                ) from exc
-    with np.errstate(over="ignore", invalid="ignore"):
-        residual = np.abs(np.einsum("tij,tj->ti", systems, sol) - rhs).max(axis=1)
-        scale = (np.abs(systems).max(axis=(1, 2)) * np.abs(sol).max(axis=1)
-                 + np.abs(rhs).max(axis=1))
-    # A solve that overflowed leaves a non-finite residual: that fails too.
-    bad = np.flatnonzero(~np.isfinite(residual)
-                         | ((scale > 0.0) & (residual > TOL_LIN * scale)))
-    if bad.size:
+def _triangle(m: int) -> int:
+    """Entries of an m x m lower triangle: row a of a packed one starts at
+    ``_triangle(a)`` and holds entries (a, 0..a)."""
+    return m * (m + 1) // 2
+
+
+def _path(lags: tuple[int, ...]) -> tuple[int, ...]:
+    """Positions of sorted ``lags`` in the lag order (top, 1, ..., top - 1) of
+    their top lag: the top lag first, then the others ascending."""
+    return (0,) + lags[:-1]
+
+
+class _BorderedSolver:
+    """Prefix least squares for every lag subset of a top lag, by bordering.
+
+    The solver holds the fits of one or more horizons ``(hh, first, last)``:
+    the direct fit at horizon hh on each prefix ``x_1..x_i``, i = first..last.
+    Its columns are the union of their window uppers (two at least), and
+    :meth:`load` gathers, for a top lag L up to ``capacity``, the packed
+    moment matrices of the lag order (L, 1, ..., L-1) in one (L(L+1)/2, T)
+    stack and each horizon's right-hand sums in an (L, T) one (zero outside
+    its own uppers).  Every buffer is sized once, for ``capacity``.
+
+    A candidate is a path of lag positions ``(0, a_1 < a_2 < ...)``, and
+    its parent is the path without its last position.  The inverse
+    Cholesky factor U of a candidate's moment matrix (``U M U' = I``) is
+    its parent's plus one row, so a depth-first walk that calls
+    :meth:`descend` on each path after its parent keeps, in ``factor``,
+    the packed rows of every path from the root to the current one.  The
+    new row is ``[-g/d, 1/d]`` with ``c = U b``, ``g = U' c`` and
+    ``d = sqrt(m_vv - c.c)`` for the new lag's cross moments ``b`` and
+    ``m_vv``; ``z = U r`` grows by one entry, and :meth:`solve` gives
+    ``beta = U' z``.  Stacks are lag-major, so a sum over lags runs the
+    same loop over at least two time columns whatever the columns,
+    horizons or walk: a path's coefficients do not depend on what else
+    shares the solver.
+    """
+
+    def __init__(self, table: _CrossProducts, capacity: int,
+                 spans: Sequence[tuple[int, int, int]]) -> None:
+        low = min(first - hh for hh, first, _ in spans)
+        high = max(last - hh for hh, _, last in spans)
+        low -= low == high
+        count = high - low + 1
+        self.table, self.spans, self.low = table, list(spans), low
+        self.rows = [slice(first - hh - low, last - hh - low + 1)
+                     for hh, first, last in spans]
+        self.moment = np.empty((_triangle(capacity), count))
+        self.factor = np.empty_like(self.moment)
+        self.rhs = np.zeros((len(spans), capacity, count))
+        self.z = np.empty_like(self.rhs)
+        # Scratch, reused by every call: beta and two row stacks.
+        self.beta, self.work, self.spare = np.empty((3, capacity, count))
+        self.pivot, self.span, self.scale, self.bound = np.empty((4, count))
+        # index[a, b] is the packed row of entry (a, b) of a lower triangle.
+        position = np.arange(capacity)
+        big = np.maximum.outer(position, position)
+        self.index = big * (big + 1) // 2 + np.minimum.outer(position, position)
+        self.columns = [self.index[j:, j] for j in range(capacity)]  # U[j.., j] in factor
+        self.node: tuple[int, ...] = ()
+        self.path = np.empty(0, dtype=np.intp)
+        self.spanned = False
+
+    def load(self, top: int) -> None:
+        """Gather the moment and right-hand sums of top lag ``top``."""
+        self.node = ()
+        offsets = (top - 1,) + tuple(range(top - 1))
+        uppers = range(self.low, self.low + self.moment.shape[1])
+        self.table.moment_rows(offsets, top, uppers, self.moment[:_triangle(top)])
+        for (hh, first, last), rows, rhs in zip(self.spans, self.rows, self.rhs):
+            self.table.rhs_rows(offsets, hh, top, range(first - hh, last - hh + 1),
+                                rhs[:top, rows])
+
+    def walk_to(self, path: tuple[int, ...]) -> None:
+        """Descend to ``path`` from the path it shares most with the current
+        one: a depth-first walk descends each path once."""
+        shared, node = 0, self.node
+        while shared < min(len(node), len(path) - 1) and node[shared] == path[shared]:
+            shared += 1
+        for depth in range(shared + 1, len(path) + 1):
+            self.descend(path[:depth])
+
+    def descend(self, path: tuple[int, ...]) -> None:
+        """Border the factor of ``path[:-1]`` with the lag at ``path[-1]``."""
+        k = len(path) - 1
+        self.node, self.path, self.spanned = path, np.array(path), False
+        factor, inv = self.factor, self.factor[_triangle(k + 1) - 1]
+        # The new lag's cross moments with its parent's lags, then its own.
+        cross = self.moment.take(self.index[path[-1], self.path], axis=0,
+                                 out=self.work[:k + 1], mode="clip")
+        with np.errstate(all="ignore"):
+            if not k:
+                np.sqrt(cross[0], out=inv)
+                np.copyto(self.pivot, cross[0])
+                np.divide(1.0, inv, out=inv)
+                np.multiply(self.rhs[:, path[0]], inv, out=self.z[:, 0])
+                return
+            proj = self.spare[:k]  # c = U b
+            for a in range(k):
+                np.einsum("jt,jt->t", factor[_triangle(a): _triangle(a + 1)],
+                          cross[:a + 1], out=proj[a])
+            np.einsum("jt,jt->t", proj, proj, out=self.pivot)
+            np.subtract(cross[k], self.pivot, out=self.pivot)
+            np.sqrt(self.pivot, out=inv)
+            np.divide(1.0, inv, out=inv)
+            row = factor[_triangle(k): _triangle(k + 1) - 1]
+            for j in range(k):  # g = U' c, stored as -g/d
+                column = factor.take(self.columns[j][:k - j], axis=0,
+                                     out=self.beta[:k - j], mode="clip")
+                np.einsum("jt,jt->t", column, proj[j:], out=row[j])
+            row *= inv
+            np.negative(row, out=row)
+            z = self.z[:, k]
+            np.einsum("jt,hjt->ht", proj, self.z[:, :k], out=z)
+            np.subtract(self.rhs[:, path[-1]], z, out=z)
+            z *= inv
+
+    def solve(self, horizon: int) -> np.ndarray:
+        """(depth, rows) coefficients of the path just descended to, at one
+        horizon, in path order, valid until the next call; a failed step
+        raises.
+
+        A pivot that is not positive and finite at any step of the path
+        (it leaves every later pivot at that upper non-finite) is a singular
+        moment matrix; otherwise the normal-equation residual must be
+        within ``TOL_LIN`` of its scale, as for a direct solve.
+        """
+        path, rows = self.path, self.rows[horizon]
+        k, first = path.size - 1, self.spans[horizon][1]
+        name = f"sequential direct fit h={self.spans[horizon][0]}"
+        pivot = self.pivot[rows]
+        if not (pivot.min() > 0.0 and pivot.max() < np.inf):
+            sound = (pivot > 0.0) & (pivot < np.inf)
+            raise SingularMomentError(f"{name}: singular moment matrix at time "
+                                      f"{first + int(np.argmin(sound))}")
+        z, rhs = self.z[horizon], self.rhs[horizon]
+        beta, work, spare = self.beta[:k + 1], self.work[:k + 1], self.spare[:k + 1]
+        with np.errstate(all="ignore"):
+            for j in range(k + 1):
+                column = self.factor.take(self.columns[j][:k + 1 - j], axis=0,
+                                          out=spare[:k + 1 - j], mode="clip")
+                np.einsum("jt,jt->t", column, z[j:k + 1], out=beta[j])
+            np.abs(beta, out=work).max(axis=0, out=self.scale)
+            rhs.take(path, axis=0, out=work, mode="clip")
+            np.abs(work, out=work).max(axis=0, out=self.bound)
+            if not self.spanned:  # the largest |moment entry| of the path
+                self.span[:] = 0.0
+            for a in range(k + 1):
+                row = self.moment.take(self.index[path[a], path], axis=0, out=spare,
+                                       mode="clip")
+                np.einsum("jt,jt->t", row, beta, out=work[a])
+                work[a] -= rhs[path[a]]
+                if not self.spanned:
+                    np.maximum(self.span, np.abs(row, out=row).max(axis=0), out=self.span)
+            self.spanned = True
+            scale = self.scale
+            scale *= self.span
+            scale += self.bound
+            residual = np.abs(work, out=work).max(axis=0)[rows]
+            scale = scale[rows]
+            if (residual <= TOL_LIN * scale).all() and residual.max() < np.inf:
+                return beta[:, rows]
+            # A solve that overflowed leaves a non-finite residual: that fails too.
+            bad = np.flatnonzero(~np.isfinite(residual)
+                                 | ((scale > 0.0) & (residual > TOL_LIN * scale)))
+        if not bad.size:
+            return beta[:, rows]
+        t = int(bad[0])
         raise SingularMomentError(
-            f"{what}: unreliable solve at time {int(i_values[bad[0]])} "
-            f"(relative residual {residual[bad[0]] / scale[bad[0]]:.3e})")
-    return sol
-
-
-def prefix_direct_solutions(cp: _CrossProducts, offsets: Sequence[int],
-                            horizon: int, i_values: np.ndarray) -> np.ndarray:
-    """Direct-fit coefficients for each prefix ``x_1..x_i``, i in consecutive ``i_values``."""
-    j0 = offsets[-1] + 1
-    uppers = range(i_values[0] - horizon, i_values[-1] - horizon + 1)
-    systems = cp.moment_windows(offsets, j0, uppers)
-    rhs = cp.rhs_windows(offsets, horizon, j0, uppers)
-    return _batched_solve(systems, rhs, i_values,
-                          f"sequential direct fit h={horizon}")
+            f"{name}: unreliable solve at time {first + t} "
+            f"(relative residual {residual[t] / scale[t]:.3e})")
 
 
 # ---------------------------------------------------------------------------
@@ -445,8 +600,11 @@ def sequential_fitter(series: Series, h: int, max_order: int,
                     raise SingularMomentError(
                         f"sequential fit h={h} k={k}: condition number "
                         f"{cond:.3e} exceeds guard at time {i}")
-                a_one = prefix_direct_solutions(cp, offsets, 1, np.array([i]))[0]
-                a_direct = prefix_direct_solutions(cp, offsets, h, np.array([i]))[0]
+                solver = _BorderedSolver(cp, k, [(1, i, i), (h, i, i)])
+                solver.load(k)
+                solver.walk_to(tuple(range(k)))  # lags (k, 1, ..., k - 1)
+                a_one = np.roll(solver.solve(0)[:, 0], -1)
+                a_direct = np.roll(solver.solve(1)[:, 0], -1)
                 a_plugin = a_one if h == 1 else iterate_plugin_coeffs(a_one, h)
                 fits[k] = LsFit(horizon=h, order=k, gamma_hat=gamma_hat,
                                 a_one_step=a_one, a_plugin=a_plugin,

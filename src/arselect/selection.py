@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .ape import family_apes
-from .errors import SubsetTooLargeError, UnderspecifiedOrderError
+from .errors import SeriesOverflowError, SubsetTooLargeError, UnderspecifiedOrderError
 from .estimation import (
     Series,
     _lag_windows,
@@ -155,7 +155,8 @@ def bic_values(series: Series, h: int, max_order: int,
     The score is ``log(rss / n) + k * c / n`` where ``rss`` sums squared
     in-sample residuals of the full-sample direct fit over its window
     and ``c`` defaults to ``log n``.  A zero residual sum yields
-    ``-inf``, which still orders correctly.
+    ``-inf``, which still orders correctly; one that overflows raises
+    :class:`SeriesOverflowError`.
     """
     if h < 1 or max_order < 1:
         raise ValueError("horizon and max_order must be >= 1")
@@ -166,7 +167,11 @@ def bic_values(series: Series, h: int, max_order: int,
         coeffs = fit_direct(series, h, k)
         window = _lag_windows(series.values[None], h, _order_lags(k))[0]
         targets = series.values[k + h - 1:]
-        rss = float(np.sum((targets - window @ coeffs) ** 2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            rss = float(np.sum((targets - window @ coeffs) ** 2))
+        if not math.isfinite(rss):
+            raise SeriesOverflowError(f"series overflows: the order-{k} residual sum of "
+                                      f"squares is {rss}")
         sigma2_hat = rss / n
         score = (-math.inf if sigma2_hat == 0.0 else math.log(sigma2_hat))
         out[k] = score + k * c / n

@@ -23,7 +23,7 @@ from arselect.errors import (
     SeriesOverflowError,
     SingularMomentError,
 )
-from arselect.estimation import _batched_solve
+from arselect.estimation import _BorderedSolver, _CrossProducts
 from arselect.methods import Method
 from arselect.selection import select_predictor, subset_select
 
@@ -240,7 +240,11 @@ class TestOverflow:
             family_apes(Series(values), 2, [1, 2, 3], 3)
 
     def test_non_finite_residual_is_a_failed_solve(self):
-        systems, rhs = np.array([[[1e-300]]]), np.array([[1e300]])
+        # One lag at two uppers, the first of them prefix time 7, with moment
+        # 1e-300 and right-hand sum 1e300: the coefficient 1e600 overflows.
+        solver = _BorderedSolver(_CrossProducts(np.ones(10), 1, 1), 1, [(1, 7, 8)])
+        solver.moment[0], solver.rhs[0, 0] = 1e-300, 1e300
+        solver.descend((0,))
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(SingularMomentError, match="unreliable solve at time 7"):
-                _batched_solve(systems, rhs, np.array([7]), "test")
+                solver.solve(0)

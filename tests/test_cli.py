@@ -311,6 +311,19 @@ class TestExitCodes:
         assert code == 3
         assert "SeriesOverflowError: series overflows" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_residuals_are_numerical_for_bic(self, tmp_path, capsys):
+        # Finite cross products, but one spike's in-sample residuals overflow
+        # when squared: every order's BIC would be infinite.
+        rng = np.random.default_rng(50)
+        values = rng.standard_normal(60) * 1e152
+        values[rng.integers(0, 60)] *= 10.0 ** rng.uniform(0, 3)
+        path = tmp_path / "spike.csv"
+        write_series_csv(str(path), values)
+        code = run_cli("bic", "--input", str(path), "--horizon", "2", "--max-order", "3")
+        assert code == 3
+        assert "SeriesOverflowError: series overflows" in capsys.readouterr().err
+
     def test_subset_window_cap(self, series_csv, capsys):
         path, _ = series_csv
         code = run_cli("select", "--input", path, "--horizon", "2",

@@ -4,13 +4,17 @@ Selection evaluates a whole candidate family from one cross-product table,
 one batched start probe and one one-step stack per candidate.  These
 properties hold it to the per-candidate functions (``start_index``,
 ``ape_direct``, ``ape_plugin``) bit for bit, the probe to a naive
-per-time probe written here, and the lag-difference table to the
-per-pair cumulative columns it replaced.  Scaling a series by a power of
+per-time probe written here, the lag-difference table to the
+per-pair cumulative columns it replaced, and the bordered solver's guards
+to the batched LU solver it replaced.  Scaling a series by a power of
 two scales every APE exactly, and a full mask is its dense order.  A fuzz
 of ``arselect mspe`` holds every accepted or rejected request to a
 documented exit code.
 """
+import re
+
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -26,9 +30,14 @@ from arselect import (
     subset_select,
 )
 from arselect.cli import main
-from arselect.errors import ArSelectError, NoValidStartError, SeriesOverflowError
+from arselect.errors import (
+    ArSelectError,
+    NoValidStartError,
+    SeriesOverflowError,
+    SingularMomentError,
+)
 from arselect.estimation import _CrossProducts
-from arselect.tolerances import COND_GUARD
+from arselect.tolerances import COND_GUARD, TOL_LIN
 
 from conftest import random_stationary_model
 
@@ -142,6 +151,67 @@ def test_start_index_is_the_naive_probe(seed, zeros, spike, n, max_order, h):
         assert want > 2 * max_order + h - 1
 
 
+def lu_failure_time(values, h, lags, first):
+    """Where the batched-LU prefix solver failed on the direct fits of
+    ``lags`` at horizon h, prefixes ``first..n-h``: the first exactly
+    singular moment matrix if there is one, else the first normal-equation
+    residual above tolerance, else ``None``."""
+    table = _CrossProducts(values, h, lags[-1])
+    offsets = [lag - 1 for lag in lags]
+    uppers = range(first - h, values.size - 2 * h + 1)
+    systems = table.moment_windows(offsets, lags[-1], uppers)
+    rhs = np.empty((len(offsets), len(uppers)))
+    table.rhs_rows(offsets, h, lags[-1], uppers, rhs)
+    rhs = rhs.T
+    sol = np.empty_like(rhs)
+    for t in range(len(uppers)):
+        try:
+            sol[t] = np.linalg.solve(systems[t], rhs[t])
+        except np.linalg.LinAlgError:
+            return first + t
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual = np.abs(np.einsum("tij,tj->ti", systems, sol) - rhs).max(axis=1)
+        scale = (np.abs(systems).max(axis=(1, 2)) * np.abs(sol).max(axis=1)
+                 + np.abs(rhs).max(axis=1))
+    bad = np.flatnonzero(~np.isfinite(residual)
+                         | ((scale > 0.0) & (residual > TOL_LIN * scale)))
+    return first + int(bad[0]) if bad.size else None
+
+
+@SETTINGS
+@given(data=st.data(), seed=st.integers(0, 2 ** 32 - 1), zeros=st.integers(0, 40),
+       spike=st.none() | st.integers(0, 39), n=st.integers(40, 300),
+       lags=st.sets(st.integers(1, 6), min_size=1).map(sorted), h=st.integers(1, 5))
+def test_guards_fire_where_lu_fired(data, seed, zeros, spike, n, lags, h):
+    # The series of the start-probe property: leading zeros leave early
+    # moment matrices singular and a spike of 1e9 leaves some badly
+    # conditioned.  The bordered solver must fail at the same prefix time
+    # as the batched LU solver it replaced, or succeed where it succeeded.
+    # Its pivot test is a Cholesky test, so it may also fail earlier, at a
+    # prefix whose moment matrix as summed is not positive definite (too
+    # few windows for the lags, or a diagonal the spike's cumulative sums
+    # cancel to zero); LU solved those without complaint.
+    rng = np.random.default_rng(seed)
+    values = np.concatenate([np.zeros(zeros), rng.normal(size=n)])
+    if spike is not None:
+        values[zeros + spike] = 1e9
+    first = data.draw(st.integers(h + lags[-1], values.size - h))
+    mask = tuple(int(lag in lags) for lag in range(1, lags[-1] + 1))
+    want = lu_failure_time(values, h, tuple(lags), first)
+    try:
+        ape_direct(Series(values), h, mask, first)
+        got = None
+    except SingularMomentError as exc:
+        got = int(re.search(r"at time (\d+)", str(exc)).group(1))
+    if got != want:
+        assert got is not None and (want is None or got < want)
+        order = [lags[-1] - 1] + [lag - 1 for lag in lags[:-1]]
+        moment = _CrossProducts(values, h, lags[-1]).moment_windows(
+            order, lags[-1], range(got - h, got - h + 1))[0]
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(moment)
+
+
 @SETTINGS
 @given(data=st.data(), seed=st.integers(0, 2 ** 32 - 1),
        zeros=st.integers(0, 20), n=st.integers(40, 200),
@@ -225,7 +295,13 @@ def test_lag_difference_table_is_the_per_pair_table(data, seed, n, max_offset, h
                                  for r in offsets])
         # Bit for bit: -0.0 differs from 0.0 here.
         assert got.moment_windows(offsets, j0, uppers).tobytes() == stack.tobytes()
-        assert got.rhs_windows(offsets, hh, j0, uppers).tobytes() == right.tobytes()
+        rows = np.empty((len(offsets), u.size))
+        got.rhs_rows(offsets, hh, j0, uppers, rows)
+        assert rows.tobytes() == np.ascontiguousarray(right.T).tobytes()
+        row, col = np.tril_indices(len(offsets))
+        packed = np.empty((row.size, u.size))
+        got.moment_rows(offsets, j0, uppers, packed)
+        assert packed.tobytes() == np.ascontiguousarray(stack[:, row, col].T).tobytes()
 
 
 def test_table_holds_one_row_per_lag_difference():
