@@ -126,12 +126,9 @@ def _ape(errors: np.ndarray) -> float:
 
 def _lag_rows(values: np.ndarray, width: int, first: int, count: int) -> np.ndarray:
     """(width, count) view of lag slices: row c, column t is x_{i-c} for the
-    prefix i = first + t, and zero before the series starts."""
-    pad = max(width - first, 0)
-    if pad:
-        values = np.concatenate((np.zeros(pad), values))
+    prefix i = first + t >= width."""
     step = values.itemsize
-    return np.ndarray((width, count), buffer=values, offset=(first + pad - 1) * step,
+    return np.ndarray((width, count), buffer=values, offset=(first - 1) * step,
                       strides=(-step, step))
 
 
