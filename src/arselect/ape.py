@@ -195,13 +195,24 @@ def _accumulate(series: Series, h: int, candidate, start: int,
 
 def ape_direct(series: Series, h: int, candidate, start: int,
                keep_steps: bool = False) -> ApeResult:
-    """APE of the direct predictor for one order or mask."""
+    """APE of the direct predictor for one order or mask.
+
+    Each prefix fit is a bordered Cholesky solve, so a prefix whose moment
+    matrix, as summed, is not positive definite raises
+    :class:`SingularMomentError` at its time.  This is a change of
+    behaviour: the batched LU solve of earlier versions accepted some such
+    prefixes from an early ``start`` (one window for two lags, say) when
+    their residual was small.
+    """
     return _accumulate(series, h, candidate, start, Method.DIRECT, keep_steps)
 
 
 def ape_plugin(series: Series, h: int, candidate, start: int,
                keep_steps: bool = False) -> ApeResult:
-    """APE of the plug-in predictor for one order or mask."""
+    """APE of the plug-in predictor for one order or mask.
+
+    Its one-step prefix fits raise as those of :func:`ape_direct` do.
+    """
     return _accumulate(series, h, candidate, start, Method.PLUGIN, keep_steps)
 
 

@@ -58,13 +58,15 @@ __all__ = [
 class Series:
     """A finite, all-finite univariate time series.
 
-    ``values[j - 1]`` is the j-th observation x_j.
+    ``values[j - 1]`` is the j-th observation x_j.  The values are held
+    contiguous (a strided view is copied), since the prefix machinery reads
+    lag slices as views of their buffer.
     """
 
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        values = np.atleast_1d(np.asarray(self.values, dtype=float))
+        values = np.ascontiguousarray(np.atleast_1d(np.asarray(self.values, dtype=float)))
         if values.ndim != 1 or values.size == 0:
             raise ValueError("series must be a nonempty 1-D sequence")
         if not np.all(np.isfinite(values)):
@@ -508,24 +510,25 @@ class _BorderedSolver:
             np.subtract(self.rhs[:, path[-1]], z, out=z)
             z *= inv
 
-    def solve(self, horizon: int) -> np.ndarray:
+    def fit(self, horizon: int) -> tuple[np.ndarray, dict[int, str]]:
         """(depth, rows) coefficients of the path just descended to, at one
-        horizon, in path order, valid until the next call; a failed step
-        raises.
+        horizon, in path order, valid until the next call, and the guard
+        message of each row whose fit failed.
 
         A pivot that is not positive and finite at any step of the path
         (it leaves every later pivot at that upper non-finite) is a singular
         moment matrix; otherwise the normal-equation residual must be
-        within ``TOL_LIN`` of its scale, as for a direct solve.
+        within ``TOL_LIN`` of its scale, as for a direct solve.  Singular
+        rows come first in the messages.
         """
         path, rows = self.path, self.rows[horizon]
         k, first = path.size - 1, self.spans[horizon][1]
         name = f"sequential direct fit h={self.spans[horizon][0]}"
+        faults: dict[int, str] = {}
         pivot = self.pivot[rows]
         if not (pivot.min() > 0.0 and pivot.max() < np.inf):
-            sound = (pivot > 0.0) & (pivot < np.inf)
-            raise SingularMomentError(f"{name}: singular moment matrix at time "
-                                      f"{first + int(np.argmin(sound))}")
+            for t in np.flatnonzero(~((pivot > 0.0) & (pivot < np.inf))):
+                faults[int(t)] = f"{name}: singular moment matrix at time {first + t}"
         z, rhs = self.z[horizon], self.rhs[horizon]
         beta, work, spare = self.beta[:k + 1], self.work[:k + 1], self.spare[:k + 1]
         with np.errstate(all="ignore"):
@@ -551,21 +554,28 @@ class _BorderedSolver:
             scale += self.bound
             residual = np.abs(work, out=work).max(axis=0)[rows]
             scale = scale[rows]
-            if (residual <= TOL_LIN * scale).all() and residual.max() < np.inf:
-                return beta[:, rows]
-            # A solve that overflowed leaves a non-finite residual: that fails too.
-            bad = np.flatnonzero(~np.isfinite(residual)
-                                 | ((scale > 0.0) & (residual > TOL_LIN * scale)))
-        if not bad.size:
-            return beta[:, rows]
-        t = int(bad[0])
-        raise SingularMomentError(
-            f"{name}: unreliable solve at time {first + t} "
-            f"(relative residual {residual[t] / scale[t]:.3e})")
+            if not ((residual <= TOL_LIN * scale).all() and residual.max() < np.inf):
+                # A solve that overflowed leaves a non-finite residual: that fails too.
+                for t in np.flatnonzero(~np.isfinite(residual)
+                                        | ((scale > 0.0) & (residual > TOL_LIN * scale))):
+                    faults.setdefault(int(t), (
+                        f"{name}: unreliable solve at time {first + t} "
+                        f"(relative residual {residual[t] / scale[t]:.3e})"))
+        return beta[:, rows], faults
+
+    def solve(self, horizon: int) -> np.ndarray:
+        """:meth:`fit`, raising the first guard message if a row failed."""
+        beta, faults = self.fit(horizon)
+        if faults:
+            raise SingularMomentError(next(iter(faults.values())))
+        return beta
 
 
 # ---------------------------------------------------------------------------
 # streaming interface
+
+#: Prefixes whose fits :func:`sequential_fitter` solves at a time.
+_STREAM_CHUNK = 256
 
 
 def sequential_fitter(series: Series, h: int, max_order: int,
@@ -580,38 +590,53 @@ def sequential_fitter(series: Series, h: int, max_order: int,
     ``well_defined_from``; at or past that point singularity is an
     error, because the caller has certified the stream usable from there.
 
-    Every yielded coefficient vector reproduces the batch fit on the same
-    prefix (same sums, same solver).
+    Each order's fits on a run of prefixes come from one bordered solver
+    walked to the dense path, so every yielded coefficient vector is the
+    one the APE functions use on the same prefix.
     """
     if h < 1 or max_order < 1:
         raise ValueError("horizon and max_order must be >= 1")
-    first = 2 * max_order + h - 1
+    first, last = 2 * max_order + h - 1, series.n - h
     cp = _CrossProducts(series.values, h, max_order)
-    for i in range(first, series.n - h + 1):
-        fits: dict[int, LsFit] = {}
-        try:
-            for k in range(1, max_order + 1):
-                offsets = tuple(range(k))
-                count = i - h - k + 1
-                moment = cp.moment_windows(offsets, k, range(i - h, i - h + 1))[0]
-                gamma_hat = moment / count
-                cond = np.linalg.cond(gamma_hat)
-                if not np.isfinite(cond) or cond > COND_GUARD:
-                    raise SingularMomentError(
-                        f"sequential fit h={h} k={k}: condition number "
-                        f"{cond:.3e} exceeds guard at time {i}")
-                solver = _BorderedSolver(cp, k, [(1, i, i), (h, i, i)])
-                solver.load(k)
-                solver.walk_to(tuple(range(k)))  # lags (k, 1, ..., k - 1)
-                a_one = np.roll(solver.solve(0)[:, 0], -1)
-                a_direct = np.roll(solver.solve(1)[:, 0], -1)
-                a_plugin = a_one if h == 1 else iterate_plugin_coeffs(a_one, h)
-                fits[k] = LsFit(horizon=h, order=k, gamma_hat=gamma_hat,
-                                a_one_step=a_one, a_plugin=a_plugin,
-                                a_direct=a_direct, n_used=count)
-        except SingularMomentError:
-            if well_defined_from is not None and i >= well_defined_from:
-                raise
-            yield i, None
-            continue
-        yield i, fits
+    for lo in range(first, last + 1, _STREAM_CHUNK):
+        hi = min(lo + _STREAM_CHUNK - 1, last)
+        orders = [_prefix_fits(cp, h, k, lo, hi) for k in range(1, max_order + 1)]
+        for t, i in enumerate(range(lo, hi + 1)):
+            fits: dict[int, LsFit] = {}
+            try:
+                for k, counts, gammas, cond, one, direct, faults in orders:
+                    if not np.isfinite(cond[t]) or cond[t] > COND_GUARD:
+                        raise SingularMomentError(
+                            f"sequential fit h={h} k={k}: condition number "
+                            f"{cond[t]:.3e} exceeds guard at time {i}")
+                    fault = faults[0].get(t) or faults[1].get(t)
+                    if fault:
+                        raise SingularMomentError(fault)
+                    a_plugin = one[t] if h == 1 else iterate_plugin_coeffs(one[t], h)
+                    fits[k] = LsFit(horizon=h, order=k, gamma_hat=gammas[t],
+                                    a_one_step=one[t], a_plugin=a_plugin,
+                                    a_direct=direct[t], n_used=int(counts[t]))
+            except SingularMomentError:
+                if well_defined_from is not None and i >= well_defined_from:
+                    raise
+                yield i, None
+                continue
+            yield i, fits
+
+
+def _prefix_fits(cp: _CrossProducts, h: int, k: int, lo: int, hi: int) -> tuple:
+    """Order k's fits on prefixes ``lo..hi`` for :func:`sequential_fitter`:
+    (k, window counts, sample moments, their condition numbers, one-step
+    and direct coefficient rows, and each horizon's guard messages by row)."""
+    counts = np.arange(lo, hi + 1) - h - k + 1
+    gammas = cp.moment_windows(tuple(range(k)), k,
+                               range(lo - h, hi - h + 1)) / counts[:, None, None]
+    solver = _BorderedSolver(cp, k, [(1, lo, hi), (h, lo, hi)])
+    solver.load(k)
+    solver.walk_to(tuple(range(k)))  # lags (k, 1, ..., k - 1)
+    one, one_faults = solver.fit(0)
+    one = np.roll(one, -1, axis=0).T.copy()
+    direct, direct_faults = solver.fit(1)
+    direct = np.roll(direct, -1, axis=0).T.copy()
+    return (k, counts, gammas, np.linalg.cond(gammas), one, direct,
+            (one_faults, direct_faults))

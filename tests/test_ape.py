@@ -26,6 +26,7 @@ from arselect.errors import (
 from arselect.estimation import _BorderedSolver, _CrossProducts
 from arselect.methods import Method
 from arselect.selection import select_predictor, subset_select
+from arselect.tolerances import TOL_LIN
 
 from test_estimation import naive_direct, naive_plugin
 
@@ -156,6 +157,48 @@ class TestMaskedCandidates:
         dense = ape_direct(path.series, 3, 2, m)
         assert isinstance(gap, ApeResult)
         assert gap.ape != dense.ape
+
+
+class TestCholeskyPivot:
+    def test_one_window_for_two_lags_is_singular(self):
+        # A documented change of behaviour.  At prefix 3 the order-2 fit has
+        # one window, so its moment matrix is rank one.  The batched LU solve
+        # of earlier versions solved it within its residual guard (here with
+        # a zero residual) and returned an APE; the bordered solver's
+        # Cholesky pivot is not positive there.
+        values = np.random.default_rng(0).normal(size=20)
+        table = _CrossProducts(values, 1, 2)
+        moment = table.moment_windows((0, 1), 2, range(2, 3))[0]
+        rhs = np.empty((2, 1))
+        table.rhs_rows((0, 1), 1, 2, range(2, 3), rhs)
+        beta = np.linalg.solve(moment, rhs[:, 0])
+        scale = np.abs(moment).max() * np.abs(beta).max() + np.abs(rhs).max()
+        assert np.abs(moment @ beta - rhs[:, 0]).max() <= TOL_LIN * scale
+        with pytest.raises(SingularMomentError,
+                           match="h=1: singular moment matrix at time 3$"):
+            ape_direct(Series(values), 1, 2, 3)
+
+
+class TestStridedSeries:
+    # Lag slices are read as views of the series' buffer, so a strided view
+    # must behave as its contiguous copy.
+    @pytest.mark.parametrize("view", [
+        lambda x: np.stack([x, -x], axis=1)[:, 0],
+        lambda x: np.repeat(x, 2)[::2],
+        lambda x: x[::-1].copy()[::-1],
+    ], ids=["column", "step-two", "reversed"])
+    def test_strided_series_is_its_contiguous_copy(self, path, view):
+        values = path.series.values
+        strided, plain = Series(view(values)), Series(values.copy())
+        m = start_index(plain, 3, 4)
+        for candidate in (2, (1, 0, 1, 1)):
+            for ape in (ape_direct, ape_plugin):
+                got = ape(strided, 3, candidate, m, keep_steps=True)
+                want = ape(plain, 3, candidate, m, keep_steps=True)
+                assert got.ape == want.ape
+                assert got.step_errors.tobytes() == want.step_errors.tobytes()
+        assert select_predictor(strided, 3, 4) == select_predictor(plain, 3, 4)
+        assert subset_select(strided, 3, 4) == subset_select(plain, 3, 4)
 
 
 class TestExcess:
