@@ -31,6 +31,8 @@ from .estimation import (
     _CrossProducts,
     _path,
     _resolve_candidate,
+    _triangle,
+    _unpack,
 )
 from .methods import Method
 from .theory import MaCoefficients
@@ -97,13 +99,16 @@ def _probe(table: _CrossProducts, h: int, max_order: int) -> int:
     offsets = tuple(range(max_order))
     base = first - h
     ok = np.empty(last - base, dtype=bool)  # verdict of window upper base + j
+    packed = np.empty((_triangle(max_order), _PROBE_CHUNK))
     done, i = 0, first
     while i <= last:
         times = np.arange(i, min(i + 10, last) + 1)
         while base + done < times[-1]:
             uppers = range(base + done, min(base + done + _PROBE_CHUNK, last))
+            chunk = packed[:, :len(uppers)]
+            table.moment_rows(offsets, max_order, uppers, chunk)
             with np.errstate(divide="ignore", invalid="ignore"):
-                cond = np.linalg.cond(table.moment_windows(offsets, max_order, uppers))
+                cond = np.linalg.cond(_unpack(chunk, offsets))
             ok[done: done + len(uppers)] = np.isfinite(cond) & (cond <= COND_GUARD)
             done += len(uppers)
         bad = np.flatnonzero(~(ok[times - 1 - base] & ok[times - h - base]))
@@ -198,11 +203,8 @@ def ape_direct(series: Series, h: int, candidate, start: int,
     """APE of the direct predictor for one order or mask.
 
     Each prefix fit is a bordered Cholesky solve, so a prefix whose moment
-    matrix, as summed, is not positive definite raises
-    :class:`SingularMomentError` at its time.  This is a change of
-    behaviour: the batched LU solve of earlier versions accepted some such
-    prefixes from an early ``start`` (one window for two lags, say) when
-    their residual was small.
+    matrix, as summed, is not positive definite (one window for two lags,
+    say) raises :class:`SingularMomentError` at its time.
     """
     return _accumulate(series, h, candidate, start, Method.DIRECT, keep_steps)
 

@@ -7,25 +7,30 @@ fit at horizon h on a prefix ``x_1..x_i`` only ever touches those i
 observations, which is what makes the accumulated-prediction-error
 statistics honest out-of-sample quantities.
 
-Two layers live here.  The public batch fits (:func:`fit_one_step`,
-:func:`fit_direct`, :func:`fit_plugin` and their lag-subset variants)
-work on a whole series, and :func:`forecast` applies them; each is the
-one-row case of a guarded fit over every row of a block of series
-(:func:`_fit_rows`), which the Monte Carlo driver runs a block at a time.  The
-prefix machinery evaluates the same least-squares problems for every
-prefix of the series at once.  :class:`_CrossProducts` is one table of
-cumulative cross products with a row per lag difference (K + h rows for
-max lag K at horizon h).  :class:`_BorderedSolver` solves, from it, every
-lag subset that shares a top lag, order-recursively: a candidate's
-inverse Cholesky factor is its parent's bordered by one row, so one
-depth-first walk per top lag serves every mask and both horizons, and a
-dense order k is the single path (k, 1, ..., k-1).
-:func:`sequential_fitter` exposes the prefix fits as a per-time stream.
+One guarded solver serves every fit.  :class:`_Bordering` solves the
+normal equations of any lag path of a packed moment stack with one column
+per system, order-recursively: a candidate's inverse Cholesky factor is its
+parent's bordered by one row.  Its guards are a pivot test and a
+normal-equation residual test, and whole-series and streamed fits add a
+floor on the least relative pivot in place of a condition-number ceiling.
+The public batch fits (:func:`fit_one_step`, :func:`fit_direct`,
+:func:`fit_plugin` and their lag-subset variants) work on a whole series,
+and :func:`forecast` applies them; each is the one-row case of
+:func:`_fit_rows`, which packs each row of a block of series as one column
+and which the Monte Carlo driver runs a block at a time.  The prefix fits
+read :class:`_CrossProducts`, one table of cumulative cross products with a
+row per lag difference (K + h rows for max lag K at horizon h), through one
+gather, :meth:`_CrossProducts.moment_rows`.  :class:`_BorderedSolver` loads
+a top lag's packed moments from it, so one depth-first walk per top lag
+serves every mask and both horizons, and a dense order k is the single path
+(k, 1, ..., k-1).  :func:`sequential_fitter` exposes the prefix fits as a
+per-time stream.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -99,6 +104,12 @@ class LsFit:
 # ---------------------------------------------------------------------------
 # batch (whole-series) fits
 
+#: Least relative pivot ``d^2 / m_vv`` along its path that a whole-series or
+#: streamed fit accepts.  ``m_vv / d^2`` is at most the condition number of
+#: the moment matrix, so the floor rejects only fits that the ceiling
+#: ``COND_GUARD`` on that condition number rejects.
+_FLOOR = 1.0 / COND_GUARD
+
 
 def _order_lags(k: int) -> tuple[int, ...]:
     """The lag set ``1..k`` of a dense order-k candidate."""
@@ -168,11 +179,12 @@ def _fit_rows(block: np.ndarray, h: int, lags: tuple[int, ...], width: int,
     ``lags`` in a ``width``-lag window, and the guard message of each row
     whose fit failed (its coefficients are nan).
 
-    The direct fit solves the normal equations of each row: one stacked
-    condition number, one stacked solve and a residual check per row, the
-    same arithmetic per row as a fit of that row alone.  See
-    :func:`masked_fit_direct` and :func:`masked_fit_plugin`; an order k is
-    the lag set ``1..k`` at width k.  Overflowing cross products raise for the block.
+    The direct fit packs each row's ``W'W`` and ``W'y``, lags in path order
+    (top lag first), as one column of a :class:`_Bordering` and walks the
+    candidate's path under the conditioning floor, so the arithmetic per row
+    is that of a fit of the row alone.  See :func:`masked_fit_direct` and
+    :func:`masked_fit_plugin`; an order k is the lag set ``1..k`` at width k.
+    Overflowing cross products raise for the block.
     """
     if plugin:
         one, faults = _fit_rows(block, 1, lags, width, False)
@@ -183,36 +195,28 @@ def _fit_rows(block: np.ndarray, h: int, lags: tuple[int, ...], width: int,
         if h == 1:
             return one, faults
         return np.array([iterate_plugin_coeffs(row, h) for row in one]), faults
-    window = _lag_windows(block, h, lags)
-    count = window.shape[1]
-    window_t = window.transpose(0, 2, 1)
+    (rows, n), k, j0 = block.shape, len(lags), lags[-1]
+    _require_windows(n, h, j0)
+    if rows == 1:
+        # The bordering sums over lags in one loop over two columns or more,
+        # so a lone series is fit next to a copy of itself.
+        block = np.repeat(block, 2, axis=0)
+    # The window columns of the lags in path order (top lag first), then the
+    # target's: their packed products are W'W, then W'y (y'y is not formed).
+    count, starts = n - h - j0 + 1, [j0 - lag for lag in lags[-1:] + lags[:-1]] + [j0 + h - 1]
+    row, col = _tril(k + 1)
+    packed = np.empty((row.size - 1, block.shape[0]))
     with np.errstate(over="ignore", invalid="ignore"):
-        moment = window_t @ window / count
-        rhs = (window_t @ block[:, lags[-1] + h - 1:, None])[..., 0] / count
-    if not (np.isfinite(moment).all() and np.isfinite(rhs).all()):
+        for out, a, b in zip(packed, row, col):
+            np.einsum("rt,rt->r", block[:, starts[a]: starts[a] + count],
+                      block[:, starts[b]: starts[b] + count], out=out)
+    if not np.isfinite(packed).all():
         raise _overflow_error(block, "cross products")
-    cond = np.linalg.cond(moment)
-    bad = ~np.isfinite(cond) | (cond > COND_GUARD)
-    # Named here, so that fits that succeed never format the lag set.
-    what = f"direct fit h={h} lags={lags}"
-    faults = {int(r): f"{what}: moment matrix condition number {cond[r]:.3e} "
-              "exceeds guard" for r in np.flatnonzero(bad)}
-    sol = np.full(rhs.shape, np.nan)
-    good = np.flatnonzero(~bad)
-    try:
-        sol[good] = np.linalg.solve(moment[good], rhs[good, :, None])[..., 0]
-    except np.linalg.LinAlgError:
-        for r in good:
-            try:
-                sol[r] = np.linalg.solve(moment[r], rhs[r])
-            except np.linalg.LinAlgError as exc:
-                faults[int(r)] = f"{what}: {exc}"
-    residual = np.abs((moment @ sol[..., None])[..., 0] - rhs).max(axis=1)
-    scale = (np.abs(moment).max(axis=(1, 2)) * np.abs(sol).max(axis=1)
-             + np.abs(rhs).max(axis=1))
-    for r in np.flatnonzero((scale > 0.0) & (residual > TOL_LIN * scale)):
-        faults[int(r)] = (f"{what}: normal-equation residual {residual[r]:.3e} "
-                          "above tolerance")
+    solver = _Bordering(packed[:_triangle(k)], packed[None, _triangle(k):],
+                        [(f"direct fit h={h} lags={lags}", None, slice(0, rows))], _FLOOR)
+    solver.walk_to(tuple(range(k)))
+    beta, faults = solver.fit(0)
+    sol = _lags_ascending(beta)
     sol[list(faults)] = np.nan
     return sol, faults
 
@@ -351,26 +355,9 @@ class _CrossProducts:
         if not np.isfinite(self._table[np.r_[:max_offset + 1, horizon:rows], -1]).all():
             raise _overflow_error(values, "cumulative cross products")
 
-    def _windows(self, first: np.ndarray, j0: int, uppers: range) -> np.ndarray:
-        """Flat entries ``u + first`` less ``j0 - 1 + first``, one block per u: row t
-        of a strided view starts at ``uppers[t] + first.min()``, so one gather serves all."""
-        start, step = first.min(), self._table.itemsize
-        view = np.ndarray((len(uppers), first.max() - start + 1), buffer=self._table,
-                          offset=(uppers[0] + start) * step, strides=(step, step))
-        out = view[:, first - start]
-        out -= self._table.take(j0 - 1 + first)
-        return out
-
-    def moment_windows(self, offsets: Sequence[int], j0: int,
-                       uppers: range) -> np.ndarray:
-        """Stack of moment-sum matrices for windows j = j0..u, one per u."""
-        column = np.asarray(offsets)[:, None]
-        return self._windows(np.abs(column - column.T) * self._table.shape[1]
-                             - np.minimum(column, column.T), j0, uppers)
-
     def _rows(self, first: np.ndarray, j0: int, uppers: range, out: np.ndarray) -> None:
-        """:meth:`_windows` transposed into ``out``: one row per entry, each a
-        slice of the flat table less one entry, and one column per upper."""
+        """Entry ``first`` of each window j0..u into ``out``: one row per entry,
+        each a slice of the flat table less one entry, and one column per upper."""
         flat = self._table.reshape(-1)
         for row, entry in zip(out, first):
             np.subtract(flat[uppers[0] + entry: uppers[-1] + entry + 1],
@@ -378,10 +365,10 @@ class _CrossProducts:
 
     def moment_rows(self, offsets: Sequence[int], j0: int, uppers: range,
                     out: np.ndarray) -> None:
-        """:meth:`moment_windows` into ``out`` with each matrix's lower triangle
-        packed, entry (a, b), b <= a, in row ``a(a+1)/2 + b``, and one column
-        per upper."""
-        row, col = np.tril_indices(len(offsets))
+        """Moment-sum matrices of ``offsets`` for windows j = j0..u into ``out``,
+        one column per upper, each lower triangle packed: entry (a, b), b <= a,
+        in row ``a(a+1)/2 + b`` (see :func:`_unpack`)."""
+        row, col = _tril(len(offsets))
         column = np.asarray(offsets)
         self._rows(np.abs(column[row] - column[col]) * self._table.shape[1]
                    - np.minimum(column[row], column[col]), j0, uppers, out)
@@ -399,72 +386,88 @@ def _triangle(m: int) -> int:
     return m * (m + 1) // 2
 
 
+@lru_cache(maxsize=None)
+def _tril(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """``np.tril_indices(m)``: the entry (a, b) of each packed row, in order."""
+    row, col = np.tril_indices(m)
+    row.flags.writeable = col.flags.writeable = False
+    return row, col
+
+
+@lru_cache(maxsize=None)
+def _packed_index(m: int) -> np.ndarray:
+    """(m, m) packed row of each entry of a symmetric m x m matrix."""
+    position = np.arange(m)
+    big = np.maximum.outer(position, position)
+    index = big * (big + 1) // 2 + np.minimum.outer(position, position)
+    index.flags.writeable = False
+    return index
+
+
+def _unpack(packed: np.ndarray, positions: Sequence[int]) -> np.ndarray:
+    """(T, m, m) matrices of a packed (rows, T) moment stack, one per column:
+    entry (a, b) of matrix t is entry (positions[a], positions[b]) of column t."""
+    index = _packed_index(max(positions) + 1)[np.ix_(positions, positions)]
+    return packed.T.take(index, axis=1)
+
+
+def _lags_ascending(beta: np.ndarray) -> np.ndarray:
+    """(columns, k) coefficients, lags ascending, of (k, columns) ones in path
+    order: the top lag moves from first to last."""
+    return np.concatenate((beta[1:], beta[:1])).T.copy()
+
+
 def _path(lags: tuple[int, ...]) -> tuple[int, ...]:
     """Positions of sorted ``lags`` in the lag order (top, 1, ..., top - 1) of
     their top lag: the top lag first, then the others ascending."""
     return (0,) + lags[:-1]
 
 
-class _BorderedSolver:
-    """Prefix least squares for every lag subset of a top lag, by bordering.
+class _Bordering:
+    """Least squares for every path of lag positions of a packed moment stack,
+    by bordering.
 
-    The solver holds the fits of one or more horizons ``(hh, first, last)``:
-    the direct fit at horizon hh on each prefix ``x_1..x_i``, i = first..last.
-    Its columns are the union of their window uppers (two at least), and
-    :meth:`load` gathers, for a top lag L up to ``capacity``, the packed
-    moment matrices of the lag order (L, 1, ..., L-1) in one (L(L+1)/2, T)
-    stack and each horizon's right-hand sums in an (L, T) one (zero outside
-    its own uppers).  Every buffer is sized once, for ``capacity``.
+    ``moment`` holds one system per column: the packed lower triangle of its
+    moment matrix (entry (a, b), b <= a, of positions a and b in row
+    ``a(a+1)/2 + b``), and ``rhs`` (horizons, positions, columns) the
+    right-hand sums of each horizon.  ``horizons`` names each horizon's fits
+    as ``(name, first, columns)``: a fit reads the slice ``columns``, and its
+    guard messages give column t as time ``first + t`` unless ``first`` is
+    ``None``.  A positive ``floor`` is a conditioning test on every fit.
 
-    A candidate is a path of lag positions ``(0, a_1 < a_2 < ...)``, and
-    its parent is the path without its last position.  The inverse
-    Cholesky factor U of a candidate's moment matrix (``U M U' = I``) is
-    its parent's plus one row, so a depth-first walk that calls
-    :meth:`descend` on each path after its parent keeps, in ``factor``,
-    the packed rows of every path from the root to the current one.  The
-    new row is ``[-g/d, 1/d]`` with ``c = U b``, ``g = U' c`` and
-    ``d = sqrt(m_vv - c.c)`` for the new lag's cross moments ``b`` and
-    ``m_vv``; ``z = U r`` grows by one entry, and :meth:`solve` gives
-    ``beta = U' z``.  Stacks are lag-major, so a sum over lags runs the
-    same loop over at least two time columns whatever the columns,
-    horizons or walk: a path's coefficients do not depend on what else
-    shares the solver.
+    A candidate is a path of positions ``(0, a_1 < a_2 < ...)``, and its
+    parent is the path without its last position.  The inverse Cholesky
+    factor U of a candidate's moment matrix (``U M U' = I``) is its
+    parent's plus one row, so a depth-first walk that calls :meth:`descend`
+    on each path after its parent keeps, in ``factor``, the packed rows of
+    every path from the root to the current one.  The new row is
+    ``[-g/d, 1/d]`` with ``c = U b``, ``g = U' c`` and ``d = sqrt(m_vv -
+    c.c)`` for the new lag's cross moments ``b`` and ``m_vv``; ``z = U r``
+    grows by one entry, and :meth:`fit` gives ``beta = U' z``.  Under a
+    floor the walk also keeps, per depth, the least relative pivot
+    ``d^2 / m_vv`` along the path: ``m_vv / d^2`` is at most the condition
+    number of the path's moment matrix.  Stacks are lag-major, so a sum
+    over lags runs the same loop over at least two columns whatever the
+    columns, horizons or walk: a path's coefficients do not depend on what
+    else shares the stack.
     """
 
-    def __init__(self, table: _CrossProducts, capacity: int,
-                 spans: Sequence[tuple[int, int, int]]) -> None:
-        low = min(first - hh for hh, first, _ in spans)
-        high = max(last - hh for hh, _, last in spans)
-        low -= low == high
-        count = high - low + 1
-        self.table, self.spans, self.low = table, list(spans), low
-        self.rows = [slice(first - hh - low, last - hh - low + 1)
-                     for hh, first, last in spans]
-        self.moment = np.empty((_triangle(capacity), count))
-        self.factor = np.empty_like(self.moment)
-        self.rhs = np.zeros((len(spans), capacity, count))
-        self.z = np.empty_like(self.rhs)
+    def __init__(self, moment: np.ndarray, rhs: np.ndarray,
+                 horizons: Sequence[tuple[str, int | None, slice]],
+                 floor: float = 0.0) -> None:
+        capacity, count = rhs.shape[1:]
+        self.moment, self.rhs, self.horizons = moment, rhs, list(horizons)
+        self.factor = np.empty_like(moment)
+        self.z = np.empty_like(rhs)
+        self.floor = floor
+        self.least = np.empty((capacity, count)) if floor else None
         # Scratch, reused by every call: beta and two row stacks.
         self.beta, self.work, self.spare = np.empty((3, capacity, count))
         self.pivot, self.span, self.scale, self.bound = np.empty((4, count))
-        # index[a, b] is the packed row of entry (a, b) of a lower triangle.
-        position = np.arange(capacity)
-        big = np.maximum.outer(position, position)
-        self.index = big * (big + 1) // 2 + np.minimum.outer(position, position)
-        self.columns = [self.index[j:, j] for j in range(capacity)]  # U[j.., j] in factor
+        self.index = _packed_index(capacity)
         self.node: tuple[int, ...] = ()
         self.path = np.empty(0, dtype=np.intp)
         self.spanned = False
-
-    def load(self, top: int) -> None:
-        """Gather the moment and right-hand sums of top lag ``top``."""
-        self.node = ()
-        offsets = (top - 1,) + tuple(range(top - 1))
-        uppers = range(self.low, self.low + self.moment.shape[1])
-        self.table.moment_rows(offsets, top, uppers, self.moment[:_triangle(top)])
-        for (hh, first, last), rows, rhs in zip(self.spans, self.rows, self.rhs):
-            self.table.rhs_rows(offsets, hh, top, range(first - hh, last - hh + 1),
-                                rhs[:top, rows])
 
     def walk_to(self, path: tuple[int, ...]) -> None:
         """Descend to ``path`` from the path it shares most with the current
@@ -480,13 +483,16 @@ class _BorderedSolver:
         k = len(path) - 1
         self.node, self.path, self.spanned = path, np.array(path), False
         factor, inv = self.factor, self.factor[_triangle(k + 1) - 1]
+        pivot, least = self.pivot, self.least
         # The new lag's cross moments with its parent's lags, then its own.
         cross = self.moment.take(self.index[path[-1], self.path], axis=0,
                                  out=self.work[:k + 1], mode="clip")
         with np.errstate(all="ignore"):
             if not k:
                 np.sqrt(cross[0], out=inv)
-                np.copyto(self.pivot, cross[0])
+                np.copyto(pivot, cross[0])
+                if least is not None:
+                    np.divide(pivot, cross[0], out=least[0])  # nan for a zero moment
                 np.divide(1.0, inv, out=inv)
                 np.multiply(self.rhs[:, path[0]], inv, out=self.z[:, 0])
                 return
@@ -494,14 +500,17 @@ class _BorderedSolver:
             for a in range(k):
                 np.einsum("jt,jt->t", factor[_triangle(a): _triangle(a + 1)],
                           cross[:a + 1], out=proj[a])
-            np.einsum("jt,jt->t", proj, proj, out=self.pivot)
-            np.subtract(cross[k], self.pivot, out=self.pivot)
-            np.sqrt(self.pivot, out=inv)
+            np.einsum("jt,jt->t", proj, proj, out=pivot)
+            np.subtract(cross[k], pivot, out=pivot)
+            np.sqrt(pivot, out=inv)
+            if least is not None:
+                np.divide(pivot, cross[k], out=least[k])
+                np.minimum(least[k - 1], least[k], out=least[k])
             np.divide(1.0, inv, out=inv)
             row = factor[_triangle(k): _triangle(k + 1) - 1]
             for j in range(k):  # g = U' c, stored as -g/d
-                column = factor.take(self.columns[j][:k - j], axis=0,
-                                     out=self.beta[:k - j], mode="clip")
+                column = factor.take(self.index[j:k, j], axis=0, out=self.beta[:k - j],
+                                     mode="clip")
                 np.einsum("jt,jt->t", column, proj[j:], out=row[j])
             row *= inv
             np.negative(row, out=row)
@@ -511,29 +520,36 @@ class _BorderedSolver:
             z *= inv
 
     def fit(self, horizon: int) -> tuple[np.ndarray, dict[int, str]]:
-        """(depth, rows) coefficients of the path just descended to, at one
+        """(depth, columns) coefficients of the path just descended to, at one
         horizon, in path order, valid until the next call, and the guard
-        message of each row whose fit failed.
+        message of each column whose fit failed.
 
         A pivot that is not positive and finite at any step of the path
-        (it leaves every later pivot at that upper non-finite) is a singular
-        moment matrix; otherwise the normal-equation residual must be
-        within ``TOL_LIN`` of its scale, as for a direct solve.  Singular
-        rows come first in the messages.
+        (it leaves every later pivot of that column non-finite) is a
+        singular moment matrix, and a least relative pivot below the floor
+        an ill-conditioned one; otherwise the normal-equation residual must
+        be within ``TOL_LIN`` of its scale, as for a direct solve.  Pivot
+        failures come first in the messages.
         """
-        path, rows = self.path, self.rows[horizon]
-        k, first = path.size - 1, self.spans[horizon][1]
-        name = f"sequential direct fit h={self.spans[horizon][0]}"
+        path = self.path
+        k = path.size - 1
+        name, first, rows = self.horizons[horizon]
         faults: dict[int, str] = {}
         pivot = self.pivot[rows]
-        if not (pivot.min() > 0.0 and pivot.max() < np.inf):
+        least = None if self.least is None else self.least[k, rows]
+        if not (pivot.min() > 0.0 and pivot.max() < np.inf
+                and (least is None or least.min() >= self.floor)):
             for t in np.flatnonzero(~((pivot > 0.0) & (pivot < np.inf))):
-                faults[int(t)] = f"{name}: singular moment matrix at time {first + t}"
+                faults[int(t)] = f"{name}: singular moment matrix{_at(first, t)}"
+            for t in ([] if least is None else np.flatnonzero(~(least >= self.floor))):
+                faults.setdefault(int(t), f"{name}: ill-conditioned moment matrix"
+                                          f"{_at(first, t)} (least relative pivot "
+                                          f"{least[t]:.3e})")
         z, rhs = self.z[horizon], self.rhs[horizon]
         beta, work, spare = self.beta[:k + 1], self.work[:k + 1], self.spare[:k + 1]
         with np.errstate(all="ignore"):
             for j in range(k + 1):
-                column = self.factor.take(self.columns[j][:k + 1 - j], axis=0,
+                column = self.factor.take(self.index[j:k + 1, j], axis=0,
                                           out=spare[:k + 1 - j], mode="clip")
                 np.einsum("jt,jt->t", column, z[j:k + 1], out=beta[j])
             np.abs(beta, out=work).max(axis=0, out=self.scale)
@@ -559,16 +575,58 @@ class _BorderedSolver:
                 for t in np.flatnonzero(~np.isfinite(residual)
                                         | ((scale > 0.0) & (residual > TOL_LIN * scale))):
                     faults.setdefault(int(t), (
-                        f"{name}: unreliable solve at time {first + t} "
+                        f"{name}: unreliable solve{_at(first, t)} "
                         f"(relative residual {residual[t] / scale[t]:.3e})"))
         return beta[:, rows], faults
 
     def solve(self, horizon: int) -> np.ndarray:
-        """:meth:`fit`, raising the first guard message if a row failed."""
+        """:meth:`fit`, raising the first guard message if a column failed."""
         beta, faults = self.fit(horizon)
         if faults:
             raise SingularMomentError(next(iter(faults.values())))
         return beta
+
+
+def _at(first: int | None, t: int) -> str:
+    """Where a guard fired: time ``first + t``, or nothing for a whole series."""
+    return "" if first is None else f" at time {first + t}"
+
+
+class _BorderedSolver(_Bordering):
+    """Prefix least squares for every lag subset of a top lag: the bordering
+    of :class:`_Bordering` over moments gathered from a :class:`_CrossProducts`.
+
+    The solver holds the fits of one or more horizons ``(hh, first, last)``:
+    the direct fit at horizon hh on each prefix ``x_1..x_i``, i = first..last.
+    Its columns are the union of their window uppers (two at least), and
+    :meth:`load` gathers, for a top lag L up to ``capacity``, the packed
+    moment matrices of the lag order (L, 1, ..., L-1) in one (L(L+1)/2, T)
+    stack and each horizon's right-hand sums in an (L, T) one (zero outside
+    its own uppers).  Every buffer is sized once, for ``capacity``.
+    """
+
+    def __init__(self, table: _CrossProducts, capacity: int,
+                 spans: Sequence[tuple[int, int, int]], floor: float = 0.0) -> None:
+        low = min(first - hh for hh, first, _ in spans)
+        high = max(last - hh for hh, _, last in spans)
+        low -= low == high
+        count = high - low + 1
+        self.table, self.spans, self.low = table, list(spans), low
+        super().__init__(
+            np.empty((_triangle(capacity), count)), np.zeros((len(spans), capacity, count)),
+            [(f"sequential direct fit h={hh}", first,
+              slice(first - hh - low, last - hh - low + 1)) for hh, first, last in spans],
+            floor)
+
+    def load(self, top: int) -> None:
+        """Gather the moment and right-hand sums of top lag ``top``."""
+        self.node = ()
+        offsets = (top - 1,) + tuple(range(top - 1))
+        uppers = range(self.low, self.low + self.moment.shape[1])
+        self.table.moment_rows(offsets, top, uppers, self.moment[:_triangle(top)])
+        for (hh, first, last), (_, _, rows), rhs in zip(self.spans, self.horizons, self.rhs):
+            self.table.rhs_rows(offsets, hh, top, range(first - hh, last - hh + 1),
+                                rhs[:top, rows])
 
 
 # ---------------------------------------------------------------------------
@@ -585,14 +643,15 @@ def sequential_fitter(series: Series, h: int, max_order: int,
 
     The stream starts at the smallest i where all orders up to
     ``max_order`` have at least as many usable windows as parameters and
-    runs through ``n - h``.  A prefix whose moment matrix is singular is
-    yielded as ``(i, None)`` while ``i`` is still below
+    runs through ``n - h``.  A prefix whose moment matrix is singular or
+    ill-conditioned is yielded as ``(i, None)`` while ``i`` is still below
     ``well_defined_from``; at or past that point singularity is an
     error, because the caller has certified the stream usable from there.
 
     Each order's fits on a run of prefixes come from one bordered solver
-    walked to the dense path, so every yielded coefficient vector is the
-    one the APE functions use on the same prefix.
+    walked to the dense path, under the conditioning floor of the
+    whole-series fits, so every yielded coefficient vector is the one the
+    APE functions use on the same prefix.
     """
     if h < 1 or max_order < 1:
         raise ValueError("horizon and max_order must be >= 1")
@@ -604,11 +663,7 @@ def sequential_fitter(series: Series, h: int, max_order: int,
         for t, i in enumerate(range(lo, hi + 1)):
             fits: dict[int, LsFit] = {}
             try:
-                for k, counts, gammas, cond, one, direct, faults in orders:
-                    if not np.isfinite(cond[t]) or cond[t] > COND_GUARD:
-                        raise SingularMomentError(
-                            f"sequential fit h={h} k={k}: condition number "
-                            f"{cond[t]:.3e} exceeds guard at time {i}")
+                for k, counts, gammas, one, direct, faults in orders:
                     fault = faults[0].get(t) or faults[1].get(t)
                     if fault:
                         raise SingularMomentError(fault)
@@ -626,17 +681,17 @@ def sequential_fitter(series: Series, h: int, max_order: int,
 
 def _prefix_fits(cp: _CrossProducts, h: int, k: int, lo: int, hi: int) -> tuple:
     """Order k's fits on prefixes ``lo..hi`` for :func:`sequential_fitter`:
-    (k, window counts, sample moments, their condition numbers, one-step
-    and direct coefficient rows, and each horizon's guard messages by row)."""
+    (k, window counts, sample moments, one-step and direct coefficient rows,
+    and each horizon's guard messages by row)."""
     counts = np.arange(lo, hi + 1) - h - k + 1
-    gammas = cp.moment_windows(tuple(range(k)), k,
-                               range(lo - h, hi - h + 1)) / counts[:, None, None]
-    solver = _BorderedSolver(cp, k, [(1, lo, hi), (h, lo, hi)])
+    solver = _BorderedSolver(cp, k, [(1, lo, hi), (h, lo, hi)], _FLOOR)
     solver.load(k)
     solver.walk_to(tuple(range(k)))  # lags (k, 1, ..., k - 1)
+    # Lags 1..k-1 sit at positions 1..k-1 of the solver's lag order, lag k at 0.
+    gammas = _unpack(solver.moment[:, solver.horizons[1][2]],
+                     [*range(1, k), 0]) / counts[:, None, None]
     one, one_faults = solver.fit(0)
-    one = np.roll(one, -1, axis=0).T.copy()
+    one = _lags_ascending(one)
     direct, direct_faults = solver.fit(1)
-    direct = np.roll(direct, -1, axis=0).T.copy()
-    return (k, counts, gammas, np.linalg.cond(gammas), one, direct,
-            (one_faults, direct_faults))
+    direct = _lags_ascending(direct)
+    return k, counts, gammas, one, direct, (one_faults, direct_faults)

@@ -20,7 +20,8 @@ TOL_LIN = 1e-10
 TOL_TIE = 1e-9
 
 #: Condition-number ceiling beyond which a moment or autocovariance matrix
-#: is treated as numerically singular.
+#: is treated as numerically singular.  Least-squares fits apply it as the
+#: floor ``1 / COND_GUARD`` on a relative Cholesky pivot.
 COND_GUARD = 1e12
 
 #: Largest lag window allowed for exhaustive subset enumeration

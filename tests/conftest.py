@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from arselect import ArModel
+from arselect.estimation import _unpack
 
 # The four AR(2) test models used throughout the benchmark experiments.
 TEST_MODELS = ((0.9, -0.81), (0.8, -0.64), (0.6, -0.36), (0.5, -0.25))
@@ -34,6 +35,14 @@ def random_stationary_model(rng, max_order=4, sigma2=None, order=None):
         if abs(coeffs[-1]) > 1e-6:
             s2 = sigma2 if sigma2 is not None else float(rng.uniform(0.3, 3.0))
             return ArModel(tuple(coeffs), s2)
+
+
+def moment_matrices(table, offsets, j0, uppers):
+    """(T, m, m) moment-sum matrices of ``offsets`` for windows j0..u, one per
+    upper u, unpacked from the table's packed ``moment_rows``."""
+    packed = np.empty((len(offsets) * (len(offsets) + 1) // 2, len(uppers)))
+    table.moment_rows(offsets, j0, uppers, packed)
+    return _unpack(packed, range(len(offsets)))
 
 
 def curve_model(a2, sigma2=1.0):

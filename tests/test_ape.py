@@ -28,6 +28,7 @@ from arselect.methods import Method
 from arselect.selection import select_predictor, subset_select
 from arselect.tolerances import TOL_LIN
 
+from conftest import moment_matrices
 from test_estimation import naive_direct, naive_plugin
 
 
@@ -168,7 +169,7 @@ class TestCholeskyPivot:
         # Cholesky pivot is not positive there.
         values = np.random.default_rng(0).normal(size=20)
         table = _CrossProducts(values, 1, 2)
-        moment = table.moment_windows((0, 1), 2, range(2, 3))[0]
+        moment = moment_matrices(table, (0, 1), 2, range(2, 3))[0]
         rhs = np.empty((2, 1))
         table.rhs_rows((0, 1), 1, 2, range(2, 3), rhs)
         beta = np.linalg.solve(moment, rhs[:, 0])

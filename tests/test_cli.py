@@ -19,7 +19,7 @@ import pytest
 import arselect
 from arselect import errors
 from arselect.cli import main, read_series_csv, write_series_csv
-from arselect.estimation import fit_plugin, predict_with
+from arselect.estimation import Series, fit_direct, fit_plugin, forecast, predict_with
 from arselect.methods import Method
 from arselect.montecarlo import simulate
 from arselect.selection import bic_values, select_predictor
@@ -323,6 +323,26 @@ class TestExitCodes:
         code = run_cli("bic", "--input", str(path), "--horizon", "2", "--max-order", "3")
         assert code == 3
         assert "SeriesOverflowError: series overflows" in capsys.readouterr().err
+
+    # Rank-one moment matrices: a constant series, and a series with one
+    # window for two lags.  The rounded pivots of the bordered walk stay
+    # positive on these cases, so the floor on the least relative pivot is
+    # what rejects them, as the condition-number ceiling did before it.
+    @pytest.mark.parametrize("values, h, k", [
+        (np.full(50, 0.7), 2, 2), (np.full(50, 0.7), 2, 3),
+        (np.random.default_rng(6).normal(size=4), 2, 2)],
+        ids=["constant", "constant-three-lags", "one-window"])
+    def test_rank_one_moments_are_singular(self, tmp_path, capsys, values, h, k):
+        series = Series(values)
+        with pytest.raises(errors.SingularMomentError):
+            fit_direct(series, h, k)
+        with pytest.raises(errors.SingularMomentError):
+            forecast(series, h, k, Method.DIRECT)
+        path = tmp_path / "rank-one.csv"
+        write_series_csv(str(path), values)
+        code = run_cli("bic", "--input", str(path), "--horizon", str(h), "--max-order", str(k))
+        assert code == 3
+        assert "SingularMomentError" in capsys.readouterr().err
 
     def test_subset_window_cap(self, series_csv, capsys):
         path, _ = series_csv

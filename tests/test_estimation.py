@@ -172,3 +172,23 @@ class TestSequentialFitter:
                                      - sample_moment(prefix, 3, k))) < 1e-8
                 checked += 1
         assert checked >= 20
+
+
+class TestConditioningFloor:
+    def test_badly_scaled_moments_are_accepted(self):
+        # A change of behaviour.  Seventeen zeros, 43 normals and a spike of
+        # 1e9 in the fifth-newest window: the order-5 moment matrix has
+        # condition number 4.4e16, which the condition-number ceiling of
+        # earlier versions rejected, but with each lag scaled to unit
+        # maximum it is 6.8.  The floor on the relative pivot d^2/m_vv does
+        # not depend on the scale of a lag, so the fit is accepted, and it
+        # is a column-scaled least-squares solve's to rounding.
+        rng = np.random.default_rng(3638399971)
+        values = np.concatenate([np.zeros(17), rng.normal(size=43)])
+        values[55] = 1e9
+        coeffs = fit_direct(Series(values), 1, 5)
+        lags = np.column_stack([values[5 - lag: values.size - lag] for lag in range(1, 6)])
+        scale = np.abs(lags).max(axis=0)
+        want = np.linalg.lstsq(lags / scale, values[5:], rcond=None)[0] / scale
+        assert np.linalg.cond(lags.T @ lags) > 1e16
+        assert np.max(np.abs(coeffs - want)) <= 1e-12 * np.max(np.abs(want))

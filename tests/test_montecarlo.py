@@ -492,7 +492,8 @@ class TestBlockDriver:
             return np.zeros(size) if seed[1] == 2 else draw_innovations(seed, size, *args)
 
         monkeypatch.setattr(arselect.montecarlo, "_draw_innovations", spy)
-        with pytest.raises(SingularMomentError, match="condition number"):
+        with pytest.raises(SingularMomentError,
+                           match=r"lags=\(1, 2\): singular moment matrix$"):
             mc_mspe(MODEL, 3, 2, Method.DIRECT, 120, 6, 4)
         assert seeds[6:] == [(4, 2, 1), (4, 2, 2), (4, 2, 3)]
 
@@ -519,11 +520,11 @@ class TestPinnedValues:
     @pytest.mark.parametrize("coeffs, h, candidate, method, n, reps, seed, burn_in, dist, df, "
                              "mean, std_error", [
         ((0.9, -0.81), 2, (1, 1, 0, 1), "plugin", 150, 7, 5, 500, "normal", None,
-         "0x1.6ca5e131ed153p-1", "0x1.c2e2315327bffp-3"),
+         "0x1.6ca5e131ed159p-1", "0x1.c2e2315327be6p-3"),
         ((0.95,), 5, (1, 0, 0, 1), "plugin", 150, 7, 5, 37, "student-t", 9.5,
-         "0x1.f13806e514847p+0", "0x1.bc48599699cd4p-1"),
+         "0x1.f13806e51483dp+0", "0x1.bc48599699cbfp-1"),
         ((0.9, -0.81), 3, 2, "plugin", 120, 33, 5, 500, "uniform", None,
-         "0x1.a10f700ec2e77p+0", "0x1.68de8a5701887p-2"),
+         "0x1.a10f700ec2e7cp+0", "0x1.68de8a5701887p-2"),
         ((0.5, -0.25), 3, (1, 0, 1), "direct", 60, 70, 9, 0, "normal", None,
          "0x1.7984b8d608af3p+0", "0x1.08931e94489d7p-2"),
     ])
@@ -536,7 +537,7 @@ class TestPinnedValues:
     def test_ratio_table_and_subset_losses(self):
         row = replicate_table1(n=80, reps=45, seed=3)[2]
         assert (row.ratio.hex(), row.std_error.hex()) == (
-            "0x1.1798181258bc4p+1", "0x1.5deec742ea028p-1")
+            "0x1.1798181258bcfp+1", "0x1.5deec742ea02cp-1")
         out = theoretical_subset_losses(MODEL, 3, 3, n=80, reps=45, seed=2)
         assert (out[(1, 0, 1)].direct_loss.hex(), out[(1, 1, 1)].plugin_loss.hex()) == (
-            "0x1.b12a418f8c1e3p+2", "0x1.7ad9e1cdcf01ap+2")
+            "0x1.b12a418f8c1f1p+2", "0x1.7ad9e1cdcf006p+2")

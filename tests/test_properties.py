@@ -39,7 +39,7 @@ from arselect.errors import (
 from arselect.estimation import _CrossProducts
 from arselect.tolerances import COND_GUARD, TOL_LIN
 
-from conftest import random_stationary_model
+from conftest import moment_matrices, random_stationary_model
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
                     database=None,
@@ -159,7 +159,7 @@ def lu_failure_time(values, h, lags, first):
     table = _CrossProducts(values, h, lags[-1])
     offsets = [lag - 1 for lag in lags]
     uppers = range(first - h, values.size - 2 * h + 1)
-    systems = table.moment_windows(offsets, lags[-1], uppers)
+    systems = moment_matrices(table, offsets, lags[-1], uppers)
     rhs = np.empty((len(offsets), len(uppers)))
     table.rhs_rows(offsets, h, lags[-1], uppers, rhs)
     rhs = rhs.T
@@ -206,8 +206,8 @@ def test_guards_fire_where_lu_fired(data, seed, zeros, spike, n, lags, h):
     if got != want:
         assert got is not None and (want is None or got < want)
         order = [lags[-1] - 1] + [lag - 1 for lag in lags[:-1]]
-        moment = _CrossProducts(values, h, lags[-1]).moment_windows(
-            order, lags[-1], range(got - h, got - h + 1))[0]
+        moment = moment_matrices(_CrossProducts(values, h, lags[-1]), order, lags[-1],
+                                 range(got - h, got - h + 1))[0]
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(moment)
 
@@ -294,7 +294,7 @@ def test_lag_difference_table_is_the_per_pair_table(data, seed, n, max_offset, h
         right = np.column_stack([rhs[(r, hh)][u] - rhs[(r, hh)][j0 - 1]
                                  for r in offsets])
         # Bit for bit: -0.0 differs from 0.0 here.
-        assert got.moment_windows(offsets, j0, uppers).tobytes() == stack.tobytes()
+        assert moment_matrices(got, offsets, j0, uppers).tobytes() == stack.tobytes()
         rows = np.empty((len(offsets), u.size))
         got.rhs_rows(offsets, hh, j0, uppers, rows)
         assert rows.tobytes() == np.ascontiguousarray(right.T).tobytes()

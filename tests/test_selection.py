@@ -26,7 +26,7 @@ from arselect.methods import Method
 from arselect.selection import SubsetMask, required_masks
 from arselect.tolerances import TOL_LIN
 
-from conftest import TEST_MODELS
+from conftest import TEST_MODELS, moment_matrices
 from test_ape import naive_ape
 
 
@@ -71,13 +71,14 @@ def lu_walk_family(table, candidates, h, start_one, start_h):
     Arrays live as long as they did there (the one-step and plug-in errors
     until the candidate is done)."""
     values, n = table.values, table.values.size
-    columns = table._table.shape[1]
 
     def direct(offsets, hh, i_values):
         j0 = offsets[-1] + 1
         uppers = range(i_values[0] - hh, i_values[-1] - hh + 1)
-        systems = table.moment_windows(offsets, j0, uppers)
-        rhs = table._windows((np.asarray(offsets) + hh) * columns + hh, j0, uppers)
+        systems = moment_matrices(table, offsets, j0, uppers)
+        rhs = np.empty((len(offsets), len(uppers)))
+        table.rhs_rows(offsets, hh, j0, uppers, rhs)
+        rhs = rhs.T
         sol = np.linalg.solve(systems, rhs[..., None])[..., 0]
         residual = np.abs(np.einsum("tij,tj->ti", systems, sol) - rhs).max(axis=1)
         scale = (np.abs(systems).max(axis=(1, 2)) * np.abs(sol).max(axis=1)
@@ -365,8 +366,8 @@ class TestFootprint:
     # lu_walk_family, on the same call in the same process, so numpy's own
     # allocations count alike on both sides.  With Python 3.11.7 and numpy
     # 2.4.6 on x86-64 the engine itself peaked at 1,344,182 and 5,160,622
-    # bytes, lu_walk_family at 1,344,532 and 5,160,980, and the bordered
-    # solver at 1,281,980 and 4,821,588.
+    # bytes, lu_walk_family at 1,344,324 and 5,160,756, and the bordered
+    # solver at 1,280,080 and 4,819,672.
     @pytest.mark.parametrize("select, n, h, width", [
         (subset_select, 1000, 3, 8), (select_predictor, 4000, 5, 8)])
     def test_peak_memory_is_within_the_lu_engine(self, monkeypatch, select, n, h, width):
