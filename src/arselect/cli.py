@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -25,7 +26,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import NumericalError, UnderspecifiedOrderError, ValidationError
+from .errors import NumericalError, ValidationError
 from .estimation import Series, _resolve_candidate, forecast
 from .methods import Method
 from .montecarlo import (
@@ -36,15 +37,7 @@ from .montecarlo import (
     simulate,
 )
 from .selection import bic_order, bic_values, select_predictor, subset_select
-from .theory import (
-    ArModel,
-    direct_excess_constant,
-    h_step_order,
-    horizon_variance,
-    loss_table,
-    optimal_candidates,
-    plugin_excess_constant,
-)
+from .theory import ArModel, h_step_order, horizon_variance, loss_table, optimal_candidates
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -199,29 +192,22 @@ def cmd_theory(args: argparse.Namespace) -> int:
     model = _model_from(args)
     h, kmax = args.horizon, args.max_order
     table = loss_table(model, h, kmax)
-    per_order = []
-    for k in range(1, kmax + 1):
-        constants = {}
-        # The excess constants only exist at orders rich enough to hold
-        # the corresponding true prediction model; report null below that.
-        for name, func in (("plugin_constant", plugin_excess_constant),
-                           ("direct_constant", direct_excess_constant)):
-            try:
-                constants[name] = func(model, h, k)
-            except UnderspecifiedOrderError:
-                constants[name] = None
-        per_order.append({
-            "order": k,
-            **constants,
-            "plugin_loss": table.plugin[k],
-            "direct_loss": table.direct[k],
-        })
+    p_h = h_step_order(model, h)
+    # The excess constants only exist at orders rich enough to hold the
+    # corresponding true prediction model; report null below that.
+    per_order = [{
+        "order": k,
+        "plugin_constant": table.plugin[k] if k >= model.order else None,
+        "direct_constant": table.direct[k] if k >= p_h else None,
+        "plugin_loss": table.plugin[k],
+        "direct_loss": table.direct[k],
+    } for k in range(1, kmax + 1)]
     report = {
         "command": "theory",
         "config": {"coeffs": list(model.coeffs), "sigma2": model.sigma2,
                    "horizon": h, "max_order": kmax},
         "model_order": model.order,
-        "horizon_order": h_step_order(model, h),
+        "horizon_order": p_h,
         "irreducible_variance": horizon_variance(model, h),
         "per_order": per_order,
         "optimal": [[k, method] for k, method in sorted(optimal_candidates(table))],
@@ -430,9 +416,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(_join_coeffs(sys.argv[1:] if argv is None else argv))
+    args = _parser().parse_args(_join_coeffs(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except ValidationError as err:

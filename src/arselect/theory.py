@@ -227,9 +227,13 @@ class AutocovarianceTable:
         if k - 1 > self.max_lag:
             raise InsufficientLagsError(
                 f"need lags up to {k - 1}, table stops at {self.max_lag}")
-        from scipy.linalg import toeplitz  # deferred: loads SciPy on first use
+        return _toeplitz(self.gamma[:k])
 
-        return toeplitz(self.gamma[:k])
+
+def _toeplitz(column: np.ndarray) -> np.ndarray:
+    """Symmetric Toeplitz matrix ``T[r, s] = column[|r - s|]`` (exact copies)."""
+    lags = np.arange(column.size)
+    return column[np.abs(lags[:, None] - lags)]
 
 
 def autocovariances(model: ArModel, max_lag: int) -> AutocovarianceTable:
@@ -270,11 +274,12 @@ def autocovariances(model: ArModel, max_lag: int) -> AutocovarianceTable:
     return AutocovarianceTable(gamma[: max_lag + 1])
 
 
-def _solve_gamma(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Solve an autocovariance system with an SPD-first strategy.
+def _gamma_solver(mat: np.ndarray):
+    """Factor an autocovariance matrix once; return its solve ``rhs -> mat^{-1} rhs``.
 
-    Cholesky when the matrix admits it, a pivoted general solve as the
-    fallback; a conditioning guard rejects numerically singular input.
+    A conditioning guard rejects numerically singular input.  The
+    Cholesky factor serves every right-hand side when the matrix admits
+    it, a pivoted general solve is the fallback.
     """
     cond = np.linalg.cond(mat)
     if not np.isfinite(cond) or cond > COND_GUARD:
@@ -283,9 +288,10 @@ def _solve_gamma(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     from scipy.linalg import cho_factor, cho_solve, solve  # deferred: loads SciPy on first use
 
     try:
-        return cho_solve(cho_factor(mat, lower=True), rhs)
+        factor = cho_factor(mat, lower=True)
     except np.linalg.LinAlgError:
-        return solve(mat, rhs)
+        return lambda rhs: solve(mat, rhs)
+    return lambda rhs: cho_solve(factor, rhs)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +312,7 @@ def optimal_direct_coeffs(table: AutocovarianceTable, h: int, k: int) -> np.ndar
         raise InsufficientLagsError(
             f"need lags up to {h + k - 1}, table stops at {table.max_lag}")
     rhs = table.gamma[h: h + k].copy()
-    return np.asarray(_solve_gamma(table.gamma_matrix(k), rhs), dtype=float)
+    return np.asarray(_gamma_solver(table.gamma_matrix(k))(rhs), dtype=float)
 
 
 def iterate_plugin_coeffs(one_step: np.ndarray, h: int) -> np.ndarray:
@@ -364,6 +370,36 @@ def _require_table(model: ArModel, table: AutocovarianceTable | None,
     return table
 
 
+def _plugin_constant(model: ArModel, b: np.ndarray, k: int, gam: np.ndarray,
+                     solve) -> float:
+    """Plug-in constant at order k from the MA weights ``b_0..b_{h-1}``,
+    ``Gamma(k)`` and its solve."""
+    h = b.size
+    comp = companion_matrix(_padded_one_step(model, k))
+    power = np.eye(k)
+    sensitivity = np.zeros((k, k))
+    for exponent in range(h):
+        # exponent e pairs with weight b_{h-1-e}
+        sensitivity += b[h - 1 - exponent] * power
+        if exponent < h - 1:
+            power = power @ comp
+    jac = sensitivity.T
+    return float(model.sigma2 * np.trace(gam @ jac @ solve(jac.T)))
+
+
+def _direct_constant(model: ArModel, b: np.ndarray, table: AutocovarianceTable,
+                     k: int, solve) -> float:
+    """Direct constant at order k from the MA weights ``b_0..b_{h-1}``, a
+    table through lag ``h + k - 2`` and the solve of ``Gamma(k)``."""
+    # w[d] = sum_j b_j b_{j-d}, d = -(h-1)..(h-1)
+    w = np.correlate(b, b, mode="full")
+    d_vals = np.arange(1 - b.size, b.size)
+    u = np.empty(k)
+    for e in range(k):
+        u[e] = float(np.dot(w, table.gamma[np.abs(d_vals + e)]))
+    return float(model.sigma2 * np.trace(solve(_toeplitz(u))))
+
+
 def plugin_excess_constant(model: ArModel, h: int, k: int,
                            table: AutocovarianceTable | None = None) -> float:
     """Asymptotic excess MSPE of the order-k plug-in predictor at horizon h.
@@ -385,18 +421,8 @@ def plugin_excess_constant(model: ArModel, h: int, k: int,
             f"plug-in constant defined only for k >= {model.order}, got {k}")
     table = _require_table(model, table, max(k - 1, 0))
     b = ma_coefficients(model, n_terms=h - 1).b
-    comp = companion_matrix(_padded_one_step(model, k))
-    power = np.eye(k)
-    sensitivity = np.zeros((k, k))
-    for exponent in range(h):
-        # exponent e pairs with weight b_{h-1-e}
-        sensitivity += b[h - 1 - exponent] * power
-        if exponent < h - 1:
-            power = power @ comp
-    jac = sensitivity.T
     gam = table.gamma_matrix(k)
-    inv_jt = _solve_gamma(gam, jac.T)
-    return float(model.sigma2 * np.trace(gam @ jac @ inv_jt))
+    return _plugin_constant(model, b, k, gam, _gamma_solver(gam))
 
 
 def direct_excess_constant(model: ArModel, h: int, k: int,
@@ -408,29 +434,20 @@ def direct_excess_constant(model: ArModel, h: int, k: int,
     ``sum_{j<h} b_j (x_j, ..., x_{j-k+1})'``; expanding the double sum
     gives the symmetric Toeplitz matrix ``V[r, s] = u_{s-r}`` with
     ``u_e = sum_d w_d gamma_{d+e}`` and ``w`` the autocorrelation of the
-    leading moving-average weights.
+    leading moving-average weights.  One table serves the projection
+    order and the constant.
     """
     if h < 1:
         raise ValueError("horizon must be >= 1")
-    p_h = h_step_order(model, h)
+    table = _require_table(model, table, h + max(model.order, k - 1) - 1)
+    p_h = h_step_order(model, h, table)
     if k < p_h:
         raise UnderspecifiedOrderError(
             f"direct constant defined only for k >= {p_h} at this horizon, got {k}")
     if k < 1:
         raise ValueError("order must be >= 1")
-    table = _require_table(model, table, (h - 1) + (k - 1))
     b = ma_coefficients(model, n_terms=h - 1).b
-    # w[d] = sum_j b_j b_{j-d}, d = -(h-1)..(h-1)
-    w = np.correlate(b, b, mode="full")
-    d_vals = np.arange(-(h - 1), h)
-    u = np.empty(k)
-    for e in range(k):
-        u[e] = float(np.dot(w, [table.value(d + e) for d in d_vals]))
-    from scipy.linalg import toeplitz  # deferred: loads SciPy on first use
-
-    cov = toeplitz(u)
-    gam = table.gamma_matrix(k)
-    return float(model.sigma2 * np.trace(_solve_gamma(gam, cov)))
+    return _direct_constant(model, b, table, k, _gamma_solver(table.gamma_matrix(k)))
 
 
 def three_step_excess_ratio(a2: float) -> float:
@@ -477,19 +494,29 @@ class LossTable:
 
 
 def loss_table(model: ArModel, h: int, max_order: int) -> LossTable:
-    """Tabulate both predictors' asymptotic losses for orders ``1..max_order``."""
+    """Tabulate both predictors' asymptotic losses for orders ``1..max_order``.
+
+    One autocovariance table serves every order.  ``Gamma(k)`` is built,
+    checked and factored once, at the orders where either constant is
+    defined, and both constants of that order share its factor; each
+    entry equals the standalone ``plugin_excess_constant`` or
+    ``direct_excess_constant`` value bit for bit.
+    """
     if max_order < model.order:
         raise UnderspecifiedOrderError(
             f"max_order must reach the true order {model.order}, got {max_order}")
     table = autocovariances(model, h + max_order - 1)
     p_h = h_step_order(model, h, table)
-    plugin = {}
-    direct = {}
-    for k in range(1, max_order + 1):
-        plugin[k] = (plugin_excess_constant(model, h, k, table)
-                     if k >= model.order else math.inf)
-        direct[k] = (direct_excess_constant(model, h, k, table)
-                     if k >= p_h else math.inf)
+    b = ma_coefficients(model, n_terms=h - 1).b
+    plugin = dict.fromkeys(range(1, max_order + 1), math.inf)
+    direct = dict(plugin)
+    for k in range(max(p_h, 1), max_order + 1):  # p_h <= p: every defined order
+        gam = table.gamma_matrix(k)
+        solve = _gamma_solver(gam)
+        if k >= model.order:
+            plugin[k] = _plugin_constant(model, b, k, gam, solve)
+        if k >= p_h:
+            direct[k] = _direct_constant(model, b, table, k, solve)
     return LossTable(horizon=h, max_order=max_order, plugin=plugin, direct=direct)
 
 

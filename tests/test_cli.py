@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import arselect
-from arselect import errors
+from arselect import cli, errors
 from arselect.cli import main, read_series_csv, write_series_csv
 from arselect.estimation import Series, fit_direct, fit_plugin, forecast, predict_with
 from arselect.methods import Method
@@ -160,6 +160,36 @@ class TestTheoryReport:
             run_cli("theory", "--coeffs", "--horizon", "2", "--max-order", "3")
         assert exc.value.code == 2
         assert "--coeffs: expected one argument" in capsys.readouterr().err
+
+
+class TestParserReuse:
+    """One parser serves every call of a process, and no call leaves
+    state behind for the next."""
+
+    def test_one_parser_per_process(self):
+        assert cli._parser() is cli._parser()
+
+    def test_subset_and_output_do_not_carry_over(self, series_csv, tmp_path, capsys):
+        path, _ = series_csv
+        out = tmp_path / "subset.json"
+        assert run_cli("select", "--input", path, "--horizon", "3", "--max-order", "4",
+                       "--subset", "--output", str(out)) == 0
+        assert capsys.readouterr().out == ""
+        assert json.loads(out.read_text())["config"]["subset"] is True
+        assert run_cli("select", "--input", path, "--horizon", "3", "--max-order", "4") == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["config"]["subset"] is False
+        assert report["mask"] is None
+
+    def test_usage_error_then_valid_call(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("theory", "--coeffs", "0.5", "--horizon", "x", "--max-order", "3")
+        assert exc.value.code == 2
+        assert "invalid int value: 'x'" in capsys.readouterr().err
+        assert run_cli("theory", "--coeffs", "0.5", "--horizon", "2", "--max-order", "3") == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["config"] == {"coeffs": [0.5], "sigma2": 1.0, "horizon": 2,
+                                    "max_order": 3}
 
 
 class TestSelectReport:

@@ -7,10 +7,14 @@ properties hold it to the per-candidate functions (``start_index``,
 per-time probe written here, the lag-difference table to the
 per-pair cumulative columns it replaced, and the bordered solver's guards
 to the batched LU solver it replaced.  Scaling a series by a power of
-two scales every APE exactly, and a full mask is its dense order.  A fuzz
-of ``arselect mspe`` holds every accepted or rejected request to a
-documented exit code.
+two scales every APE exactly, and a full mask is its dense order.  The
+theory report and loss table, which share one table and one factor per
+order, are held to the standalone excess constants bit for bit.  Fuzzes
+of ``arselect mspe`` and ``arselect theory`` hold every accepted or
+rejected request to a documented exit code.
 """
+import json
+import math
 import re
 
 import numpy as np
@@ -24,6 +28,9 @@ from arselect import (
     Series,
     ape_direct,
     ape_plugin,
+    direct_excess_constant,
+    loss_table,
+    plugin_excess_constant,
     select_predictor,
     simulate,
     start_index,
@@ -35,6 +42,7 @@ from arselect.errors import (
     NoValidStartError,
     SeriesOverflowError,
     SingularMomentError,
+    UnderspecifiedOrderError,
 )
 from arselect.estimation import _CrossProducts
 from arselect.tolerances import COND_GUARD, TOL_LIN
@@ -369,6 +377,58 @@ def test_mspe_exits_with_a_documented_code(coeffs, n, reps, horizon, burn_in, ca
     argv = ["mspe", f"--coeffs={coeffs}", "--n", str(n), "--reps", str(reps),
             "--horizon", str(horizon), "--method", method, "--seed", str(seed),
             *burn_in, *candidate, *dist, *df]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse usage errors
+        code = exc.code
+    assert code in {0, 2, 3, 4}
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@SETTINGS
+@given(seed=st.integers(0, 2 ** 32 - 1), h=st.integers(1, 6), data=st.data())
+def test_theory_constants_are_the_standalone_constants(seed, h, data, capsys):
+    model = random_stationary_model(np.random.default_rng(seed), max_order=5)
+    max_order = data.draw(st.integers(model.order, 10))
+    table = loss_table(model, h, max_order)
+    coeffs = ",".join(repr(float(c)) for c in model.coeffs)
+    assert main(["theory", f"--coeffs={coeffs}", "--sigma2", repr(model.sigma2),
+                 "--horizon", str(h), "--max-order", str(max_order)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [row["order"] for row in report["per_order"]] == list(range(1, max_order + 1))
+    for row in report["per_order"]:
+        k = row["order"]
+        for name, func, losses in (("plugin", plugin_excess_constant, table.plugin),
+                                   ("direct", direct_excess_constant, table.direct)):
+            expected = outcome(lambda: func(model, h, k))
+            if expected is UnderspecifiedOrderError:
+                assert row[f"{name}_constant"] is None
+                assert losses[k] == math.inf and row[f"{name}_loss"] == "inf"
+            else:
+                assert row[f"{name}_constant"].hex() == expected.hex()
+                assert row[f"{name}_loss"].hex() == losses[k].hex() == expected.hex()
+
+
+# A double root at 0.99973: the Yule-Walker system passes its guard, and
+# Gamma(k) fails its own from k = 6 on (exit 3).
+SINGULAR_GAMMA = "1.999464406779661,-0.9994644784946853"
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(coeffs=st.sampled_from(["0.9,-0.81", "0.5", "-0.5,0.2,0.1", "0.3,0.2", "1.2", "0",
+                               "0.3,0", "0.99999,0", "0,0,0,0.5", SINGULAR_GAMMA]),
+       sigma2=optional("--sigma2", st.sampled_from([1.0, 2.5, 0.0, -1.0, float("inf"),
+                                                    float("nan")])),
+       horizon=st.integers(-2, 6), max_order=st.integers(-1, 12),
+       output=st.booleans())
+def test_theory_exits_with_a_documented_code(coeffs, sigma2, horizon, max_order, output,
+                                             tmp_path, capsys):
+    # --max-order stays at 12 or below: the condition numbers are SVDs of K x K
+    # matrices, one per order, so a large K is slow rather than wrong.
+    argv = ["theory", f"--coeffs={coeffs}", "--horizon", str(horizon),
+            "--max-order", str(max_order), *sigma2,
+            *(["--output", str(tmp_path / "theory.json")] if output else [])]
     try:
         code = main(argv)
     except SystemExit as exc:  # argparse usage errors

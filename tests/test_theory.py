@@ -34,6 +34,7 @@ from arselect.errors import (
     ZeroLeadCoefficientError,
 )
 from arselect.methods import Method
+from arselect.theory import _toeplitz
 
 from conftest import TEST_MODELS, curve_model, random_stationary_model
 
@@ -100,6 +101,18 @@ class TestAutocovariances:
         gam = table.gamma_matrix(4)
         assert np.array_equal(gam, gam.T)
         assert np.all(np.linalg.eigvalsh(gam) > 0)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 7, 12])
+    def test_toeplitz_is_scipy_toeplitz_byte_for_byte(self, rng, k):
+        from scipy.linalg import toeplitz
+
+        column = rng.normal(size=k)
+        if k > 1:
+            column[-1] = -0.0  # a signed zero must be copied as it is
+        ours = _toeplitz(column)
+        assert ours.shape == (k, k) and ours.dtype == np.float64
+        assert ours.flags.c_contiguous
+        assert ours.tobytes() == toeplitz(column).tobytes()
 
 
 class TestProjectionCoefficients:
