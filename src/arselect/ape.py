@@ -9,12 +9,12 @@ and all candidates are compared on identical targets.
 
 Candidates are either a plain order ``k`` (regress on the newest k lags)
 or a 0/1 mask over a lag window (regress on the flagged lags only).
-Every candidate's prefix fits come from the bordered solver of
-``estimation``: :func:`family_apes` walks each top lag's candidates depth
-first, and :func:`ape_direct` and :func:`ape_plugin` walk from the root to
-their one candidate with the same operations, so the two agree bit for
-bit.  Errors are formed from lag slices of the series, and a plug-in
-forecast iterates the one-step fit on its own forecasts.
+Every candidate's prefix fits come from the walk of the bordered solver of
+``estimation``: :func:`family_apes` visits a whole family and
+:func:`ape_direct` and :func:`ape_plugin` visit one candidate with the same
+operations, so the two agree bit for bit.  One former makes every error
+from lag slices of the series: a direct forecast is one step of it, and a
+plug-in forecast iterates the one-step fit on its own forecasts.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .estimation import (
     Series,
     _BorderedSolver,
     _CrossProducts,
-    _path,
     _resolve_candidate,
     _triangle,
     _unpack,
@@ -137,40 +136,23 @@ def _lag_rows(values: np.ndarray, width: int, first: int, count: int) -> np.ndar
                       strides=(-step, step))
 
 
-def _errors(values: np.ndarray, coeffs: np.ndarray, lags: Sequence[int], hh: int,
-            first: int, scratch: np.ndarray) -> np.ndarray:
-    """hh-step errors of per-prefix coefficients on ``lags`` (one row each),
-    column t applied to the newest lags of the prefix ``first + t``; the lag
-    rows are copied into the flat buffer ``scratch``."""
+def _errors(values: np.ndarray, coeffs: np.ndarray, lags: Sequence[int], h: int,
+            steps: int, first: int, scratch: np.ndarray) -> np.ndarray:
+    """h-step errors of per-prefix coefficients on ``lags`` (one row each),
+    column t applied to the newest lags of the prefix ``first + t`` and then
+    to its own forecasts, ``steps`` times in all: one step for a direct fit,
+    h for a plug-in one-step fit (its companion matrix, with zeros for the
+    lags it leaves out, applied h-1 times).  The lag rows of each step are
+    copied into the flat buffer ``scratch``."""
     count = coeffs.shape[1]
     window = _lag_rows(values, max(lags), first, count)
     known = scratch[:len(lags) * count].reshape(len(lags), count)
-    for row, lag in zip(known, lags):
-        row[:] = window[lag - 1]
-    return (values[first + hh - 1: first + hh - 1 + count]
-            - np.einsum("jt,jt->t", coeffs, known))
-
-
-def _plugin_errors(values: np.ndarray, one: np.ndarray, lags: Sequence[int], h: int,
-                   first: int, scratch: np.ndarray) -> np.ndarray:
-    """h-step plug-in errors of per-prefix one-step coefficients on ``lags``:
-    each one-step fit is iterated on its own forecasts, which is its
-    companion matrix (with zeros for the lags it leaves out) applied h-1
-    times.  The lag rows of each step are copied into ``scratch``."""
-    count = one.shape[1]
-    window = _lag_rows(values, max(lags), first, count)
-    known = scratch[:len(lags) * count].reshape(len(lags), count)
     forecasts: list[np.ndarray] = []
-    for step in range(h):  # forecasts[s] is x_{i+s+1}
+    for step in range(steps):  # forecasts[s] is of x_{i+h-steps+s+1}
         for row, lag in zip(known, lags):
             row[:] = forecasts[step - lag] if lag <= step else window[lag - 1 - step]
-        forecasts.append(np.einsum("jt,jt->t", one, known))
+        forecasts.append(np.einsum("jt,jt->t", coeffs, known))
     return values[first + h - 1: first + h - 1 + count] - forecasts[-1]
-
-
-def _path_lags(lags: tuple[int, ...]) -> tuple[int, ...]:
-    """The lags of a candidate in its solver's order: the top lag first."""
-    return lags[-1:] + lags[:-1]
 
 
 def _accumulate(series: Series, h: int, candidate, start: int,
@@ -183,16 +165,13 @@ def _accumulate(series: Series, h: int, candidate, start: int,
             f"(needs >= {h + lags[-1]})")
     if start > n - h:
         raise ValueError(f"start {start} leaves no targets in a series of length {n}")
+    direct = method is Method.DIRECT
     solver = _BorderedSolver(_CrossProducts(series.values, h, lags[-1]), lags[-1],
-                             [(h if method is Method.DIRECT else 1, start, n - h)])
-    solver.load(lags[-1])
-    solver.walk_to(_path(lags))
-    coeffs, order = solver.solve(0), _path_lags(lags)
-    scratch = solver.work.reshape(-1)
-    if method is Method.DIRECT or h == 1:  # at h=1 the plug-in predictor is direct
-        errors = _errors(series.values, coeffs, order, h, start, scratch)
-    else:
-        errors = _plugin_errors(series.values, coeffs, order, h, start, scratch)
+                             [(h if direct else 1, start, n - h)])
+    for _ in solver.visit([lags]):
+        coeffs = solver.solve(0)
+    errors = _errors(series.values, coeffs, solver.lags, h, 1 if direct else h, start,
+                     solver.work.reshape(-1))
     return ApeResult(horizon=h, candidate=label, method=method, start=start,
                      ape=_ape(errors), n=n,
                      step_errors=errors if keep_steps else None)
@@ -227,17 +206,16 @@ def _candidate_apes(values: np.ndarray, solver: _BorderedSolver, candidate, h: i
     APE and, sliced at ``start_h``, the plug-in APE; at h=1 they give all
     three.  The direct rows are solved after both.
     """
-    order = _path_lags(_resolve_candidate(candidate)[0])
-    n = values.size
+    lags, n = solver.lags, values.size
     lo = min(start_one, start_h)
     scratch = solver.work.reshape(-1)
     one = solver.solve(0)
-    one_step = _ape(_errors(values, one, order, 1, lo, scratch)[start_one - lo:])
+    one_step = _ape(_errors(values, one, lags, 1, 1, lo, scratch)[start_one - lo:])
     if h == 1:
         return one_step, one_step, one_step
-    plugin = _plugin_errors(values, one[:, start_h - lo: n - h + 1 - lo], order, h, start_h,
-                            scratch)
-    direct = _errors(values, solver.solve(1), order, h, start_h, scratch)
+    plugin = _errors(values, one[:, start_h - lo: n - h + 1 - lo], lags, h, h, start_h,
+                     scratch)
+    direct = _errors(values, solver.solve(1), lags, h, 1, start_h, scratch)
     return one_step, _ape(direct), _ape(plugin)
 
 
@@ -245,26 +223,19 @@ def _walk_family(table: _CrossProducts, candidates: Sequence, h: int, start_one:
                  start_h: int) -> list[tuple[float, float, float]]:
     """Every candidate's (one-step, direct, plug-in) APE from one solver.
 
-    The candidates are visited by top lag and then depth first, each
-    after the paths leading to it; the solver's columns serve the
-    one-step fits on prefixes ``min(start_one, start_h)..n-1`` and, at
-    h > 1, the direct fits on ``start_h..n-h``.  Errors are raised in
-    that order.
+    The candidates are taken in the order of the solver's visit, and errors
+    are raised in that order; the solver's columns serve the one-step fits
+    on prefixes ``min(start_one, start_h)..n-1`` and, at h > 1, the direct
+    fits on ``start_h..n-h``.
     """
     n = table.values.size
     spans = [(1, min(start_one, start_h), n - 1)]
     if h > 1:
         spans.append((h, start_h, n - h))
     lags = [_resolve_candidate(candidate)[0] for candidate in candidates]
-    order = sorted(range(len(candidates)), key=lambda j: (lags[j][-1], _path(lags[j])))
     solver = _BorderedSolver(table, max(top[-1] for top in lags), spans)
     apes: list = [None] * len(candidates)
-    top = 0
-    for index in order:
-        if lags[index][-1] != top:
-            top = lags[index][-1]
-            solver.load(top)
-        solver.walk_to(_path(lags[index]))
+    for index in solver.visit(lags):
         apes[index] = _candidate_apes(table.values, solver, candidates[index], h,
                                       start_one, start_h)
     return apes

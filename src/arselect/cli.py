@@ -36,7 +36,7 @@ from .montecarlo import (
     replicate_table1,
     simulate,
 )
-from .selection import bic_order, bic_values, select_predictor, subset_select
+from .selection import _bic_choice, bic_values, select_predictor, subset_select
 from .theory import ArModel, h_step_order, horizon_variance, loss_table, optimal_candidates
 
 EXIT_OK = 0
@@ -160,7 +160,7 @@ def _jsonable(value):
     if isinstance(value, Method):
         return value.label
     if isinstance(value, float):
-        return "inf" if math.isinf(value) else value
+        return str(value) if math.isinf(value) else value
     if isinstance(value, (np.floating, np.integer)):
         return _jsonable(value.item())
     if isinstance(value, dict):
@@ -261,7 +261,7 @@ def cmd_bic(args: argparse.Namespace) -> int:
     series, _ = read_series_csv(args.input)
     h, kmax = args.horizon, args.max_order
     values = bic_values(series, h, kmax, penalty=args.penalty)
-    chosen = bic_order(series, h, kmax, penalty=args.penalty)
+    chosen = _bic_choice(values)
     n = len(series.values)
     report = {
         "command": "bic",

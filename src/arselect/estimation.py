@@ -417,12 +417,6 @@ def _lags_ascending(beta: np.ndarray) -> np.ndarray:
     return np.concatenate((beta[1:], beta[:1])).T.copy()
 
 
-def _path(lags: tuple[int, ...]) -> tuple[int, ...]:
-    """Positions of sorted ``lags`` in the lag order (top, 1, ..., top - 1) of
-    their top lag: the top lag first, then the others ascending."""
-    return (0,) + lags[:-1]
-
-
 class _Bordering:
     """Least squares for every path of lag positions of a packed moment stack,
     by bordering.
@@ -603,6 +597,7 @@ class _BorderedSolver(_Bordering):
     moment matrices of the lag order (L, 1, ..., L-1) in one (L(L+1)/2, T)
     stack and each horizon's right-hand sums in an (L, T) one (zero outside
     its own uppers).  Every buffer is sized once, for ``capacity``.
+    :meth:`visit` is the one walk over a family of lag sets.
     """
 
     def __init__(self, table: _CrossProducts, capacity: int,
@@ -612,6 +607,7 @@ class _BorderedSolver(_Bordering):
         low -= low == high
         count = high - low + 1
         self.table, self.spans, self.low = table, list(spans), low
+        self.lags: tuple[int, ...] = ()
         super().__init__(
             np.empty((_triangle(capacity), count)), np.zeros((len(spans), capacity, count)),
             [(f"sequential direct fit h={hh}", first,
@@ -627,6 +623,25 @@ class _BorderedSolver(_Bordering):
         for (hh, first, last), (_, _, rows), rhs in zip(self.spans, self.horizons, self.rhs):
             self.table.rhs_rows(offsets, hh, top, range(first - hh, last - hh + 1),
                                 rhs[:top, rows])
+
+    def visit(self, lag_sets: Sequence[tuple[int, ...]]) -> Iterator[int]:
+        """Descend to each set of sorted one-based lags in ``lag_sets`` and yield
+        its index, with ``lags`` its lags in coefficient-row order (top first).
+
+        The sets are visited by top lag, each top lag loaded once, and then
+        depth first, each after the paths leading to it.
+        """
+        # A set's path: the positions of its lags in the order (top, 1, ..., top - 1).
+        paths = [(0,) + lags[:-1] for lags in lag_sets]
+        top = 0
+        for index in sorted(range(len(lag_sets)), key=lambda j: (lag_sets[j][-1], paths[j])):
+            lags = lag_sets[index]
+            if lags[-1] != top:
+                top = lags[-1]
+                self.load(top)
+            self.walk_to(paths[index])
+            self.lags = lags[-1:] + lags[:-1]
+            yield index
 
 
 # ---------------------------------------------------------------------------
@@ -648,8 +663,8 @@ def sequential_fitter(series: Series, h: int, max_order: int,
     ``well_defined_from``; at or past that point singularity is an
     error, because the caller has certified the stream usable from there.
 
-    Each order's fits on a run of prefixes come from one bordered solver
-    walked to the dense path, under the conditioning floor of the
+    Every order's fits on a run of prefixes come from one bordered solver
+    visiting the dense paths, under the conditioning floor of the
     whole-series fits, so every yielded coefficient vector is the one the
     APE functions use on the same prefix.
     """
@@ -657,9 +672,11 @@ def sequential_fitter(series: Series, h: int, max_order: int,
         raise ValueError("horizon and max_order must be >= 1")
     first, last = 2 * max_order + h - 1, series.n - h
     cp = _CrossProducts(series.values, h, max_order)
+    dense = [_order_lags(k) for k in range(1, max_order + 1)]
     for lo in range(first, last + 1, _STREAM_CHUNK):
         hi = min(lo + _STREAM_CHUNK - 1, last)
-        orders = [_prefix_fits(cp, h, k, lo, hi) for k in range(1, max_order + 1)]
+        solver = _BorderedSolver(cp, max_order, [(1, lo, hi), (h, lo, hi)], _FLOOR)
+        orders = [_prefix_fits(solver, h, lo, hi) for _ in solver.visit(dense)]
         for t, i in enumerate(range(lo, hi + 1)):
             fits: dict[int, LsFit] = {}
             try:
@@ -679,14 +696,13 @@ def sequential_fitter(series: Series, h: int, max_order: int,
             yield i, fits
 
 
-def _prefix_fits(cp: _CrossProducts, h: int, k: int, lo: int, hi: int) -> tuple:
-    """Order k's fits on prefixes ``lo..hi`` for :func:`sequential_fitter`:
-    (k, window counts, sample moments, one-step and direct coefficient rows,
-    and each horizon's guard messages by row)."""
+def _prefix_fits(solver: _BorderedSolver, h: int, lo: int, hi: int) -> tuple:
+    """The fits of the dense order ``solver`` has just visited, on prefixes
+    ``lo..hi``, for :func:`sequential_fitter`: (k, window counts, sample
+    moments, one-step and direct coefficient rows, and each horizon's guard
+    messages by row)."""
+    k = len(solver.lags)
     counts = np.arange(lo, hi + 1) - h - k + 1
-    solver = _BorderedSolver(cp, k, [(1, lo, hi), (h, lo, hi)], _FLOOR)
-    solver.load(k)
-    solver.walk_to(tuple(range(k)))  # lags (k, 1, ..., k - 1)
     # Lags 1..k-1 sit at positions 1..k-1 of the solver's lag order, lag k at 0.
     gammas = _unpack(solver.moment[:, solver.horizons[1][2]],
                      [*range(1, k), 0]) / counts[:, None, None]

@@ -154,14 +154,16 @@ def bic_values(series: Series, h: int, max_order: int,
 
     The score is ``log(rss / n) + k * c / n`` where ``rss`` sums squared
     in-sample residuals of the full-sample direct fit over its window
-    and ``c`` defaults to ``log n``.  A zero residual sum yields
-    ``-inf``, which still orders correctly; one that overflows raises
-    :class:`SeriesOverflowError`.
+    and ``c`` defaults to ``log n``; a penalty that is not finite is a
+    ``ValueError``.  A zero residual sum yields ``-inf``, which still orders
+    correctly; one that overflows raises :class:`SeriesOverflowError`.
     """
     if h < 1 or max_order < 1:
         raise ValueError("horizon and max_order must be >= 1")
     n = series.n
     c = math.log(n) if penalty is None else float(penalty)
+    if not math.isfinite(c):
+        raise ValueError(f"penalty must be finite, got {c}")
     out: dict[int, float] = {}
     for k in range(1, max_order + 1):
         coeffs = fit_direct(series, h, k)
@@ -181,8 +183,12 @@ def bic_values(series: Series, h: int, max_order: int,
 def bic_order(series: Series, h: int, max_order: int,
               penalty: float | None = None) -> int:
     """Order minimizing :func:`bic_values`; ties go to the smaller order."""
-    scores = bic_values(series, h, max_order, penalty)
-    return int(_argmin(scores, range(1, max_order + 1)))
+    return _bic_choice(bic_values(series, h, max_order, penalty))
+
+
+def _bic_choice(scores: Mapping[int, float]) -> int:
+    """:func:`bic_order` of the scores :func:`bic_values` returned."""
+    return int(_argmin(scores, sorted(scores)))
 
 
 # ---------------------------------------------------------------------------

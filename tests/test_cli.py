@@ -22,7 +22,7 @@ from arselect.cli import main, read_series_csv, write_series_csv
 from arselect.estimation import Series, fit_direct, fit_plugin, forecast, predict_with
 from arselect.methods import Method
 from arselect.montecarlo import simulate
-from arselect.selection import bic_values, select_predictor
+from arselect.selection import bic_order, bic_values, select_predictor
 from arselect.theory import ArModel
 
 MODEL = ArModel((0.9, -0.81), 1.0)
@@ -247,6 +247,31 @@ class TestBicReport:
         assert got == expected
         assert report["config"]["penalty"] == pytest.approx(np.log(400))
 
+    def test_negative_infinity_keeps_its_sign(self, tmp_path, capsys):
+        # x_i = 0.5**(i-1) is fit without residual at order 1: log(0) = -inf.
+        path = tmp_path / "halving.csv"
+        write_series_csv(str(path), 0.5 ** np.arange(40))
+        code = run_cli("bic", "--input", str(path), "--horizon", "1", "--max-order", "1")
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["values"] == [{"order": 1, "bic": "-inf"}]
+        assert report["chosen"] == 1
+
+    def test_fits_each_order_once(self, series_csv, monkeypatch, capsys):
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args[1:])
+            return bic_values(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "bic_values", spy)
+        monkeypatch.setattr(arselect.selection, "bic_values", spy)
+        code = run_cli("bic", "--input", series_csv[0], "--horizon", "2", "--max-order", "4")
+        assert code == 0
+        assert calls == [(2, 4)]
+        assert json.loads(capsys.readouterr().out)["chosen"] == bic_order(
+            series_csv[1].series, 2, 4)
+
 
 class TestMspeCommand:
     def test_report_fields(self, capsys):
@@ -380,6 +405,13 @@ class TestExitCodes:
                        "--max-order", "13", "--subset")
         assert code == 2
         assert "SubsetTooLarge" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("penalty", ["nan", "inf", "-inf"])
+    def test_non_finite_penalty(self, series_csv, capsys, penalty):
+        code = run_cli("bic", "--input", series_csv[0], "--horizon", "2",
+                       "--max-order", "3", f"--penalty={penalty}")
+        assert code == 2
+        assert f"penalty must be finite, got {penalty}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("df", ["nan", "inf"])
     @pytest.mark.parametrize("command", ["simulate", "mspe"])

@@ -22,7 +22,7 @@ from arselect import (
     sequential_fitter,
     simulate,
 )
-from arselect.errors import TooFewObservationsError
+from arselect.errors import SingularMomentError, TooFewObservationsError
 from arselect.methods import Method
 
 
@@ -172,6 +172,18 @@ class TestSequentialFitter:
                                      - sample_moment(prefix, 3, k))) < 1e-8
                 checked += 1
         assert checked >= 20
+
+    def test_singular_prefixes_yield_none_until_certified(self):
+        # Twenty zeros lead the series, so the first prefixes have singular
+        # moment matrices: they are yielded as None, and a stream certified
+        # well defined from inside that run raises at the certified time.
+        values = np.concatenate((np.zeros(20), np.random.default_rng(1).normal(size=200)))
+        stream = list(sequential_fitter(Series(values), 3, 4))
+        assert [i for i, _ in stream] == list(range(10, 218))
+        assert [i for i, fits in stream if fits is None] == list(range(10, 27))
+        assert all(sorted(fits) == [1, 2, 3, 4] for _, fits in stream[17:])
+        with pytest.raises(SingularMomentError, match="singular moment matrix at time 15$"):
+            list(sequential_fitter(Series(values), 3, 4, well_defined_from=15))
 
 
 class TestConditioningFloor:
