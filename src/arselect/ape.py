@@ -75,7 +75,8 @@ def start_index(series: Series, h: int, max_order: int) -> int:
     if h < 1 or max_order < 1:
         raise ValueError("horizon and max_order must be >= 1")
     _probe_range(series.n, h, max_order)
-    return _probe(_CrossProducts(series.values, h, max_order), h, max_order)
+    return _probe(_Verdicts(_CrossProducts(series.values, h, max_order), max_order), h,
+                  max_order)
 
 
 def _probe_range(n: int, h: int, max_order: int) -> tuple[int, int]:
@@ -87,30 +88,44 @@ def _probe_range(n: int, h: int, max_order: int) -> tuple[int, int]:
     return first, last
 
 
-def _probe(table: _CrossProducts, h: int, max_order: int) -> int:
-    """:func:`start_index` on a built table (moment sums do not depend on h).
+class _Verdicts:
+    """The start probe's verdicts on one table: whether the order-``max_order``
+    moment matrix of the windows up to each upper passes the conditioning
+    guard.  They are taken ``_PROBE_CHUNK`` uppers at a time as a probe
+    reaches them (the probe usually stops in the first chunk, so taking
+    every window at once costs more than it saves), and the probes of both
+    horizons share them: a verdict does not depend on the horizon."""
 
-    Condition numbers are taken ``_PROBE_CHUNK`` windows at a time, as
-    the scan reaches them: the scan usually stops in the first chunk, so
-    probing every window at once costs more than it saves.
-    """
-    first, last = _probe_range(table.values.size, h, max_order)
-    offsets = tuple(range(max_order))
-    base = first - h
-    ok = np.empty(last - base, dtype=bool)  # verdict of window upper base + j
-    packed = np.empty((_triangle(max_order), _PROBE_CHUNK))
-    done, i = 0, first
+    def __init__(self, table: _CrossProducts, max_order: int) -> None:
+        self.table, self.max_order, self.base = table, max_order, 2 * max_order - 1
+        self.ok = np.empty(table.values.size - 1 - self.base, dtype=bool)
+        self.done = 0  # verdicts taken, of uppers base..base + done - 1
+        self.packed = np.empty((_triangle(max_order), _PROBE_CHUNK))
+
+    def __getitem__(self, uppers: np.ndarray) -> np.ndarray:
+        """The verdicts of the windows up to each of ``uppers``."""
+        offsets, end = tuple(range(self.max_order)), self.table.values.size - 1
+        while self.base + self.done <= uppers.max():
+            low = self.base + self.done
+            chunk = range(low, min(low + _PROBE_CHUNK, end))
+            packed = self.packed[:, :len(chunk)]
+            self.table.moment_rows(offsets, self.max_order, chunk, packed)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                cond = np.linalg.cond(_unpack(packed, offsets))
+            ok = np.isfinite(cond) & (cond <= COND_GUARD)
+            self.ok[self.done: self.done + ok.size] = ok
+            self.done += ok.size
+        return self.ok[uppers - self.base]
+
+
+def _probe(verdicts: _Verdicts, h: int, max_order: int) -> int:
+    """:func:`start_index` from the verdicts of a table at order ``max_order``
+    (moment sums do not depend on h)."""
+    first, last = _probe_range(verdicts.table.values.size, h, max_order)
+    i = first
     while i <= last:
         times = np.arange(i, min(i + 10, last) + 1)
-        while base + done < times[-1]:
-            uppers = range(base + done, min(base + done + _PROBE_CHUNK, last))
-            chunk = packed[:, :len(uppers)]
-            table.moment_rows(offsets, max_order, uppers, chunk)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                cond = np.linalg.cond(_unpack(chunk, offsets))
-            ok[done: done + len(uppers)] = np.isfinite(cond) & (cond <= COND_GUARD)
-            done += len(uppers)
-        bad = np.flatnonzero(~(ok[times - 1 - base] & ok[times - h - base]))
+        bad = np.flatnonzero(~(verdicts[times - 1] & verdicts[times - h]))
         if not bad.size:
             return i
         i = int(times[bad[-1]]) + 1
@@ -252,9 +267,10 @@ def family_apes(series: Series, h: int, candidates: Sequence, max_lag: int
     """
     _probe_range(series.n, 1, max_lag)
     table = _CrossProducts(series.values, h, max_lag)
-    start_one = _probe(table, 1, max_lag)
+    verdicts = _Verdicts(table, max_lag)
+    start_one = _probe(verdicts, 1, max_lag)
     try:
-        start_h = start_one if h == 1 else _probe(table, h, max_lag)
+        start_h = start_one if h == 1 else _probe(verdicts, h, max_lag)
     except NoValidStartError:
         _walk_family(table, candidates, 1, start_one, start_one)
         raise

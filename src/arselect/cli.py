@@ -19,9 +19,11 @@ import argparse
 import csv
 import dataclasses
 import functools
+import io
 import json
 import math
 import sys
+import warnings
 
 import numpy as np
 
@@ -113,31 +115,85 @@ def write_series_csv(path: str, values: np.ndarray,
             writer.writerow([i, *(f"{v:.17g}" for v in row)])
 
 
+#: The characters of a series body that ``np.loadtxt`` reads as the row loop
+#: does: printable ASCII but the quote, which the csv module reads and numpy
+#: does not, and tab and line ends.  Elsewhere their number syntax differs.
+_LOADTXT_BYTES = bytes(b for b in range(128)
+                       if chr(b) in "\t\n\r" or (" " <= chr(b) <= "~" and chr(b) != '"'))
+
+
 def read_series_csv(path: str) -> tuple[Series, np.ndarray | None]:
     """Read a series CSV; returns the series and innovations if present.
 
-    Each row's index is an integer one more than the previous row's.
+    Each row's index is an integer one more than the previous row's.  A
+    byte-order mark before the header is skipped.  The body is parsed by
+    ``np.loadtxt`` where that reads it as the row loop :func:`_parse_rows`
+    would, and by the row loop otherwise, which also words every error.
     """
     with open(path, newline="") as handle:
+        if handle.read(1) != "\ufeff":
+            handle.seek(0)
         reader = csv.reader(handle)
-        header = next(reader, None)
+        try:
+            header = next(reader, None)
+        except csv.Error as err:
+            raise ValueError(f"{path}: line {reader.line_num}: {err}") from None
         if header is None or [c.strip() for c in header[:2]] != ["index", "x"]:
             raise ValueError(f"{path}: expected header 'index,x[,eps]'")
-        has_eps = len(header) >= 3 and header[2].strip() == "eps"
-        width = 3 if has_eps else 2
-        xs: list[float] = []
-        eps: list[float] = []
+        width = 3 if len(header) >= 3 and header[2].strip() == "eps" else 2
+        lines, body = reader.line_num, handle.read()
+    columns = _parse_body(body, width)
+    if columns is None:
+        columns = _parse_rows(path, header, csv.reader(io.StringIO(body, newline="")),
+                              lines, width)
+    return Series(columns[0]), columns[1]
+
+
+def _parse_body(body: str, width: int) -> tuple[np.ndarray, np.ndarray | None] | None:
+    """The x (and eps) columns of a series body read by ``np.loadtxt``, or
+    ``None`` where the row loop must read it: a character outside
+    ``_LOADTXT_BYTES``, a line longer than the csv module's field limit, a
+    parse error or warning, or indexes that do not count up by one."""
+    limit = csv.field_size_limit()
+    if (not body.isascii() or body.encode("ascii").translate(None, _LOADTXT_BYTES)
+            or len(body) > limit and max(map(len, body.splitlines())) > limit):
+        return None
+    dtype = np.dtype([("index", np.int64), ("x", float), ("eps", float)][:width])
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = np.loadtxt(io.StringIO(body), dtype=dtype, delimiter=",", comments=None,
+                              usecols=range(width), ndmin=1)
+    except (ValueError, Warning):
+        return None
+    index = rows["index"]
+    # index[0] + arange does not wrap past the largest int64.
+    if (index[0] > np.iinfo(np.int64).max - index.size
+            or not np.array_equal(index, index[0] + np.arange(index.size))):
+        return None
+    return rows["x"], (np.ascontiguousarray(rows["eps"]) if width == 3 else None)
+
+
+def _parse_rows(path: str, header: list[str], reader, lines: int, width: int,
+                ) -> tuple[np.ndarray, np.ndarray | None]:
+    """The x (and eps) columns of a series body, row by row from ``reader``,
+    whose line ``j`` is line ``lines + j`` of the file."""
+    has_eps = width == 3
+    xs: list[float] = []
+    eps: list[float] = []
+    try:
         for row in reader:
+            line = lines + reader.line_num
             if not row:
                 continue
             if len(row) < width:
-                raise ValueError(f"{path}: line {reader.line_num}: expected {width} fields")
+                raise ValueError(f"{path}: line {line}: expected {width} fields")
             try:
                 index = int(row[0])
             except ValueError:
                 index = None
             if index is None or (xs and index != last + 1):
-                raise ValueError(f"{path}: line {reader.line_num}: index {row[0]!r} is "
+                raise ValueError(f"{path}: line {line}: index {row[0]!r} is "
                                  "not an integer one more than the previous row's")
             last = index
             try:
@@ -146,10 +202,11 @@ def read_series_csv(path: str) -> tuple[Series, np.ndarray | None]:
                     eps.append(float(row[2]))
             except ValueError:
                 col = 2 if has_eps and len(xs) > len(eps) else 1
-                raise ValueError(f"{path}: line {reader.line_num}: {header[col].strip()} "
+                raise ValueError(f"{path}: line {line}: {header[col].strip()} "
                                  f"{row[col]!r} is not a number") from None
-    series = Series(np.asarray(xs, dtype=float))
-    return series, (np.asarray(eps, dtype=float) if has_eps else None)
+    except csv.Error as err:
+        raise ValueError(f"{path}: line {lines + reader.line_num}: {err}") from None
+    return np.asarray(xs, dtype=float), (np.asarray(eps, dtype=float) if has_eps else None)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ One guarded solver serves every fit.  :class:`_Bordering` solves the
 normal equations of any lag path of a packed moment stack with one column
 per system, order-recursively: a candidate's inverse Cholesky factor is its
 parent's bordered by one row.  Its guards are a pivot test and a
-normal-equation residual test, and whole-series and streamed fits add a
+normal-equation residual test, which a condition bound kept by the walk
+skips where it cannot fire, and whole-series and streamed fits add a
 floor on the least relative pivot in place of a condition-number ceiling.
 The public batch fits (:func:`fit_one_step`, :func:`fit_direct`,
 :func:`fit_plugin` and their lag-subset variants) work on a whole series,
@@ -109,6 +110,22 @@ class LsFit:
 #: the moment matrix, so the floor rejects only fits that the ceiling
 #: ``COND_GUARD`` on that condition number rejects.
 _FLOOR = 1.0 / COND_GUARD
+
+#: The residual screen of :meth:`_Bordering.fit` clears a fit on m lags
+#: whose condition bound ``trace(M) trace(M^-1)`` is at most ``_SCREEN / m``,
+#: that is ``16 m eps`` times the bound is within ``TOL_LIN``.  The relative
+#: normal-equation residual of a solve through the inverse Cholesky factor
+#: is a modest multiple of ``eps kappa_2(M)`` (Higham, *Accuracy and
+#: Stability of Numerical Algorithms*, 2nd ed., ch. 8 and 10); the guard
+#: measures it in max norms, which costs at most a factor m against the
+#: 2-norm, and 16 is a margin of ten over the largest multiple measured.
+_SCREEN = TOL_LIN / (16 * np.finfo(float).eps)
+
+#: The screen also needs ``trace(M)`` and ``max |beta|`` within
+#: ``[1 / _RANGE, _RANGE]``: there every product and sum of the solve and of
+#: its residual stays far from overflow and from the subnormal numbers,
+#: whose absolute rounding the relative bound above does not cover.
+_RANGE = 1e100
 
 
 def _order_lags(k: int) -> tuple[int, ...]:
@@ -437,13 +454,16 @@ class _Bordering:
     every path from the root to the current one.  The new row is
     ``[-g/d, 1/d]`` with ``c = U b``, ``g = U' c`` and ``d = sqrt(m_vv -
     c.c)`` for the new lag's cross moments ``b`` and ``m_vv``; ``z = U r``
-    grows by one entry, and :meth:`fit` gives ``beta = U' z``.  Under a
-    floor the walk also keeps, per depth, the least relative pivot
-    ``d^2 / m_vv`` along the path: ``m_vv / d^2`` is at most the condition
-    number of the path's moment matrix.  Stacks are lag-major, so a sum
-    over lags runs the same loop over at least two columns whatever the
-    columns, horizons or walk: a path's coefficients do not depend on what
-    else shares the stack.
+    grows by one entry, and :meth:`fit` gives ``beta = U' z``.  The walk
+    keeps, per depth, ``trace(M^-1) = |U|_F^2``, the running sum of squares
+    of the factor's rows, so that ``trace(M) trace(M^-1)``, an upper bound
+    on the condition number, costs :meth:`fit` one gather of the path's
+    diagonal.  Under a floor it also keeps, per depth, the least relative
+    pivot ``d^2 / m_vv`` along the path: ``m_vv / d^2`` is at most the
+    condition number of the path's moment matrix.  Stacks are lag-major, so
+    a sum over lags runs the same loop over at least two columns whatever
+    the columns, horizons or walk: a path's coefficients do not depend on
+    what else shares the stack.
     """
 
     def __init__(self, moment: np.ndarray, rhs: np.ndarray,
@@ -453,6 +473,7 @@ class _Bordering:
         self.moment, self.rhs, self.horizons = moment, rhs, list(horizons)
         self.factor = np.empty_like(moment)
         self.z = np.empty_like(rhs)
+        self.trace_inv = np.empty((capacity, count))
         self.floor = floor
         self.least = np.empty((capacity, count)) if floor else None
         # Scratch, reused by every call: beta and two row stacks.
@@ -488,6 +509,7 @@ class _Bordering:
                 if least is not None:
                     np.divide(pivot, cross[0], out=least[0])  # nan for a zero moment
                 np.divide(1.0, inv, out=inv)
+                np.multiply(inv, inv, out=self.trace_inv[0])
                 np.multiply(self.rhs[:, path[0]], inv, out=self.z[:, 0])
                 return
             proj = self.spare[:k]  # c = U b
@@ -508,6 +530,9 @@ class _Bordering:
                 np.einsum("jt,jt->t", column, proj[j:], out=row[j])
             row *= inv
             np.negative(row, out=row)
+            row = factor[_triangle(k): _triangle(k + 1)]  # with its diagonal 1/d
+            np.einsum("jt,jt->t", row, row, out=self.trace_inv[k])
+            self.trace_inv[k] += self.trace_inv[k - 1]
             z = self.z[:, k]
             np.einsum("jt,hjt->ht", proj, self.z[:, :k], out=z)
             np.subtract(self.rhs[:, path[-1]], z, out=z)
@@ -523,7 +548,10 @@ class _Bordering:
         singular moment matrix, and a least relative pivot below the floor
         an ill-conditioned one; otherwise the normal-equation residual must
         be within ``TOL_LIN`` of its scale, as for a direct solve.  Pivot
-        failures come first in the messages.
+        failures come first in the messages.  The residual is formed only
+        if some column fails the screen of :meth:`_cleared`, whose columns
+        are within ``TOL_LIN`` by the condition bound, so the guard rejects
+        what it would reject if it always formed it.
         """
         path = self.path
         k = path.size - 1
@@ -546,6 +574,8 @@ class _Bordering:
                 column = self.factor.take(self.index[j:k + 1, j], axis=0,
                                           out=spare[:k + 1 - j], mode="clip")
                 np.einsum("jt,jt->t", column, z[j:k + 1], out=beta[j])
+            if not faults and self._cleared(k, rows):
+                return beta[:, rows], faults
             np.abs(beta, out=work).max(axis=0, out=self.scale)
             rhs.take(path, axis=0, out=work, mode="clip")
             np.abs(work, out=work).max(axis=0, out=self.bound)
@@ -572,6 +602,22 @@ class _Bordering:
                         f"{name}: unreliable solve{_at(first, t)} "
                         f"(relative residual {residual[t] / scale[t]:.3e})"))
         return beta[:, rows], faults
+
+    def _cleared(self, k: int, rows: slice) -> bool:
+        """Whether the condition bound clears every column of ``rows`` of the
+        residual guard: ``trace(M) trace(M^-1)`` within ``_SCREEN / (k + 1)``,
+        and ``trace(M)`` and ``max |beta|`` finite and within ``_RANGE`` (see
+        ``_SCREEN``).  Uses the fit's scratch, after ``beta``."""
+        path, beta = self.path, self.beta[:k + 1]
+        diagonal = self.moment.take(self.index[path, path], axis=0, out=self.work[:k + 1],
+                                    mode="clip")
+        trace = diagonal.sum(axis=0, out=self.bound)
+        size = np.abs(beta, out=self.spare[:k + 1]).max(axis=0, out=self.scale)
+        bound = np.multiply(trace, self.trace_inv[k], out=self.work[0])
+        trace, size = trace[rows], size[rows]
+        return bool(bound[rows].max() <= _SCREEN / (k + 1)
+                    and 1.0 / _RANGE <= trace.min() and trace.max() <= _RANGE
+                    and 1.0 / _RANGE <= size.min() and size.max() <= _RANGE)
 
     def solve(self, horizon: int) -> np.ndarray:
         """:meth:`fit`, raising the first guard message if a column failed."""

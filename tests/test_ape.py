@@ -23,7 +23,7 @@ from arselect.errors import (
     SeriesOverflowError,
     SingularMomentError,
 )
-from arselect.estimation import _BorderedSolver, _CrossProducts
+from arselect.estimation import _Bordering, _BorderedSolver, _CrossProducts
 from arselect.methods import Method
 from arselect.selection import select_predictor, subset_select
 from arselect.tolerances import TOL_LIN
@@ -290,5 +290,26 @@ class TestOverflow:
         solver.moment[0], solver.rhs[0, 0] = 1e-300, 1e300
         solver.descend((0,))
         with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SingularMomentError, match="unreliable solve at time 7"):
+                solver.solve(0)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e300])
+    def test_screen_leaves_an_ill_conditioned_fit_to_the_residual(self, scale):
+        # Two lags with moments [[1, 1 - 2e-11], [1 - 2e-11, 1]] (condition
+        # number 1.0e11) and right-hand sums (1, -1), both times ``scale``, at
+        # two uppers, the first of them prefix time 7: the pivots and the
+        # coefficients (about +-5e10) are finite, and the condition bound is
+        # beyond the screen.  The residual test accepts the fit at scale 1,
+        # and at 1e300 finds that its products overflow.
+        moment = np.repeat(np.array([[1.0], [1.0 - 2e-11], [1.0]]) * scale, 2, axis=1)
+        rhs = np.repeat(np.array([[[1.0], [-1.0]]]) * scale, 2, axis=2)
+        solver = _Bordering(moment, rhs, [("sequential direct fit h=1", 7, slice(0, 2))])
+        solver.walk_to((0, 1))
+        assert np.isfinite(solver.pivot).all() and (solver.pivot > 0.0).all()
+        assert not solver._cleared(1, slice(0, 2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            if scale == 1.0:
+                assert np.isfinite(solver.solve(0)).all()
+                return
             with pytest.raises(SingularMomentError, match="unreliable solve at time 7"):
                 solver.solve(0)

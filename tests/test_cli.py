@@ -105,6 +105,25 @@ class TestSeriesFiles:
         assert code == 2
         assert f"line {line}: index" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("body", ["1,0.5\r\n2,0.25\r\n3,0.125\r\n",
+                                      '"1","0.5"\r\n"2","0.25"\r\n"3","0.125"\r\n'])
+    def test_byte_order_mark_is_skipped(self, tmp_path, capsys, body):
+        # A spreadsheet's "CSV UTF-8" export, read by np.loadtxt or, quoted,
+        # by the row loop.
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(("\ufeffindex,x\r\n" + body).encode("utf-8"))
+        series, eps = read_series_csv(str(marked))
+        assert series.values.tolist() == [0.5, 0.25, 0.125] and eps is None
+        assert run_cli("bic", "--input", str(marked), "--horizon", "1",
+                       "--max-order", "1") == 0
+
+    def test_oversized_field_is_validation_error(self, tmp_path, capsys):
+        bad = tmp_path / "wide.csv"
+        bad.write_text("index,x\n1,0.5\n2," + "1" * 200_000 + "\n")
+        code = run_cli("select", "--input", str(bad), "--horizon", "1", "--max-order", "1")
+        assert code == 2
+        assert "line 3: field larger than field limit" in capsys.readouterr().err
+
     @pytest.mark.parametrize("column, row", [("x", "2,abc,0.1"), ("eps", "2,0.25,abc")])
     def test_non_numeric_field_names_file_and_line(self, tmp_path, capsys, column, row):
         bad = tmp_path / "field.csv"

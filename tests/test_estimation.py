@@ -204,3 +204,22 @@ class TestConditioningFloor:
         want = np.linalg.lstsq(lags / scale, values[5:], rcond=None)[0] / scale
         assert np.linalg.cond(lags.T @ lags) > 1e16
         assert np.max(np.abs(coeffs - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+class TestResidualScreen:
+    # Well-conditioned fits whose residual test still fires, so the screen
+    # must not clear them: products of the residual that overflow, from
+    # coefficients near 2.6e307 or moments near 7e300, and products that
+    # fall among the subnormal numbers, whose rounding is absolute, not
+    # relative (a right-hand sum of 3e-321, or moments near 1.3e-306).
+    @pytest.mark.parametrize("values, order, residual", [
+        ([1.0, 2.0, 1.0, 1.5, 1e308], 2, "nan"),
+        ([1e150, 2e150, 1e150, 1.5e150, 1e158], 2, "nan"),
+        ([1.7 ** 0.5, 3e-321, 0.0, 0.0], 1, "6.317e-04"),
+        ([-8.128137367243375e-156, -1.1223012038174603e-153, -3.3876851155931836e-164,
+          -1.8786459783795647e-163, 9.659270570929079e-157], 2, "1.171e-08")])
+    def test_fits_beyond_its_range_keep_the_residual_test(self, values, order, residual):
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SingularMomentError,
+                               match=rf"unreliable solve \(relative residual {residual}\)"):
+                fit_direct(Series(np.array(values)), 1, order)

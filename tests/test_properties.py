@@ -6,12 +6,14 @@ properties hold it to the per-candidate functions (``start_index``,
 ``ape_direct``, ``ape_plugin``) bit for bit, the probe to a naive
 per-time probe written here, the lag-difference table to the
 per-pair cumulative columns it replaced, and the bordered solver's guards
-to the batched LU solver it replaced.  Scaling a series by a power of
+to the batched LU solver it replaced, and every fit its residual screen
+clears to the residual test it skips.  Scaling a series by a power of
 two scales every APE exactly, and a full mask is its dense order.  The
 theory report and loss table, which share one table and one factor per
 order, are held to the standalone excess constants bit for bit.  Fuzzes
-of ``arselect mspe`` and ``arselect theory`` hold every accepted or
-rejected request to a documented exit code.
+of ``arselect mspe``, ``theory``, ``select`` and ``bic`` hold every accepted
+or rejected request to a documented exit code, and the ``np.loadtxt`` series
+reader is held to the row-by-row reader bit for bit and message for message.
 """
 import json
 import math
@@ -23,6 +25,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import arselect.ape
+import arselect.cli
 from arselect import (
     ArModel,
     Series,
@@ -36,7 +39,7 @@ from arselect import (
     start_index,
     subset_select,
 )
-from arselect.cli import main
+from arselect.cli import main, read_series_csv
 from arselect.errors import (
     ArSelectError,
     NoValidStartError,
@@ -44,7 +47,13 @@ from arselect.errors import (
     SingularMomentError,
     UnderspecifiedOrderError,
 )
-from arselect.estimation import _CrossProducts
+from arselect.estimation import (
+    _Bordering,
+    _CrossProducts,
+    _unpack,
+    masked_fit_direct,
+    masked_fit_plugin,
+)
 from arselect.tolerances import COND_GUARD, TOL_LIN
 
 from conftest import moment_matrices, random_stationary_model
@@ -429,6 +438,167 @@ def test_theory_exits_with_a_documented_code(coeffs, sigma2, horizon, max_order,
     argv = ["theory", f"--coeffs={coeffs}", "--horizon", str(horizon),
             "--max-order", str(max_order), *sigma2,
             *(["--output", str(tmp_path / "theory.json")] if output else [])]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse usage errors
+        code = exc.code
+    assert code in {0, 2, 3, 4}
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def screened_fits(patch):
+    """Spy on the residual screen through ``patch``: every fit it clears is
+    recorded as (moment matrices, right-hand sums, coefficients) of the
+    cleared columns, with the guard messages of the same fit with the
+    screen off, that is of the residual test it skipped."""
+    cleared = []
+    fit, screen = _Bordering.fit, _Bordering._cleared
+
+    def spy_fit(self, horizon):
+        verdicts = []
+
+        def spy_screen(solver, k, rows):
+            verdicts.append(screen(solver, k, rows))
+            return verdicts[-1]
+
+        patch.setattr(_Bordering, "_cleared", spy_screen)
+        beta, faults = fit(self, horizon)
+        if verdicts and verdicts[0]:
+            rows, path = self.horizons[horizon][2], list(self.path)
+            patch.setattr(_Bordering, "_cleared", lambda solver, k, rows: False)
+            confirmed = fit(self, horizon)[1]
+            cleared.append((_unpack(self.moment[:, rows], path),
+                            self.rhs[horizon][path][:, rows].T, beta.T.copy(), confirmed))
+        patch.setattr(_Bordering, "_cleared", screen)
+        return beta, faults
+
+    patch.setattr(_Bordering, "fit", spy_fit)
+    return cleared
+
+
+@SETTINGS
+@given(data=st.data(), seed=st.integers(0, 2 ** 32 - 1), zeros=st.integers(0, 40),
+       spike=st.none() | st.integers(0, 39), scale=st.sampled_from([1e-150, 1e-3, 1.0, 1e4, 1e60]),
+       n=st.integers(40, 300), lags=st.sets(st.integers(1, 6), min_size=1).map(sorted),
+       h=st.integers(1, 5))
+def test_screened_fits_pass_the_residual_guard(data, seed, zeros, spike, scale, n, lags, h,
+                                               monkeypatch):
+    # Leading zeros, a spike of 1e4 and a scale of the whole series; prefix
+    # fits from a drawn start, and whole-series fits.  Every column the
+    # screen clears has a relative normal-equation residual, taken in
+    # extended precision, within TOL_LIN, and the residual test it skipped
+    # finds no fault.
+    rng = np.random.default_rng(seed)
+    values = np.concatenate([np.zeros(zeros), rng.normal(size=n)])
+    if spike is not None:
+        values[zeros + spike] *= 1e4
+    series = Series(values * scale)
+    # Any start, or one past the zeros, from which fewer fits fail.
+    last = values.size - h
+    start = data.draw(st.integers(h + lags[-1], last)
+                      | st.integers(min(zeros + 2 * lags[-1] + h, last), last))
+    mask = tuple(int(lag in lags) for lag in range(1, lags[-1] + 1))
+    with monkeypatch.context() as patch:
+        cleared = screened_fits(patch)
+        for call in (lambda: ape_direct(series, h, mask, start),
+                     lambda: ape_plugin(series, h, mask, start),
+                     lambda: masked_fit_direct(series, h, lags),
+                     lambda: masked_fit_plugin(series, h, lags, lags[-1])):
+            outcome(call)
+    for moment, rhs, beta, confirmed in cleared:
+        assert confirmed == {}
+        moment, rhs, beta = (a.astype(np.longdouble) for a in (moment, rhs, beta))
+        residual = np.abs(np.einsum("tij,tj->ti", moment, beta) - rhs).max(axis=1)
+        size = (np.abs(moment).max(axis=(1, 2)) * np.abs(beta).max(axis=1)
+                + np.abs(rhs).max(axis=1))
+        assert (residual <= TOL_LIN * size).all()
+
+
+def csv_outcome(path):
+    """The series and innovations bits :func:`read_series_csv` returns, or
+    the class and message of what it raises."""
+    try:
+        series, eps = read_series_csv(path)
+    except Exception as exc:  # compared, not hidden
+        return type(exc).__name__, str(exc)
+    return series.values.tobytes(), None if eps is None else eps.tobytes()
+
+
+# numpy reads "\u01fe1" as the integer 4621 and skips "\x1c" as a space;
+# Python rejects both.
+INDEX_TOKENS = ["+{i}", "00{i}", " {i} ", "{i}.0", "1_0", "\u0663", "\u01fe{i}",
+                "99999999999999999999", "9223372036854775807", "-{i}", "", "x"]
+VALUE_TOKENS = ["nan", "inf", "-Infinity", "1_0.5", "junk", " 2.5 ", '"2.5"', "", "1e400",
+                "-0", ".5", "5.", "0x1p3", "2\xa0", "2\x1c", "\t3", "1e-320", '"1,5"', "\u0663"]
+
+
+@st.composite
+def series_files(draw):
+    """Text of a series CSV: a header, then rows that are mostly well formed."""
+    width = draw(st.sampled_from([2, 3]))
+    header = draw(st.sampled_from(["index,x", " index , x ", "index,x,other"] if width == 2
+                                  else ["index,x,eps", "index,x,eps,note"]))
+    ends = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    lines = [("\ufeff" if draw(st.booleans()) else "") + header]
+    value = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                      st.floats(-1e3, 1e3).map(lambda v: f"{v:.17g}"),
+                      st.sampled_from(VALUE_TOKENS))
+    for i in range(1, draw(st.integers(0, 12)) + 1):
+        kind = draw(st.sampled_from(["row"] * 8 + ["blank", "spaces", "short", "extra",
+                                                   "quoted"]))
+        index = (draw(st.sampled_from(INDEX_TOKENS)).format(i=i)
+                 if draw(st.integers(0, 9)) == 0 else str(i))
+        fields = [index] + [draw(value) if draw(st.integers(0, 5)) == 0
+                            else repr(draw(st.floats(-1e6, 1e6))) for _ in range(width - 1)]
+        if kind == "blank":
+            lines.append("")
+        elif kind == "spaces":
+            lines.append(draw(st.sampled_from([" ", "\t", "  "])))
+        elif kind == "short":
+            lines.append(",".join(fields[:-1]))
+        elif kind == "extra":
+            lines.append(",".join(fields + [draw(st.sampled_from(["7", "", "a b", '"q"']))]))
+        elif kind == "quoted":
+            lines.append(",".join(f'"{field}"' for field in fields))
+        else:
+            lines.append(",".join(fields))
+    return ends.join(lines) + (ends if draw(st.booleans()) else "")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=series_files())
+@example(text="index,x\n")
+@example(text="\ufeffindex,x\r\n1,0.5\r\n2,0.25\r\n")
+@example(text='index,x\n1,0.5\n2,"0.25\n3,0.125"\n')
+@example(text='index,x\n1,0.5,"note\n2,0.25,end"\n')
+@example(text="index,x\n\u01fe1,0.5\n")
+@example(text="index,x\n1,2\x1c\n")
+@example(text="index,x\n1,0.5\n2,0." + "0" * 131_072 + "1\n")
+@example(text="index,x\n9223372036854775807,0.5\n-9223372036854775808,0.25\n")
+def test_loadtxt_reader_is_the_row_loop(text, tmp_path, monkeypatch):
+    path = tmp_path / "series.csv"
+    with open(path, "w", newline="") as handle:
+        handle.write(text)
+    got = csv_outcome(str(path))
+    with monkeypatch.context() as patch:
+        patch.setattr(arselect.cli, "_parse_body", lambda body, width: None)
+        want = csv_outcome(str(path))
+    assert got == want
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=series_files(), command=st.sampled_from(["select", "bic"]),
+       horizon=st.integers(0, 3), max_order=st.integers(0, 4), subset=st.booleans())
+def test_series_commands_exit_with_a_documented_code(text, command, horizon, max_order,
+                                                     subset, tmp_path, capsys):
+    path = tmp_path / "series.csv"
+    with open(path, "w", newline="") as handle:
+        handle.write(text)
+    argv = [command, "--input", str(path), "--horizon", str(horizon),
+            "--max-order", str(max_order), *(["--subset"] if subset and command == "select"
+                                             else [])]
     try:
         code = main(argv)
     except SystemExit as exc:  # argparse usage errors
