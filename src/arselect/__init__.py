@@ -7,10 +7,10 @@ ahead directly?  It provides the exact population answer (loss tables
 from the model), the data-driven answer (accumulated-prediction-error
 selection), and simulation tools to compare the two.
 
-Importing the package loads numpy only.  SciPy is imported inside the
-few functions that call it (simulation, the excess-APE oracle and the
-autocovariance solves of :mod:`arselect.theory`), so selection and BIC
-never load it.
+Importing the package loads numpy only.  SciPy's ``lfilter`` filters
+simulated paths, and is imported on first use inside the one function of
+:mod:`arselect.montecarlo` that calls it, so theory, selection and BIC
+never load SciPy.
 """
 
 from .ape import ApeResult, ape_direct, ape_excess, ape_plugin, start_index

@@ -295,9 +295,7 @@ def ape_excess(result: ApeResult, innovations: np.ndarray,
         raise LengthMismatchError(
             f"need moving-average weights up to index {h - 1}, "
             f"have {ma.truncation}")
-    from scipy.signal import lfilter  # deferred: loads SciPy on first use
-
-    eta = lfilter(ma.b[:h], [1.0], eps)
+    eta = np.convolve(eps, ma.b[:h])[:eps.size]
     i_values = np.arange(result.start, result.n - h + 1)
     oracle = eta[i_values + h - 1]
     return result.ape - float(np.sum(oracle ** 2))

@@ -233,10 +233,12 @@ def _key(key) -> str:
     return str(key)
 
 
-def _emit(report: dict, args: argparse.Namespace) -> None:
-    text = json.dumps(_jsonable(report), indent=2)
-    if getattr(args, "output", None):
-        with open(args.output, "w") as handle:
+def _emit(report: dict, output: str | None) -> None:
+    """Write the report as strict JSON to ``output``, or print it; a NaN left
+    in it is a ``ValueError`` rather than an invalid document."""
+    text = json.dumps(_jsonable(report), indent=2, allow_nan=False)
+    if output:
+        with open(output, "w") as handle:
             handle.write(text + "\n")
     else:
         print(text)
@@ -269,7 +271,7 @@ def cmd_theory(args: argparse.Namespace) -> int:
         "per_order": per_order,
         "optimal": [[k, method] for k, method in sorted(optimal_candidates(table))],
     }
-    _emit(report, args)
+    _emit(report, args.output)
     return EXIT_OK
 
 
@@ -287,8 +289,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "csv": args.output,
         "includes_innovations": bool(args.include_innovations),
     }
-    with open(args.output + ".json", "w") as handle:
-        handle.write(json.dumps(_jsonable(sidecar), indent=2) + "\n")
+    _emit(sidecar, args.output + ".json")
     print(f"wrote {len(path.series.values)} observations to {args.output}")
     return EXIT_OK
 
@@ -310,7 +311,7 @@ def cmd_select(args: argparse.Namespace) -> int:
         "forecast": forecast(series, h, candidate, result.method),
         "audit": dataclasses.asdict(result.audit),
     }
-    _emit(report, args)
+    _emit(report, args.output)
     return EXIT_OK
 
 
@@ -329,7 +330,7 @@ def cmd_bic(args: argparse.Namespace) -> int:
         "values": [{"order": k, "bic": v} for k, v in sorted(values.items())],
         "chosen": chosen,
     }
-    _emit(report, args)
+    _emit(report, args.output)
     return EXIT_OK
 
 
@@ -358,7 +359,7 @@ def cmd_mspe(args: argparse.Namespace) -> int:
         "scaled_excess": args.n * (estimate.mean - floor),
         "redraws": estimate.redraws,
     }
-    _emit(report, args)
+    _emit(report, args.output)
     return EXIT_OK
 
 
@@ -388,7 +389,7 @@ def cmd_replicate_table1(args: argparse.Namespace) -> int:
         "rows": report_rows,
         "failures": failures,
     }
-    _emit(report, args)
+    _emit(report, args.output)
     if args.check and failures:
         return EXIT_CHECK
     return EXIT_OK

@@ -478,11 +478,10 @@ class _Bordering:
         self.least = np.empty((capacity, count)) if floor else None
         # Scratch, reused by every call: beta and two row stacks.
         self.beta, self.work, self.spare = np.empty((3, capacity, count))
-        self.pivot, self.span, self.scale, self.bound = np.empty((4, count))
+        self.pivot, self.scale, self.bound = np.empty((3, count))
         self.index = _packed_index(capacity)
         self.node: tuple[int, ...] = ()
         self.path = np.empty(0, dtype=np.intp)
-        self.spanned = False
 
     def walk_to(self, path: tuple[int, ...]) -> None:
         """Descend to ``path`` from the path it shares most with the current
@@ -496,7 +495,7 @@ class _Bordering:
     def descend(self, path: tuple[int, ...]) -> None:
         """Border the factor of ``path[:-1]`` with the lag at ``path[-1]``."""
         k = len(path) - 1
-        self.node, self.path, self.spanned = path, np.array(path), False
+        self.node, self.path = path, np.array(path)
         factor, inv = self.factor, self.factor[_triangle(k + 1) - 1]
         pivot, least = self.pivot, self.least
         # The new lag's cross moments with its parent's lags, then its own.
@@ -579,18 +578,15 @@ class _Bordering:
             np.abs(beta, out=work).max(axis=0, out=self.scale)
             rhs.take(path, axis=0, out=work, mode="clip")
             np.abs(work, out=work).max(axis=0, out=self.bound)
-            if not self.spanned:  # the largest |moment entry| of the path
-                self.span[:] = 0.0
+            span = np.zeros_like(self.scale)  # the largest |moment entry| of the path
             for a in range(k + 1):
                 row = self.moment.take(self.index[path[a], path], axis=0, out=spare,
                                        mode="clip")
                 np.einsum("jt,jt->t", row, beta, out=work[a])
                 work[a] -= rhs[path[a]]
-                if not self.spanned:
-                    np.maximum(self.span, np.abs(row, out=row).max(axis=0), out=self.span)
-            self.spanned = True
+                np.maximum(span, np.abs(row, out=row).max(axis=0), out=span)
             scale = self.scale
-            scale *= self.span
+            scale *= span
             scale += self.bound
             residual = np.abs(work, out=work).max(axis=0)[rows]
             scale = scale[rows]

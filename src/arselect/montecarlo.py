@@ -81,7 +81,10 @@ def _draw_innovations(seed, size: int, sigma2: float, dist: str,
     if dist == "normal":
         return scale * rng.standard_normal(size)
     if dist == "uniform":
-        half_width = math.sqrt(3.0 * sigma2)
+        # sqrt(3 sigma2), which 3 sigma2 would overflow near the float maximum;
+        # the two forms agree bit for bit wherever 0.75 sigma2 is normal.
+        half_width = (2.0 * math.sqrt(0.75 * sigma2) if sigma2 > 1.0
+                      else math.sqrt(3.0 * sigma2))
         return rng.uniform(-half_width, half_width, size)
     if dist == "student-t":
         dof = 12.0 if df is None else float(df)

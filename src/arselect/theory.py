@@ -240,7 +240,9 @@ def autocovariances(model: ArModel, max_lag: int) -> AutocovarianceTable:
     """Autocovariances of the model up to ``max_lag``.
 
     The first ``p + 1`` values solve the Yule-Walker system; the rest
-    follow from the recursion ``gamma_j = sum_i a_i gamma_{j-i}``.
+    follow from the recursion ``gamma_j = sum_i a_i gamma_{j-i}``.  A
+    subnormal ``sigma2``, or one whose autocovariances overflow, raises
+    ``OutOfDomainError``.
     """
     if max_lag < 0:
         raise ValueError("max_lag must be >= 0")
@@ -258,10 +260,7 @@ def autocovariances(model: ArModel, max_lag: int) -> AutocovarianceTable:
         system[j, j] += 1.0
         for i in range(1, p + 1):
             system[j, abs(j - i)] -= a[i - 1]
-    cond = np.linalg.cond(system)
-    if not np.isfinite(cond) or cond > COND_GUARD:
-        raise SingularYuleWalkerError(
-            f"Yule-Walker system condition number {cond:.3e} exceeds guard")
+    _check_condition(system, SingularYuleWalkerError, "Yule-Walker system")
     try:
         head = np.linalg.solve(system, rhs)
     except np.linalg.LinAlgError as exc:
@@ -269,29 +268,31 @@ def autocovariances(model: ArModel, max_lag: int) -> AutocovarianceTable:
 
     gamma = np.zeros(upto + 1)
     gamma[: p + 1] = head
-    for j in range(p + 1, upto + 1):
-        gamma[j] = float(np.dot(a, gamma[j - p: j][::-1]))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is checked below
+        for j in range(p + 1, upto + 1):
+            gamma[j] = float(np.dot(a, gamma[j - p: j][::-1]))
+    # The pivots of Gamma(k) are prediction-error variances, none below
+    # sigma2, so a subnormal sigma2 would cost the solves their precision.
+    if not (np.isfinite(gamma).all() and model.sigma2 >= np.finfo(float).tiny):
+        raise OutOfDomainError(
+            f"innovation variance sigma2 = {model.sigma2!r} is subnormal or "
+            "overflows the autocovariances")
     return AutocovarianceTable(gamma[: max_lag + 1])
 
 
-def _gamma_solver(mat: np.ndarray):
-    """Factor an autocovariance matrix once; return its solve ``rhs -> mat^{-1} rhs``.
-
-    A conditioning guard rejects numerically singular input.  The
-    Cholesky factor serves every right-hand side when the matrix admits
-    it, a pivoted general solve is the fallback.
-    """
+def _check_condition(mat: np.ndarray, error: type, label: str) -> None:
+    """Raise ``error`` if ``mat``'s condition number is not finite or above
+    ``COND_GUARD``: the one conditioning guard of the theory solves."""
     cond = np.linalg.cond(mat)
     if not np.isfinite(cond) or cond > COND_GUARD:
-        raise SingularGammaError(
-            f"autocovariance matrix condition number {cond:.3e} exceeds guard")
-    from scipy.linalg import cho_factor, cho_solve, solve  # deferred: loads SciPy on first use
+        raise error(f"{label} condition number {cond:.3e} exceeds guard")
 
-    try:
-        factor = cho_factor(mat, lower=True)
-    except np.linalg.LinAlgError:
-        return lambda rhs: solve(mat, rhs)
-    return lambda rhs: cho_solve(factor, rhs)
+
+def _checked_gamma(table: AutocovarianceTable, k: int) -> np.ndarray:
+    """``Gamma(k)`` once its conditioning guard has passed."""
+    gam = table.gamma_matrix(k)
+    _check_condition(gam, SingularGammaError, "autocovariance matrix")
+    return gam
 
 
 # ---------------------------------------------------------------------------
@@ -311,8 +312,7 @@ def optimal_direct_coeffs(table: AutocovarianceTable, h: int, k: int) -> np.ndar
     if h + k - 1 > table.max_lag:
         raise InsufficientLagsError(
             f"need lags up to {h + k - 1}, table stops at {table.max_lag}")
-    rhs = table.gamma[h: h + k].copy()
-    return np.asarray(_gamma_solver(table.gamma_matrix(k))(rhs), dtype=float)
+    return np.linalg.solve(_checked_gamma(table, k), table.gamma[h: h + k])
 
 
 def iterate_plugin_coeffs(one_step: np.ndarray, h: int) -> np.ndarray:
@@ -370,10 +370,19 @@ def _require_table(model: ArModel, table: AutocovarianceTable | None,
     return table
 
 
-def _plugin_constant(model: ArModel, b: np.ndarray, k: int, gam: np.ndarray,
-                     solve) -> float:
-    """Plug-in constant at order k from the MA weights ``b_0..b_{h-1}``,
-    ``Gamma(k)`` and its solve."""
+def _scaled(model: ArModel, trace: float) -> float:
+    """An excess constant ``sigma2 * trace``, which must be finite: the
+    constants are formed with overflow warnings off."""
+    value = float(model.sigma2 * trace)
+    if not math.isfinite(value):
+        raise OutOfDomainError(f"excess constant is not finite at sigma2 = {model.sigma2!r}")
+    return value
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _plugin_constant(model: ArModel, b: np.ndarray, k: int, gam: np.ndarray) -> float:
+    """Plug-in constant at order k from the MA weights ``b_0..b_{h-1}`` and
+    the checked ``Gamma(k)``."""
     h = b.size
     comp = companion_matrix(_padded_one_step(model, k))
     power = np.eye(k)
@@ -384,20 +393,21 @@ def _plugin_constant(model: ArModel, b: np.ndarray, k: int, gam: np.ndarray,
         if exponent < h - 1:
             power = power @ comp
     jac = sensitivity.T
-    return float(model.sigma2 * np.trace(gam @ jac @ solve(jac.T)))
+    return _scaled(model, np.trace(gam @ jac @ np.linalg.solve(gam, jac.T)))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _direct_constant(model: ArModel, b: np.ndarray, table: AutocovarianceTable,
-                     k: int, solve) -> float:
+                     k: int, gam: np.ndarray) -> float:
     """Direct constant at order k from the MA weights ``b_0..b_{h-1}``, a
-    table through lag ``h + k - 2`` and the solve of ``Gamma(k)``."""
+    table through lag ``h + k - 2`` and the checked ``Gamma(k)``."""
     # w[d] = sum_j b_j b_{j-d}, d = -(h-1)..(h-1)
     w = np.correlate(b, b, mode="full")
     d_vals = np.arange(1 - b.size, b.size)
     u = np.empty(k)
     for e in range(k):
         u[e] = float(np.dot(w, table.gamma[np.abs(d_vals + e)]))
-    return float(model.sigma2 * np.trace(solve(_toeplitz(u))))
+    return _scaled(model, np.trace(np.linalg.solve(gam, _toeplitz(u))))
 
 
 def plugin_excess_constant(model: ArModel, h: int, k: int,
@@ -421,8 +431,7 @@ def plugin_excess_constant(model: ArModel, h: int, k: int,
             f"plug-in constant defined only for k >= {model.order}, got {k}")
     table = _require_table(model, table, max(k - 1, 0))
     b = ma_coefficients(model, n_terms=h - 1).b
-    gam = table.gamma_matrix(k)
-    return _plugin_constant(model, b, k, gam, _gamma_solver(gam))
+    return _plugin_constant(model, b, k, _checked_gamma(table, k))
 
 
 def direct_excess_constant(model: ArModel, h: int, k: int,
@@ -447,7 +456,7 @@ def direct_excess_constant(model: ArModel, h: int, k: int,
     if k < 1:
         raise ValueError("order must be >= 1")
     b = ma_coefficients(model, n_terms=h - 1).b
-    return _direct_constant(model, b, table, k, _gamma_solver(table.gamma_matrix(k)))
+    return _direct_constant(model, b, table, k, _checked_gamma(table, k))
 
 
 def three_step_excess_ratio(a2: float) -> float:
@@ -496,9 +505,9 @@ class LossTable:
 def loss_table(model: ArModel, h: int, max_order: int) -> LossTable:
     """Tabulate both predictors' asymptotic losses for orders ``1..max_order``.
 
-    One autocovariance table serves every order.  ``Gamma(k)`` is built,
-    checked and factored once, at the orders where either constant is
-    defined, and both constants of that order share its factor; each
+    One autocovariance table serves every order.  ``Gamma(k)`` is built
+    and checked once, at the orders where either constant is defined, and
+    both constants of that order share it; each
     entry equals the standalone ``plugin_excess_constant`` or
     ``direct_excess_constant`` value bit for bit.
     """
@@ -511,12 +520,11 @@ def loss_table(model: ArModel, h: int, max_order: int) -> LossTable:
     plugin = dict.fromkeys(range(1, max_order + 1), math.inf)
     direct = dict(plugin)
     for k in range(max(p_h, 1), max_order + 1):  # p_h <= p: every defined order
-        gam = table.gamma_matrix(k)
-        solve = _gamma_solver(gam)
+        gam = _checked_gamma(table, k)
         if k >= model.order:
-            plugin[k] = _plugin_constant(model, b, k, gam, solve)
+            plugin[k] = _plugin_constant(model, b, k, gam)
         if k >= p_h:
-            direct[k] = _direct_constant(model, b, table, k, solve)
+            direct[k] = _direct_constant(model, b, table, k, gam)
     return LossTable(horizon=h, max_order=max_order, plugin=plugin, direct=direct)
 
 

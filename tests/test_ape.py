@@ -28,7 +28,7 @@ from arselect.methods import Method
 from arselect.selection import select_predictor, subset_select
 from arselect.tolerances import TOL_LIN
 
-from conftest import moment_matrices
+from conftest import moment_matrices, random_stationary_model
 from test_estimation import naive_direct, naive_plugin
 
 
@@ -230,6 +230,23 @@ class TestExcess:
             eta = sum(ma.b[j] * eps[i + h - 1 - j] for j in range(h))
             total += eta ** 2
         assert got == pytest.approx(res.ape - total, abs=1e-8)
+
+    @pytest.mark.parametrize("h", range(1, 7))
+    def test_oracle_noise_is_the_lfilter_filter(self, h):
+        # eta is the MA weights convolved with the innovations; SciPy's
+        # lfilter, the reference here, gives the same values bit for bit.
+        from scipy.signal import lfilter
+
+        rng = np.random.default_rng(600 + h)
+        for _ in range(20):
+            model = random_stationary_model(rng, max_order=5)
+            sim = simulate(model, int(rng.integers(4 * h + 10, 300)), seed=int(rng.integers(2**32)))
+            res = ape_direct(sim.series, h, 1, start_index(sim.series, h, 1))
+            eps = rng.standard_normal(res.n) * rng.uniform(0.1, 10.0)
+            ma = ma_coefficients(model, h - 1 + int(rng.integers(0, 3)))
+            eta = lfilter(ma.b[:h], [1.0], eps)
+            want = res.ape - float(np.sum(eta[np.arange(res.start, res.n - h + 1) + h - 1] ** 2))
+            assert ape_excess(res, eps, ma).hex() == want.hex()
 
     def test_length_mismatch_rejected(self):
         model = ArModel((0.9, -0.81), 1.0)

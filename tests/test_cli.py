@@ -530,3 +530,22 @@ for argv in (["theory", "--coeffs", "0.9,-0.81", "--horizon", "3", "--max-order"
 print("scipy.linalg" in sys.modules, "scipy.signal" in sys.modules)
 """
         assert self.run_python(code).splitlines()[-1] == "True True"
+
+    def test_theory_loads_no_scipy_and_mspe_loads_its_filter(self, tmp_path):
+        code = """
+import sys
+import arselect.cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+out = sys.argv[1]
+assert arselect.cli.main(["theory", "--coeffs", "0.9,-0.81", "--horizon", "3",
+                          "--max-order", "8", "--output", out]) == 0
+print(scipy_modules())
+assert arselect.cli.main(["mspe", "--coeffs", "0.9,-0.81", "--horizon", "2", "--order", "2",
+                          "--method", "plugin", "--n", "100", "--reps", "5", "--seed", "1",
+                          "--output", out]) == 0
+print("scipy.signal" in sys.modules)
+"""
+        assert self.run_python(code, str(tmp_path / "r.json")).splitlines() == ["[]", "True"]

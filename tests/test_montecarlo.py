@@ -77,6 +77,18 @@ class TestSimulate:
         with pytest.raises(OutOfDomainError):
             simulate(MODEL, 100, seed=2, dist="student-t", df=6)
 
+    @pytest.mark.parametrize("sigma2", [1e-315, 1e-300, 0.7, 1.0, 2.5, 1e300, 5.9e307])
+    def test_uniform_half_width_is_sqrt_three_sigma2(self, sigma2):
+        # Bit for bit wherever 3 sigma2 is finite, subnormal sigma2 included.
+        want = np.random.default_rng(4).uniform(-math.sqrt(3.0 * sigma2),
+                                                math.sqrt(3.0 * sigma2), 64)
+        got = arselect.montecarlo._draw_innovations(4, 64, sigma2, "uniform", None)
+        assert got.tobytes() == want.tobytes()
+
+    def test_uniform_innovations_near_the_float_maximum(self):
+        eps = simulate(ArModel((0.5,), 1.7e308), 20, seed=1, dist="uniform").innovations
+        assert np.isfinite(eps).all() and np.max(np.abs(eps)) <= math.sqrt(3.0) * 1.31e154
+
 
 class TestMcMspe:
     def test_methods_coincide_at_horizon_one(self):

@@ -9,15 +9,18 @@ per-pair cumulative columns it replaced, and the bordered solver's guards
 to the batched LU solver it replaced, and every fit its residual screen
 clears to the residual test it skips.  Scaling a series by a power of
 two scales every APE exactly, and a full mask is its dense order.  The
-theory report and loss table, which share one table and one factor per
-order, are held to the standalone excess constants bit for bit.  Fuzzes
-of ``arselect mspe``, ``theory``, ``select`` and ``bic`` hold every accepted
-or rejected request to a documented exit code, and the ``np.loadtxt`` series
+theory report and loss table, which share one table and one checked
+Gamma(k) per order, are held to the standalone excess constants bit for
+bit.  Fuzzes of ``arselect mspe``, ``theory``, ``simulate``,
+``replicate-table1``, ``select`` and ``bic`` hold every accepted or rejected
+request to a documented exit code (and the ``theory``, ``simulate`` and
+``replicate-table1`` reports to strict JSON), and the ``np.loadtxt`` series
 reader is held to the row-by-row reader bit for bit and message for message.
 """
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -369,6 +372,21 @@ def optional(flag, values):
     return st.one_of(st.just([]), values.map(lambda v: [flag, str(v)]))
 
 
+def exit_code(argv):
+    """``main``'s exit code, argparse usage errors included."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def strict_json(text):
+    """Parse a report, rejecting the NaN and infinity literals JSON lacks."""
+    def reject(name):
+        raise ValueError(f"not a JSON value: {name}")
+    return json.loads(text, parse_constant=reject)
+
+
 @settings(max_examples=150, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(coeffs=st.sampled_from(["0.9,-0.81", "0.5", "-0.5,0.2,0.1", "0.3,0.2", "1.2", "0"]),
@@ -427,23 +445,56 @@ SINGULAR_GAMMA = "1.999464406779661,-0.9994644784946853"
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(coeffs=st.sampled_from(["0.9,-0.81", "0.5", "-0.5,0.2,0.1", "0.3,0.2", "1.2", "0",
                                "0.3,0", "0.99999,0", "0,0,0,0.5", SINGULAR_GAMMA]),
-       sigma2=optional("--sigma2", st.sampled_from([1.0, 2.5, 0.0, -1.0, float("inf"),
-                                                    float("nan")])),
+       sigma2=optional("--sigma2", st.sampled_from([1.0, 2.5, 0.0, -1.0, 1e-320, 1e308,
+                                                    float("inf"), float("nan")])),
        horizon=st.integers(-2, 6), max_order=st.integers(-1, 12),
        output=st.booleans())
 def test_theory_exits_with_a_documented_code(coeffs, sigma2, horizon, max_order, output,
                                              tmp_path, capsys):
     # --max-order stays at 12 or below: the condition numbers are SVDs of K x K
     # matrices, one per order, so a large K is slow rather than wrong.
+    path = tmp_path / "theory.json"
     argv = ["theory", f"--coeffs={coeffs}", "--horizon", str(horizon),
-            "--max-order", str(max_order), *sigma2,
-            *(["--output", str(tmp_path / "theory.json")] if output else [])]
-    try:
-        code = main(argv)
-    except SystemExit as exc:  # argparse usage errors
-        code = exc.code
+            "--max-order", str(max_order), *sigma2, *(["--output", str(path)] if output else [])]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = exit_code(argv)
+    assert not caught
+    captured = capsys.readouterr()
     assert code in {0, 2, 3, 4}
-    assert "Traceback" not in capsys.readouterr().err
+    assert "Traceback" not in captured.err
+    if code == 0:
+        strict_json(path.read_text() if output else captured.out)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(["simulate", "replicate-table1"]),
+       coeffs=st.sampled_from(["0.9,-0.81", "0.5", "-0.5,0.2,0.1", "1.2", "0"]),
+       n=st.integers(-1, 40), reps=st.integers(0, 4),
+       burn_in=optional("--burn-in", st.integers(-1, 40)),
+       dist=optional("--dist", st.sampled_from(["normal", "uniform", "student-t"])),
+       df=optional("--df", st.sampled_from([5.0, 8.5, 12.0, float("inf"), float("nan")])),
+       sigma2=optional("--sigma2", st.sampled_from([1.0, 0.0, -1.0, 1e-320, 1e308,
+                                                    float("inf"), float("nan")])),
+       seed=st.integers(-1, 2 ** 70), check=st.booleans())
+@example(command="simulate", coeffs="0.5", n=5, reps=0, burn_in=[], dist=["--dist", "uniform"],
+         df=[], sigma2=["--sigma2", "1e308"], seed=1, check=False)
+def test_simulate_and_replicate_table1_exit_with_a_documented_code(
+        command, coeffs, n, reps, burn_in, dist, df, sigma2, seed, check, tmp_path, capsys):
+    path = tmp_path / "series.csv"
+    if command == "simulate":
+        argv = ["simulate", f"--coeffs={coeffs}", "--n", str(n), "--seed", str(seed),
+                *burn_in, *dist, *df, *sigma2, "--output", str(path)]
+    else:  # the four benchmark models at a small n
+        argv = ["replicate-table1", "--n", str(n + 20), "--reps", str(reps), "--seed", str(seed),
+                *(["--check"] if check else [])]
+    code = exit_code(argv)
+    captured = capsys.readouterr()
+    assert code in {0, 2, 3, 4}
+    assert "Traceback" not in captured.err
+    if code == 0:
+        strict_json(open(f"{path}.json").read() if command == "simulate" else captured.out)
 
 
 def screened_fits(patch):

@@ -5,6 +5,7 @@ form, or an independent construction (companion powers, moving-average
 sums) that never goes through the code path under test.
 """
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -257,6 +258,67 @@ class TestLossTable:
         for k in (2, 3, 4):
             assert table.plugin[k] == plugin_excess_constant(model, 3, k)
             assert table.direct[k] == direct_excess_constant(model, 3, k)
+
+    def test_constants_match_a_cholesky_reference(self, rng):
+        # The constants solve Gamma(k) with numpy's LU; the reference builds
+        # J from companion powers and V from a double sum over the moving-
+        # average weights, and solves with SciPy's Cholesky factor.
+        from scipy.linalg import cho_factor, cho_solve
+
+        for _ in range(80):
+            model = random_stationary_model(rng, max_order=5)
+            p, h = model.order, int(rng.integers(1, 7))
+            max_order = int(rng.integers(p, 11))
+            table = loss_table(model, h, max_order)
+            gamma = autocovariances(model, h + max_order).gamma
+            b = ma_coefficients(model, h - 1).b
+            for k in range(p, max_order + 1):
+                gam = gamma[np.abs(np.subtract.outer(np.arange(k), np.arange(k)))]
+                factor = cho_factor(gam)
+                padded = np.zeros(k)
+                padded[:p] = model.coeffs
+                comp = companion_matrix(padded)
+                jac = sum(b[j] * np.linalg.matrix_power(comp, h - 1 - j)
+                          for j in range(h)).T
+                plugin = model.sigma2 * np.trace(gam @ jac @ cho_solve(factor, jac.T))
+                assert table.plugin[k] == pytest.approx(plugin, rel=1e-10, abs=0.0)
+                if math.isinf(table.direct[k]):
+                    continue
+                shift = np.add.outer(np.arange(k), np.arange(h))  # r + i
+                v = np.einsum("i,j,risj->rs", b, b, gamma[np.abs(
+                    shift[:, :, None, None] - shift[None, None, :, :])])
+                direct = model.sigma2 * np.trace(cho_solve(factor, v))
+                assert table.direct[k] == pytest.approx(direct, rel=1e-10, abs=0.0)
+
+
+class TestExtremeVariance:
+    """A subnormal variance, or one whose autocovariances or constants
+    overflow, is out of domain, without a warning.  A subnormal variance is
+    out of domain even when gamma_0 is normal: it bounds the pivots of
+    Gamma(k) from below, and at 1e-308 the constants of (0.9, -0.81) moved
+    by 4.6% between two solvers."""
+
+    @pytest.mark.parametrize("coeffs, sigma2", [((0.5,), 1e-320), ((0.5,), 1e-308),
+                                                ((0.9, -0.81), 1e-308), ((0.5,), 1.7e308)])
+    def test_autocovariances_outside_the_normal_range(self, coeffs, sigma2):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OutOfDomainError, match="sigma2"):
+                autocovariances(ArModel(coeffs, sigma2), 4)
+
+    def test_overflowing_constant(self):
+        model = ArModel((0.0, 0.0, 0.0, 0.5), 1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OutOfDomainError, match="excess constant is not finite"):
+                loss_table(model, 1, 6)
+            with pytest.raises(OutOfDomainError, match="excess constant is not finite"):
+                plugin_excess_constant(model, 1, 4)
+
+    def test_smallest_normal_autocovariance_is_accepted(self):
+        tiny = np.finfo(float).tiny
+        gamma0 = autocovariances(ArModel((0.5,), tiny), 2).gamma[0]
+        assert gamma0 == pytest.approx(tiny / 0.75, rel=1e-15)
 
 
 class TestUnderfitDrift:
