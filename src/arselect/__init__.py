@@ -64,13 +64,11 @@ from .montecarlo import (
 from .selection import (
     SelectionAudit,
     SelectionResult,
-    SubsetLossEstimate,
     SubsetMask,
     bic_order,
     bic_values,
     select_predictor,
     subset_select,
-    theoretical_subset_losses,
 )
 from .theory import (
     ArModel,
@@ -89,7 +87,9 @@ from .theory import (
     optimal_candidates,
     optimal_direct_coeffs,
     plugin_excess_constant,
+    required_masks,
     spectral_radius,
+    subset_loss_table,
     three_step_excess_ratio,
     underfit_ape_drift,
 )

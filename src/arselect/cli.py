@@ -252,12 +252,12 @@ def cmd_theory(args: argparse.Namespace) -> int:
     h, kmax = args.horizon, args.max_order
     table = loss_table(model, h, kmax)
     p_h = h_step_order(model, h)
-    # The excess constants only exist at orders rich enough to hold the
-    # corresponding true prediction model; report null below that.
+    # An excess constant exists only where the order holds every lag its
+    # method requires (the table's loss is infinite elsewhere); report null.
     per_order = [{
         "order": k,
-        "plugin_constant": table.plugin[k] if k >= model.order else None,
-        "direct_constant": table.direct[k] if k >= p_h else None,
+        "plugin_constant": table.plugin[k] if math.isfinite(table.plugin[k]) else None,
+        "direct_constant": table.direct[k] if math.isfinite(table.direct[k]) else None,
         "plugin_loss": table.plugin[k],
         "direct_loss": table.direct[k],
     } for k in range(1, kmax + 1)]

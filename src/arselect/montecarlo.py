@@ -5,9 +5,8 @@ Every experiment runs its replications through one driver,
 time: replication r draws from the substream keyed
 ``(*key, r, attempt)``, and a numerically singular draw is redrawn with
 the next attempt, at most three times.  The key is ``(seed,)`` for
-:func:`mc_mspe`, :func:`selection_frequency` and
-:func:`arselect.selection.theoretical_subset_losses`, and
-``(seed, index)`` for model ``index`` of :func:`replicate_table1`.  For
+:func:`mc_mspe` and :func:`selection_frequency`, and ``(seed, index)``
+for model ``index`` of :func:`replicate_table1`.  For
 seeds below 2**64, ``(seed, r, 0)`` is the stream of ``(seed, r)``, as
 numpy's ``SeedSequence`` pads its entropy with zeros.
 """
@@ -31,6 +30,7 @@ from .theory import (
     horizon_variance,
     loss_table,
     optimal_candidates,
+    subset_loss_table,
     three_step_excess_ratio,
 )
 from .tolerances import DEFAULT_BURN_IN
@@ -265,8 +265,11 @@ def mc_mspe(model: ArModel, h: int, candidate, method: Method, n: int,
     squares, redraws = _squared_errors(model, h, n, reps, (seed,), [(candidate, method)],
                                        lambda path: path[n + h - 1], burn_in, dist, df)
     sq = squares[:, 0]
-    mean = float(sq.mean())
-    std_error = float(sq.std(ddof=1)) / math.sqrt(reps)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        mean = float(sq.mean())
+        std_error = float(sq.std(ddof=1)) / math.sqrt(reps)
+    if not (math.isfinite(mean) and math.isfinite(std_error)):
+        raise OutOfDomainError(f"MSPE estimate is not finite at sigma2 = {model.sigma2!r}")
     return MspeEstimate(horizon=h, candidate=_resolve_candidate(candidate)[2],
                         method=method, n=n, reps=reps, mean=mean,
                         std_error=std_error, redraws=redraws)
@@ -380,7 +383,7 @@ class FrequencyResult:
     n: int
     reps: int
     counts: dict
-    #: asymptotically optimal (order, method) pairs, dense search only
+    #: asymptotically optimal (candidate, method) pairs; None below the model order
     optimal: set | None
     redraws: int
 
@@ -414,7 +417,8 @@ def selection_frequency(model: ArModel, h: int, max_order: int, n: int,
         redraws += block_redraws
     counts = dict(counts)
     optimal = None
-    if not subset and max_order >= model.order:
-        optimal = optimal_candidates(loss_table(model, h, max_order))
+    if max_order >= model.order:
+        table = (subset_loss_table if subset else loss_table)(model, h, max_order)
+        optimal = optimal_candidates(table)
     return FrequencyResult(horizon=h, max_order=max_order, n=n, reps=reps,
                            counts=counts, optimal=optimal, redraws=redraws)

@@ -15,13 +15,12 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from itertools import product
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .ape import family_apes
-from .errors import SeriesOverflowError, SubsetTooLargeError, UnderspecifiedOrderError
+from .errors import SeriesOverflowError
 from .estimation import (
     Series,
     _lag_windows,
@@ -30,13 +29,7 @@ from .estimation import (
     fit_direct,
 )
 from .methods import Method
-from .theory import (
-    ArModel,
-    autocovariances,
-    h_step_order,
-    optimal_direct_coeffs,
-)
-from .tolerances import SUBSET_ORDER_CAP, TOL_ZERO
+from .theory import _all_masks
 
 __all__ = [
     "SubsetMask",
@@ -46,8 +39,6 @@ __all__ = [
     "bic_values",
     "bic_order",
     "subset_select",
-    "SubsetLossEstimate",
-    "theoretical_subset_losses",
 ]
 
 
@@ -195,15 +186,6 @@ def _bic_choice(scores: Mapping[int, float]) -> int:
 # subset (mask) selection
 
 
-def _all_masks(window: int) -> list[tuple[int, ...]]:
-    """Every nonzero mask on the window, in lexicographic bit order."""
-    if window > SUBSET_ORDER_CAP:
-        raise SubsetTooLargeError(
-            f"window {window} exceeds the exhaustive-enumeration cap "
-            f"{SUBSET_ORDER_CAP}")
-    return [bits for bits in product((0, 1), repeat=window) if any(bits)]
-
-
 def _contains(big: tuple[int, ...], small: tuple[int, ...]) -> bool:
     """True when every lag flagged by mask ``small`` is flagged by ``big``."""
     if len(big) != len(small):
@@ -226,87 +208,3 @@ def subset_select(series: Series, h: int, window: int) -> SelectionResult:
                                          _contains, False)
     return SelectionResult(horizon=h, max_order=window, method=method,
                            order=None, mask=SubsetMask(chosen), audit=audit)
-
-
-# ---------------------------------------------------------------------------
-# population view of subset candidates
-
-
-@dataclass(frozen=True)
-class SubsetLossEstimate:
-    """Scaled excess MSPE of one mask under both methods.
-
-    A loss is ``math.inf`` when the mask drops a lag the corresponding
-    population coefficient vector needs; standard errors are ``None``
-    for infinite entries.  ``redraws`` counts the singular draws redrawn
-    by the experiment that scored every mask.
-    """
-
-    plugin_loss: float
-    direct_loss: float
-    plugin_se: float | None
-    direct_se: float | None
-    redraws: int
-
-
-def required_masks(model: ArModel, h: int, window: int
-                   ) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Minimal masks a candidate must contain, per method.
-
-    The plug-in predictor needs every lag with a nonzero model
-    coefficient; the direct predictor needs every lag with a nonzero
-    h-step projection coefficient.
-    """
-    p = model.order
-    if window < p:
-        raise UnderspecifiedOrderError(
-            f"window {window} cannot carry the order-{p} model")
-    plugin_bits = [0] * window
-    for i, value in enumerate(model.coeffs):
-        plugin_bits[i] = int(abs(value) > TOL_ZERO)
-    p_h = h_step_order(model, h)
-    table = autocovariances(model, h + p - 1)
-    direct_bits = [0] * window
-    if p_h > 0:
-        proj = optimal_direct_coeffs(table, h, p_h)
-        for i in range(p_h):
-            direct_bits[i] = int(abs(proj[i]) > TOL_ZERO)
-    return tuple(plugin_bits), tuple(direct_bits)
-
-
-def theoretical_subset_losses(model: ArModel, h: int, window: int, *,
-                              n: int = 400, reps: int = 2000, seed: int = 0,
-                              ) -> dict[tuple[int, ...], SubsetLossEstimate]:
-    """Monte Carlo estimate of each mask's scaled excess MSPE.
-
-    For masks containing the required lags, simulates ``reps``
-    independent paths, fits on the first ``n`` observations, and scores
-    the forecast of ``x_{n+h}`` against the true conditional mean of
-    that value; the mean squared deviation equals the excess MSPE over
-    the floor exactly (the future noise is orthogonal to any fit), so
-    the report is ``n * mean`` with a matching standard error and none
-    of the future-noise variance.  A path on which any fit is
-    numerically singular is redrawn, at most three times.  Masks missing
-    a required lag get an infinite loss outright.
-    """
-    from .montecarlo import _excess_deviations  # deferred: montecarlo imports this module
-
-    masks = _all_masks(window)
-    if reps < 2:
-        raise ValueError("reps must be >= 2")
-    plugin_req, direct_req = required_masks(model, h, window)
-    pairs = [(bits, method) for bits in masks
-             for method, required in ((Method.PLUGIN, plugin_req),
-                                      (Method.DIRECT, direct_req))
-             if _contains(bits, required)]
-    squares, redraws = _excess_deviations(model, h, n, reps, (seed,), pairs)
-    stats = {pair: (n * float(sq.mean()), n * float(sq.std(ddof=1)) / math.sqrt(reps))
-             for pair, sq in zip(pairs, squares.T)}
-    out: dict[tuple[int, ...], SubsetLossEstimate] = {}
-    for bits in masks:
-        plugin_loss, plugin_se = stats.get((bits, Method.PLUGIN), (math.inf, None))
-        direct_loss, direct_se = stats.get((bits, Method.DIRECT), (math.inf, None))
-        out[bits] = SubsetLossEstimate(plugin_loss=plugin_loss, direct_loss=direct_loss,
-                                       plugin_se=plugin_se, direct_se=direct_se,
-                                       redraws=redraws)
-    return out

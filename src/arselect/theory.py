@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product
 from typing import Mapping
 
 import numpy as np
@@ -33,6 +34,7 @@ from .errors import (
     OutOfDomainError,
     SingularGammaError,
     SingularYuleWalkerError,
+    SubsetTooLargeError,
     UnderspecifiedOrderError,
     ZeroLeadCoefficientError,
 )
@@ -40,6 +42,7 @@ from .methods import Method
 from .tolerances import (
     COND_GUARD,
     STATIONARITY_MARGIN,
+    SUBSET_ORDER_CAP,
     TOL_TIE,
     TOL_ZERO,
 )
@@ -61,7 +64,9 @@ __all__ = [
     "plugin_excess_constant",
     "direct_excess_constant",
     "three_step_excess_ratio",
+    "required_masks",
     "loss_table",
+    "subset_loss_table",
     "optimal_candidates",
     "underfit_ape_drift",
 ]
@@ -344,23 +349,11 @@ def h_step_order(model: ArModel, h: int,
     every coefficient vanished (the best h-step predictor is the mean),
     which callers should treat as degenerate.
     """
-    if h < 1:
-        raise ValueError("horizon must be >= 1")
-    p = model.order
-    full = optimal_direct_coeffs(_require_table(model, table, h + p - 1), h, p)
-    nonzero = np.flatnonzero(np.abs(full) > TOL_ZERO)
-    return int(nonzero[-1] + 1) if nonzero.size else 0
+    return max(_inputs(model, h, model.order, table)[3][Method.DIRECT], default=-1) + 1
 
 
 # ---------------------------------------------------------------------------
 # asymptotic excess-MSPE constants
-
-
-def _padded_one_step(model: ArModel, k: int) -> np.ndarray:
-    """Population one-step coefficients on an order-k window, k >= p."""
-    out = np.zeros(k)
-    out[: model.order] = model.coeffs
-    return out
 
 
 def _require_table(model: ArModel, table: AutocovarianceTable | None,
@@ -368,6 +361,15 @@ def _require_table(model: ArModel, table: AutocovarianceTable | None,
     if table is None or table.max_lag < max_lag:
         return autocovariances(model, max_lag)
     return table
+
+
+def required_masks(model: ArModel, h: int, window: int
+                   ) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Minimal (plug-in, direct) masks on the window a candidate must
+    contain for that method's excess constant to be finite."""
+    required = _inputs(model, h, window)[3]
+    return tuple(tuple(int(lag in required[method]) for lag in range(window))
+                 for method in Method)
 
 
 def _scaled(model: ArModel, trace: float) -> float:
@@ -380,34 +382,103 @@ def _scaled(model: ArModel, trace: float) -> float:
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _plugin_constant(model: ArModel, b: np.ndarray, k: int, gam: np.ndarray) -> float:
-    """Plug-in constant at order k from the MA weights ``b_0..b_{h-1}`` and
-    the checked ``Gamma(k)``."""
-    h = b.size
-    comp = companion_matrix(_padded_one_step(model, k))
-    power = np.eye(k)
-    sensitivity = np.zeros((k, k))
-    for exponent in range(h):
-        # exponent e pairs with weight b_{h-1-e}
-        sensitivity += b[h - 1 - exponent] * power
-        if exponent < h - 1:
-            power = power @ comp
-    jac = sensitivity.T
-    return _scaled(model, np.trace(gam @ jac @ np.linalg.solve(gam, jac.T)))
+def _inputs(model: ArModel, h: int, window: int, table: AutocovarianceTable | None = None
+            ) -> tuple[np.ndarray, np.ndarray, AutocovarianceTable, dict]:
+    """``(b, u, table, required)`` for the constants of every candidate on
+    windows up to ``window``, which must reach the model order.
+
+    ``b = (b_0..b_{h-1})`` are the MA weights and ``u_e = sum_d w_d
+    gamma_{d+e}`` for ``e < window``, ``w`` the autocorrelation of ``b``;
+    the table reaches lag ``h + window - 1`` (``table`` where it does).
+    ``required`` maps each method to the zero-based lags a candidate must
+    hold for its constant to be finite: every lag with a nonzero model
+    coefficient (the rule that fixes the model's order) for the plug-in
+    predictor, and every lag whose order-p h-step projection coefficient
+    exceeds ``TOL_ZERO`` for the direct one.  A candidate that misses one
+    converges to a worse predictor, so it has no finite asymptotic excess.
+    """
+    if h < 1:
+        raise ValueError("horizon must be >= 1")
+    if window < model.order:
+        raise UnderspecifiedOrderError(
+            f"window {window} cannot carry the order-{model.order} model")
+    table = _require_table(model, table, h + window - 1)
+    b = ma_coefficients(model, n_terms=h - 1).b
+    w, d_vals = np.correlate(b, b, mode="full"), np.arange(1 - h, h)
+    u = np.array([np.dot(w, table.gamma[np.abs(d_vals + e)]) for e in range(window)])
+    projection = optimal_direct_coeffs(table, h, model.order)
+    return b, u, table, {
+        Method.PLUGIN: tuple(np.flatnonzero(model.coeffs).tolist()),
+        Method.DIRECT: tuple(np.flatnonzero(np.abs(projection) > TOL_ZERO).tolist())}
 
 
 @np.errstate(over="ignore", invalid="ignore")
-def _direct_constant(model: ArModel, b: np.ndarray, table: AutocovarianceTable,
-                     k: int, gam: np.ndarray) -> float:
-    """Direct constant at order k from the MA weights ``b_0..b_{h-1}``, a
-    table through lag ``h + k - 2`` and the checked ``Gamma(k)``."""
-    # w[d] = sum_j b_j b_{j-d}, d = -(h-1)..(h-1)
-    w = np.correlate(b, b, mode="full")
-    d_vals = np.arange(1 - b.size, b.size)
-    u = np.empty(k)
-    for e in range(k):
-        u[e] = float(np.dot(w, table.gamma[np.abs(d_vals + e)]))
-    return _scaled(model, np.trace(np.linalg.solve(gam, _toeplitz(u))))
+def _excess_constants(model: ArModel, inputs: tuple, masks: list[tuple[int, ...]],
+                      methods: tuple[Method, ...] = tuple(Method),
+                      ) -> dict[Method, dict[tuple[int, ...], float]]:
+    """``{method: {mask: constant}}`` for each of ``methods`` and each lag
+    mask on one window w, from the :func:`_inputs` of a window at least
+    w: the one place a constant is formed.
+
+    For the lags S of a mask, the plug-in constant is
+    ``sigma2 * trace(Gamma_w J_S Gamma_S^{-1} J_S')``, with ``J_S`` the
+    columns at S of the Jacobian ``J = (sum_{j<h} b_j A^{h-1-j})'`` of the
+    h-step plug-in coefficients in the one-step ones and ``A`` the
+    companion matrix of the model's coefficients zero-padded to w.  The
+    direct constant is ``sigma2 * trace(Gamma_S^{-1} V_S)``, with
+    ``V_S[r, s] = u_{|l_r - l_s|}`` the covariance of
+    ``sum_{j<h} b_j`` times the lag vector.  ``Gamma_S`` is gathered from
+    the window's Toeplitz, whose condition guard runs once: a principal
+    submatrix's condition number is no larger.  A mask that misses a lag
+    its method requires gets ``math.inf``.
+    """
+    b, u, table, required = inputs
+    window, h = len(masks[0]), b.size
+    out = {method: dict.fromkeys(masks, math.inf) for method in methods}
+    wanted = {mask: [method for method in methods
+                     if all(lag < window and mask[lag] for lag in required[method])]
+              for mask in masks}
+    wanted = {mask: chosen for mask, chosen in wanted.items() if chosen}
+    if not wanted:
+        return out
+    gam = _checked_gamma(table, window)
+    if any(Method.PLUGIN in chosen for chosen in wanted.values()):
+        one_step = np.zeros(window)
+        one_step[: model.order] = model.coeffs
+        comp = companion_matrix(one_step)
+        power = np.eye(window)
+        sensitivity = np.zeros((window, window))  # J'
+        for exponent in range(h):
+            sensitivity += b[h - 1 - exponent] * power
+            if exponent < h - 1:
+                power = power @ comp
+    for mask, chosen in wanted.items():
+        lags = np.array(mask).nonzero()[0]
+        diff = np.abs(lags[:, None] - lags)
+        gam_s = table.gamma[diff]
+        for method in chosen:
+            if method is Method.PLUGIN:
+                rows = sensitivity[lags]
+                trace = np.trace(gam @ rows.T @ np.linalg.solve(gam_s, rows))
+            else:
+                trace = np.trace(np.linalg.solve(gam_s, u[diff]))
+            out[method][mask] = _scaled(model, trace)
+    return out
+
+
+def _order_constant(model: ArModel, h: int, k: int, table: AutocovarianceTable | None,
+                    method: Method) -> float:
+    """The ``method`` constant of lags ``1..k`` on window k, which must be
+    finite."""
+    if k < 1:
+        raise ValueError("order must be >= 1")
+    inputs = _inputs(model, h, max(k, model.order), table)
+    value = _excess_constants(model, inputs, [(1,) * k], (method,))[method][(1,) * k]
+    if value == math.inf:
+        raise UnderspecifiedOrderError(
+            f"{method.label} constant undefined at order {k}: the window misses "
+            f"lag {inputs[3][method][-1] + 1}, which the {method.label} predictor needs")
+    return value
 
 
 def plugin_excess_constant(model: ArModel, h: int, k: int,
@@ -417,46 +488,21 @@ def plugin_excess_constant(model: ArModel, h: int, k: int,
     The n-step-scaled gap between the plug-in predictor's MSPE and the
     irreducible variance converges to this constant, valid for
     ``k >= p`` only (below the true order the plug-in predictor does not
-    even converge to the optimal one).
-
-    Computed as ``trace(Gamma(k) J Gamma(k)^{-1} J') * sigma2`` where
-    ``J = (sum_{j<h} b_j A(k)^{h-1-j})'`` is the Jacobian of the h-step
-    coefficients with respect to the one-step ones and ``A(k)`` is the
-    companion matrix of the zero-padded model coefficients.
+    even converge to the optimal one).  It is :func:`_excess_constants`
+    on lags ``1..k`` of window k.
     """
-    if h < 1:
-        raise ValueError("horizon must be >= 1")
-    if k < model.order:
-        raise UnderspecifiedOrderError(
-            f"plug-in constant defined only for k >= {model.order}, got {k}")
-    table = _require_table(model, table, max(k - 1, 0))
-    b = ma_coefficients(model, n_terms=h - 1).b
-    return _plugin_constant(model, b, k, _checked_gamma(table, k))
+    return _order_constant(model, h, k, table, Method.PLUGIN)
 
 
 def direct_excess_constant(model: ArModel, h: int, k: int,
                            table: AutocovarianceTable | None = None) -> float:
     """Asymptotic excess MSPE of the order-k direct predictor at horizon h.
 
-    Valid for ``k >= h_step_order(model, h)``.  Computed as
-    ``trace(Gamma(k)^{-1} V) * sigma2`` where ``V`` is the covariance of
-    ``sum_{j<h} b_j (x_j, ..., x_{j-k+1})'``; expanding the double sum
-    gives the symmetric Toeplitz matrix ``V[r, s] = u_{s-r}`` with
-    ``u_e = sum_d w_d gamma_{d+e}`` and ``w`` the autocorrelation of the
-    leading moving-average weights.  One table serves the projection
-    order and the constant.
+    Valid for ``k >= h_step_order(model, h)``.  ``V`` of
+    :func:`_excess_constants` is the covariance of
+    ``sum_{j<h} b_j (x_j, ..., x_{j-k+1})'``, the double sum expanded.
     """
-    if h < 1:
-        raise ValueError("horizon must be >= 1")
-    table = _require_table(model, table, h + max(model.order, k - 1) - 1)
-    p_h = h_step_order(model, h, table)
-    if k < p_h:
-        raise UnderspecifiedOrderError(
-            f"direct constant defined only for k >= {p_h} at this horizon, got {k}")
-    if k < 1:
-        raise ValueError("order must be >= 1")
-    b = ma_coefficients(model, n_terms=h - 1).b
-    return _direct_constant(model, b, table, k, _checked_gamma(table, k))
+    return _order_constant(model, h, k, table, Method.DIRECT)
 
 
 def three_step_excess_ratio(a2: float) -> float:
@@ -485,51 +531,66 @@ def three_step_excess_ratio(a2: float) -> float:
 
 @dataclass(frozen=True)
 class LossTable:
-    """Excess-MSPE losses for every (order, method) candidate at one horizon.
+    """Excess-MSPE losses for every (candidate, method) pair at one horizon.
 
-    Entries below the valid order range are ``math.inf``: the
-    corresponding predictor does not converge to the optimum, so no
+    A candidate is an order (:func:`loss_table`) or a lag mask's bits
+    (:func:`subset_loss_table`, where ``max_order`` is the window).  An
+    entry whose candidate misses a lag the method requires is
+    ``math.inf``: that predictor does not converge to the optimum, so no
     finite asymptotic loss exists.
     """
 
     horizon: int
     max_order: int
-    plugin: Mapping[int, float]
-    direct: Mapping[int, float]
+    plugin: Mapping
+    direct: Mapping
 
-    def value(self, k: int, method: Method) -> float:
+    def value(self, candidate, method: Method) -> float:
         store = self.plugin if method is Method.PLUGIN else self.direct
-        return store[k]
+        return store[candidate]
+
+
+def _all_masks(window: int) -> list[tuple[int, ...]]:
+    """Every nonzero mask on the window, in lexicographic bit order."""
+    if window > SUBSET_ORDER_CAP:
+        raise SubsetTooLargeError(
+            f"window {window} exceeds the exhaustive-enumeration cap "
+            f"{SUBSET_ORDER_CAP}")
+    return [bits for bits in product((0, 1), repeat=window) if any(bits)]
 
 
 def loss_table(model: ArModel, h: int, max_order: int) -> LossTable:
     """Tabulate both predictors' asymptotic losses for orders ``1..max_order``.
 
-    One autocovariance table serves every order.  ``Gamma(k)`` is built
-    and checked once, at the orders where either constant is defined, and
-    both constants of that order share it; each
-    entry equals the standalone ``plugin_excess_constant`` or
-    ``direct_excess_constant`` value bit for bit.
+    Order k is the mask of k ones on window k; one autocovariance table
+    serves every order, and each entry equals the standalone
+    ``plugin_excess_constant`` or ``direct_excess_constant`` value bit for
+    bit.
     """
-    if max_order < model.order:
-        raise UnderspecifiedOrderError(
-            f"max_order must reach the true order {model.order}, got {max_order}")
-    table = autocovariances(model, h + max_order - 1)
-    p_h = h_step_order(model, h, table)
-    b = ma_coefficients(model, n_terms=h - 1).b
-    plugin = dict.fromkeys(range(1, max_order + 1), math.inf)
-    direct = dict(plugin)
-    for k in range(max(p_h, 1), max_order + 1):  # p_h <= p: every defined order
-        gam = _checked_gamma(table, k)
-        if k >= model.order:
-            plugin[k] = _plugin_constant(model, b, k, gam)
-        if k >= p_h:
-            direct[k] = _direct_constant(model, b, table, k, gam)
+    inputs = _inputs(model, h, max_order)
+    plugin, direct = {}, {}
+    for k in range(1, max_order + 1):
+        got = _excess_constants(model, inputs, [(1,) * k])
+        plugin[k], direct[k] = got[Method.PLUGIN][(1,) * k], got[Method.DIRECT][(1,) * k]
     return LossTable(horizon=h, max_order=max_order, plugin=plugin, direct=direct)
 
 
-def optimal_candidates(table: LossTable) -> set[tuple[int, Method]]:
-    """All (order, method) pairs within a relative tie window of the best loss."""
+def subset_loss_table(model: ArModel, h: int, window: int) -> LossTable:
+    """Both predictors' asymptotic losses for every nonzero lag mask on
+    the window, keyed by mask bits (newest lag first).
+
+    The window is capped at ``SUBSET_ORDER_CAP`` and must reach the model
+    order; the all-ones mask's entries are ``loss_table``'s at that order
+    bit for bit.
+    """
+    masks = _all_masks(window)
+    got = _excess_constants(model, _inputs(model, h, window), masks)
+    return LossTable(horizon=h, max_order=window, plugin=got[Method.PLUGIN],
+                     direct=got[Method.DIRECT])
+
+
+def optimal_candidates(table: LossTable) -> set[tuple[object, Method]]:
+    """All (candidate, method) pairs within a relative tie window of the best loss."""
     entries = [(v, k, Method.PLUGIN) for k, v in table.plugin.items()
                if math.isfinite(v)]
     entries += [(v, k, Method.DIRECT) for k, v in table.direct.items()

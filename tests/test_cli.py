@@ -321,6 +321,16 @@ class TestMspeCommand:
         assert code == 2
         assert capsys.readouterr().err == "error: n must be >= 1\n"
 
+    @pytest.mark.parametrize("sigma2", ["1e200", "1e300"])
+    def test_overflowing_estimate_is_out_of_domain(self, capsys, sigma2):
+        # The squared errors' spread overflows before their mean does.
+        code = run_cli("mspe", "--coeffs", "0.9,-0.81", "--horizon", "3", "--order", "2",
+                       "--method", "plugin", "--n", "100", "--reps", "50", "--seed", "1",
+                       "--sigma2", sigma2)
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: OutOfDomainError: MSPE estimate is not finite at sigma2 = {float(sigma2)!r}\n")
+
     def test_candidate_flags_are_exclusive(self, capsys):
         both = run_cli("mspe", "--coeffs", "0.9,-0.81", "--horizon", "2",
                        "--order", "1", "--mask", "101", "--method", "direct",

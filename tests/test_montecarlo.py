@@ -20,20 +20,16 @@ from arselect import (
     replicate_table1,
     selection_frequency,
     simulate,
+    subset_loss_table,
     three_step_excess_ratio,
 )
 import arselect.montecarlo
 from arselect.errors import OutOfDomainError, SingularMomentError, TooFewObservationsError
 from arselect.estimation import Series, forecast
 from arselect.methods import Method
-from arselect.montecarlo import ThreeStepRatio
-from arselect.selection import (
-    required_masks,
-    select_predictor,
-    subset_select,
-    theoretical_subset_losses,
-)
-from arselect.theory import companion_matrix
+from arselect.montecarlo import ThreeStepRatio, _excess_deviations
+from arselect.selection import select_predictor, subset_select
+from arselect.theory import companion_matrix, required_masks
 
 from conftest import random_stationary_model
 
@@ -203,6 +199,11 @@ class TestSelectionFrequency:
         assert freq.optimal == {(1, Method.DIRECT)}
         again = selection_frequency(MODEL, 3, 4, n=300, reps=6, seed=1)
         assert freq.counts == again.counts
+        subset = selection_frequency(MODEL, 3, 3, n=300, reps=2, seed=1, subset=True)
+        assert sum(subset.counts.values()) == 2
+        assert subset.optimal == {((1, 0, 0), Method.DIRECT)}
+        assert selection_frequency(MODEL, 3, 1, n=300, reps=2, seed=1,
+                                   subset=True).optimal is None  # below the model order
 
 
 def conditional_mean(coeffs, values, n, h):
@@ -217,18 +218,31 @@ def draw(model, length, seed):
     return simulate(model, length, seed=seed).series.values
 
 
-def subset_loss_loop(model, h, window, n, reps, key_of):
-    """Per-mask (plug-in, direct) scaled excess losses from a plain loop."""
+def required_pairs(model, h, window):
+    """The (mask, method) pairs on the window whose exact loss is finite."""
     plugin_req, direct_req = required_masks(model, h, window)
+    return [(bits, method) for bits in product((0, 1), repeat=window) if any(bits)
+            for method, req in ((Method.PLUGIN, plugin_req), (Method.DIRECT, direct_req))
+            if all(b >= r for b, r in zip(bits, req))]
+
+
+def subset_losses(model, h, window, n, reps, seed):
+    """(scaled excess loss per required pair, redraws) from the driver's
+    squared deviations of every required pair at once."""
+    pairs = required_pairs(model, h, window)
+    squares, redraws = _excess_deviations(model, h, n, reps, (seed,), pairs)
+    return {pair: n * float(sq.mean()) for pair, sq in zip(pairs, squares.T)}, redraws
+
+
+def subset_loss_loop(model, h, window, n, reps, key_of):
+    """Per-pair scaled excess losses from a plain loop."""
     sq = {}
     for rep in range(reps):
         values = draw(model, n + h, key_of(rep))
         cond = conditional_mean(model.coeffs, values, n, h)
-        for bits in product((0, 1), repeat=window):
-            for method, req in ((Method.PLUGIN, plugin_req), (Method.DIRECT, direct_req)):
-                if any(bits) and all(b >= r for b, r in zip(bits, req)):
-                    dev = forecast(Series(values[:n]), h, bits, method) - cond
-                    sq.setdefault((bits, method), []).append(dev ** 2)
+        for bits, method in required_pairs(model, h, window):
+            dev = forecast(Series(values[:n]), h, bits, method) - cond
+            sq.setdefault((bits, method), []).append(dev ** 2)
     return {key: n * float(np.mean(errs)) for key, errs in sq.items()}
 
 
@@ -293,16 +307,13 @@ class TestSubstreams:
         assert freq.counts == frequency_loop(MODEL, 3, 3, 200, 6, subset,
                                              lambda rep: (5, rep))
 
-    def test_theoretical_subset_losses(self):
-        out = theoretical_subset_losses(MODEL, 3, 3, n=150, reps=20, seed=3)
+    def test_excess_deviations(self):
+        got, redraws = subset_losses(MODEL, 3, 3, 150, 20, 3)
         want = subset_loss_loop(MODEL, 3, 3, 150, 20, lambda rep: (3, rep))
-        got = {(bits, method): getattr(est, f"{method.label}_loss")
-               for bits, est in out.items() for method in Method
-               if math.isfinite(getattr(est, f"{method.label}_loss"))}
         assert got.keys() == want.keys()
         for key, loss in want.items():
             assert got[key] == pytest.approx(loss, rel=1e-12)
-        assert {est.redraws for est in out.values()} == {0}
+        assert redraws == 0
 
     def test_one_singular_draw_is_one_redraw_in_every_result(self, monkeypatch):
         zero_first_draw(monkeypatch, 2, 1, 3)  # model 1 of the table, replication 3
@@ -310,8 +321,7 @@ class TestSubstreams:
         assert [row.redraws for row in rows] == [0, 1, 0, 0]
 
         zero_first_draw(monkeypatch, 3, 2)
-        out = theoretical_subset_losses(MODEL, 3, 3, n=150, reps=5, seed=3)
-        assert {est.redraws for est in out.values()} == {1}
+        assert subset_losses(MODEL, 3, 3, 150, 5, 3)[1] == 1
 
         # An all-zero path fails the start probe, which is not redrawn, so
         # the selection itself is made singular once.
@@ -325,6 +335,24 @@ class TestSubstreams:
 
         monkeypatch.setattr(arselect.montecarlo, "select_predictor", flaky)
         assert selection_frequency(MODEL, 3, 3, 200, 4, 8).redraws == 1
+
+
+class TestExactSubsetLosses:
+    @pytest.mark.parametrize("coeffs, h, window, seed", [((0.9, -0.81), 3, 4, 1),
+                                                         ((0.5, -0.25), 2, 3, 2),
+                                                         ((0.6, 0.0, -0.3), 3, 4, 3)])
+    def test_table_tracks_simulation(self, coeffs, h, window, seed):
+        # n times the mean squared deviation from the conditional mean
+        # estimates each finite constant; z-gate 3 as criterion 4.
+        model, n, reps = ArModel(coeffs, 1.0), 400, 1500
+        table = subset_loss_table(model, h, window)
+        pairs = required_pairs(model, h, window)
+        assert pairs == [(bits, method) for bits in table.plugin for method in Method
+                         if math.isfinite(table.value(bits, method))]
+        squares, _ = _excess_deviations(model, h, n, reps, (seed,), pairs)
+        for pair, sq in zip(pairs, squares.T):
+            z = (n * sq.mean() - table.value(*pair)) / (n * sq.std(ddof=1) / math.sqrt(reps))
+            assert abs(z) <= 3.0, (pair, z)
 
 
 def zero_first_draw(monkeypatch, *key):
@@ -347,14 +375,14 @@ def zero_first_draw(monkeypatch, *key):
 class TestSingularDrawsAreRedrawn:
     """A singular draw is redrawn from ``(seed, r, 1)`` in every experiment."""
 
-    def test_theoretical_subset_losses(self, monkeypatch):
+    def test_excess_deviations(self, monkeypatch):
         seeds = zero_first_draw(monkeypatch, 3, 2)
-        out = theoretical_subset_losses(MODEL, 3, 3, n=150, reps=5, seed=3)
+        got = subset_losses(MODEL, 3, 3, 150, 5, 3)[0]
         assert (3, 2, 1) in seeds
         want = subset_loss_loop(MODEL, 3, 3, 150, 5,
                                 lambda rep: (3, rep, 1) if rep == 2 else (3, rep))
-        for (bits, method), loss in want.items():
-            assert getattr(out[bits], f"{method.label}_loss") == pytest.approx(loss, rel=1e-12)
+        for key, loss in want.items():
+            assert got[key] == pytest.approx(loss, rel=1e-12)
 
     def test_selection_frequency(self, monkeypatch):
         calls = []
@@ -461,17 +489,13 @@ class TestBlockDriver:
     @BLOCK_SETTINGS
     @given(model_seed=st.integers(0, 2**32 - 1), h=st.integers(1, 5), window=st.integers(1, 3),
            n=st.integers(20, 90), reps=st.integers(2, 45), seed=st.integers(0, 2**40))
-    def test_theoretical_subset_losses(self, model_seed, h, window, n, reps, seed):
+    def test_excess_deviations(self, model_seed, h, window, n, reps, seed):
         assume(reps % block_rows(n, h))
         model = random_stationary_model(np.random.default_rng(model_seed), max_order=window)
-        out = theoretical_subset_losses(model, h, window, n=n, reps=reps, seed=seed)
-        pairs = [(bits, method) for bits, est in out.items() for method in Method
-                 if math.isfinite(getattr(est, f"{method.label}_loss"))]
-        squares = deviation_loop(model, h, n, reps, lambda rep: (seed, rep), pairs)
-        for (bits, method), sq in zip(pairs, squares.T):
-            assert getattr(out[bits], f"{method.label}_loss") == n * float(sq.mean())
-            assert getattr(out[bits], f"{method.label}_se") == \
-                n * float(sq.std(ddof=1)) / math.sqrt(reps)
+        pairs = required_pairs(model, h, window)
+        got, redraws = _excess_deviations(model, h, n, reps, (seed,), pairs)
+        want = deviation_loop(model, h, n, reps, lambda rep: (seed, rep), pairs)
+        assert np.array_equal(got, want) and redraws == 0
 
     def test_singular_row_in_the_middle_of_a_block(self, monkeypatch):
         n, h, reps, seed = 120, 3, 12, 4
@@ -550,6 +574,6 @@ class TestPinnedValues:
         row = replicate_table1(n=80, reps=45, seed=3)[2]
         assert (row.ratio.hex(), row.std_error.hex()) == (
             "0x1.1798181258bcfp+1", "0x1.5deec742ea02cp-1")
-        out = theoretical_subset_losses(MODEL, 3, 3, n=80, reps=45, seed=2)
-        assert (out[(1, 0, 1)].direct_loss.hex(), out[(1, 1, 1)].plugin_loss.hex()) == (
+        out = subset_losses(MODEL, 3, 3, 80, 45, 2)[0]
+        assert (out[(1, 0, 1), Method.DIRECT].hex(), out[(1, 1, 1), Method.PLUGIN].hex()) == (
             "0x1.b12a418f8c1f1p+2", "0x1.7ad9e1cdcf006p+2")

@@ -9,12 +9,12 @@ per-pair cumulative columns it replaced, and the bordered solver's guards
 to the batched LU solver it replaced, and every fit its residual screen
 clears to the residual test it skips.  Scaling a series by a power of
 two scales every APE exactly, and a full mask is its dense order.  The
-theory report and loss table, which share one table and one checked
-Gamma(k) per order, are held to the standalone excess constants bit for
-bit.  Fuzzes of ``arselect mspe``, ``theory``, ``simulate``,
+theory report, the loss table and the subset table's all-ones mask, which
+share one constants core, are held to the standalone excess constants bit
+for bit.  Fuzzes of ``arselect mspe``, ``theory``, ``simulate``,
 ``replicate-table1``, ``select`` and ``bic`` hold every accepted or rejected
-request to a documented exit code (and the ``theory``, ``simulate`` and
-``replicate-table1`` reports to strict JSON), and the ``np.loadtxt`` series
+request to a documented exit code (and the ``mspe``, ``theory``,
+``simulate`` and ``replicate-table1`` reports to strict JSON), and the ``np.loadtxt`` series
 reader is held to the row-by-row reader bit for bit and message for message.
 """
 import json
@@ -40,6 +40,7 @@ from arselect import (
     select_predictor,
     simulate,
     start_index,
+    subset_loss_table,
     subset_select,
 )
 from arselect.cli import main, read_series_csv
@@ -398,18 +399,25 @@ def strict_json(text):
        method=st.sampled_from(["plugin", "direct"]),
        dist=optional("--dist", st.sampled_from(["normal", "uniform", "student-t"])),
        df=optional("--df", st.sampled_from([5.0, 8.0, 8.5, 12.0, float("inf"), float("nan")])),
+       sigma2=optional("--sigma2", st.sampled_from([1.0, 0.0, -1.0, 1e-320, 1e150, 1e300,
+                                                    1e308, float("inf"), float("nan")])),
        seed=st.integers(-1, 2 ** 64))
+@example(coeffs="0.9,-0.81", n=40, reps=5, horizon=3, burn_in=[], candidate=["--order", "2"],
+         method="plugin", dist=[], df=[], sigma2=["--sigma2", "1e300"], seed=1)
 def test_mspe_exits_with_a_documented_code(coeffs, n, reps, horizon, burn_in, candidate,
-                                           method, dist, df, seed, capsys):
+                                           method, dist, df, sigma2, seed, capsys):
     argv = ["mspe", f"--coeffs={coeffs}", "--n", str(n), "--reps", str(reps),
             "--horizon", str(horizon), "--method", method, "--seed", str(seed),
-            *burn_in, *candidate, *dist, *df]
-    try:
-        code = main(argv)
-    except SystemExit as exc:  # argparse usage errors
-        code = exc.code
+            *burn_in, *candidate, *dist, *df, *sigma2]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = exit_code(argv)
+    assert not caught
+    captured = capsys.readouterr()
     assert code in {0, 2, 3, 4}
-    assert "Traceback" not in capsys.readouterr().err
+    assert "Traceback" not in captured.err
+    if code == 0:
+        strict_json(captured.out)
 
 
 @SETTINGS
@@ -434,6 +442,11 @@ def test_theory_constants_are_the_standalone_constants(seed, h, data, capsys):
             else:
                 assert row[f"{name}_constant"].hex() == expected.hex()
                 assert row[f"{name}_loss"].hex() == losses[k].hex() == expected.hex()
+    # Order K is the all-ones mask on window K.
+    subsets = subset_loss_table(model, h, max_order)
+    ones = (1,) * max_order
+    assert subsets.plugin[ones].hex() == table.plugin[max_order].hex()
+    assert subsets.direct[ones].hex() == table.direct[max_order].hex()
 
 
 # A double root at 0.99973: the Yule-Walker system passes its guard, and

@@ -17,13 +17,14 @@ from arselect import (
     select_predictor,
     simulate,
     start_index,
+    subset_loss_table,
     subset_select,
-    theoretical_subset_losses,
 )
 from arselect.errors import SubsetTooLargeError
 from arselect.estimation import _BorderedSolver, _resolve_candidate
 from arselect.methods import Method
-from arselect.selection import SubsetMask, required_masks
+from arselect.selection import SubsetMask
+from arselect.theory import required_masks
 from arselect.tolerances import TOL_LIN
 
 from conftest import TEST_MODELS, moment_matrices
@@ -288,22 +289,12 @@ class TestRequiredMasks:
 
     def test_losses_infinite_off_the_required_sets(self):
         model = ArModel((0.9, -0.81), 1.0)
-        out = theoretical_subset_losses(model, 3, 3, n=300, reps=50, seed=1)
-        assert out[(0, 1, 1)].plugin_loss == math.inf
-        assert out[(0, 1, 1)].direct_loss == math.inf
-        assert out[(1, 0, 0)].plugin_loss == math.inf  # misses lag 2
-        assert math.isfinite(out[(1, 0, 0)].direct_loss)
-        assert math.isfinite(out[(1, 1, 0)].plugin_loss)
-        assert out[(1, 1, 0)].plugin_se is not None
-
-    def test_estimates_track_theory_on_pinned_seed(self):
-        model = ArModel((0.9, -0.81), 1.0)
-        out = theoretical_subset_losses(model, 3, 3, n=300, reps=200, seed=1)
-        # direct loss grows when a useless lag joins the projection lag
-        assert out[(1, 0, 0)].direct_loss < out[(1, 1, 1)].direct_loss
-        # scaled excesses sit near their asymptotic constants
-        assert out[(1, 0, 0)].direct_loss == pytest.approx(2.705, abs=1.5)
-        assert out[(1, 1, 0)].plugin_loss == pytest.approx(4.054, abs=1.5)
+        table = subset_loss_table(model, 3, 3)
+        assert table.plugin[(0, 1, 1)] == math.inf
+        assert table.direct[(0, 1, 1)] == math.inf
+        assert table.plugin[(1, 0, 0)] == math.inf  # misses lag 2
+        assert math.isfinite(table.direct[(1, 0, 0)])
+        assert math.isfinite(table.plugin[(1, 1, 0)])
 
 
 class TestBic:

@@ -4,6 +4,7 @@ Every expected value here is either hand-computable, a frozen closed
 form, or an independent construction (companion powers, moving-average
 sums) that never goes through the code path under test.
 """
+import json
 import math
 import warnings
 
@@ -23,19 +24,24 @@ from arselect import (
     optimal_candidates,
     optimal_direct_coeffs,
     plugin_excess_constant,
+    required_masks,
     spectral_radius,
+    subset_loss_table,
     three_step_excess_ratio,
     underfit_ape_drift,
 )
+from arselect.cli import main
 from arselect.errors import (
     NonPositiveVarianceError,
     NonStationaryError,
     OutOfDomainError,
+    SingularGammaError,
+    SubsetTooLargeError,
     UnderspecifiedOrderError,
     ZeroLeadCoefficientError,
 )
 from arselect.methods import Method
-from arselect.theory import _toeplitz
+from arselect.theory import _all_masks, _check_condition, _toeplitz
 
 from conftest import TEST_MODELS, curve_model, random_stationary_model
 
@@ -289,6 +295,72 @@ class TestLossTable:
                     shift[:, :, None, None] - shift[None, None, :, :])])
                 direct = model.sigma2 * np.trace(cho_solve(factor, v))
                 assert table.direct[k] == pytest.approx(direct, rel=1e-10, abs=0.0)
+
+
+class TestSubsetLossTable:
+    def test_one_definedness_rule(self, capsys):
+        # The second coefficient is below TOL_ZERO but nonzero, so the model
+        # has order 2 and the plug-in predictor needs both lags; the h=1
+        # projection coefficient on lag 2 is at or below TOL_ZERO.
+        model = ArModel((0.5, 1e-12), 1.0)
+        assert required_masks(model, 1, 2) == ((1, 1), (1, 0))
+        dense, masks = loss_table(model, 1, 2), subset_loss_table(model, 1, 2)
+        assert dense.plugin[1] == masks.plugin[(1, 0)] == masks.plugin[(0, 1)] == math.inf
+        assert math.isfinite(dense.plugin[2]) and math.isfinite(dense.direct[1])
+        with pytest.raises(UnderspecifiedOrderError, match="misses lag 2"):
+            plugin_excess_constant(model, 1, 1)
+        assert main(["theory", "--coeffs", "0.5,1e-12", "--horizon", "1",
+                     "--max-order", "2"]) == 0
+        rows = json.loads(capsys.readouterr().out)["per_order"]
+        assert [row["plugin_constant"] is None for row in rows] == [True, False]
+
+    def test_window_limits(self):
+        model = ArModel((0.9, -0.81), 1.0)
+        with pytest.raises(UnderspecifiedOrderError):
+            subset_loss_table(model, 3, 1)
+        with pytest.raises(SubsetTooLargeError):
+            subset_loss_table(model, 3, 13)
+
+    def test_zero_bits_past_the_top_lag_do_not_matter(self, rng):
+        # A mask padded with zeros on a wider window is the same candidate;
+        # its constants agree to rounding.
+        worst = 0.0
+        for _ in range(12):
+            model = random_stationary_model(rng, max_order=3)
+            h, narrow = int(rng.integers(1, 7)), int(rng.integers(model.order, 5))
+            wide = int(rng.integers(narrow + 1, 8))
+            small, big = subset_loss_table(model, h, narrow), subset_loss_table(model, h, wide)
+            for bits in small.plugin:
+                padded = bits + (0,) * (wide - narrow)
+                for method in Method:
+                    want, got = small.value(bits, method), big.value(padded, method)
+                    if math.isinf(want):
+                        assert got == math.inf
+                    else:
+                        worst = max(worst, abs(got - want) / want)
+        assert worst <= 1e-12
+
+    @pytest.mark.parametrize("coeffs", [(0.9, -0.81), (-0.5, 0.2, 0.1), (0.99,), (1.9, -0.9025),
+                                        (1.999464406779661, -0.9994644784946853)])
+    def test_no_mask_is_rejected_where_the_window_passes(self, coeffs):
+        # Gamma_w passes its guard once for every mask: a principal
+        # submatrix's condition number is never larger than Gamma_w's.
+        model = ArModel(coeffs, 1.0)
+        gamma = autocovariances(model, 8).gamma
+        for window in range(model.order, 9):
+            gam = _toeplitz(gamma[:window])
+            cond = np.linalg.cond(gam)
+            for bits in _all_masks(window):
+                lags = np.flatnonzero(bits)
+                assert np.linalg.cond(gamma[np.abs(lags[:, None] - lags)]) <= cond * (1 + 1e-12)
+            try:
+                _check_condition(gam, SingularGammaError, "window")
+            except SingularGammaError:
+                with pytest.raises(SingularGammaError):
+                    subset_loss_table(model, 1, window)
+            else:
+                table = subset_loss_table(model, 1, window)
+                assert math.isfinite(table.direct[(1,) * window])
 
 
 class TestExtremeVariance:
