@@ -30,8 +30,6 @@ from .estimation import (
     _BorderedSolver,
     _CrossProducts,
     _resolve_candidate,
-    _triangle,
-    _unpack,
 )
 from .methods import Method
 from .theory import MaCoefficients
@@ -100,7 +98,6 @@ class _Verdicts:
         self.table, self.max_order, self.base = table, max_order, 2 * max_order - 1
         self.ok = np.empty(table.values.size - 1 - self.base, dtype=bool)
         self.done = 0  # verdicts taken, of uppers base..base + done - 1
-        self.packed = np.empty((_triangle(max_order), _PROBE_CHUNK))
 
     def __getitem__(self, uppers: np.ndarray) -> np.ndarray:
         """The verdicts of the windows up to each of ``uppers``."""
@@ -108,10 +105,8 @@ class _Verdicts:
         while self.base + self.done <= uppers.max():
             low = self.base + self.done
             chunk = range(low, min(low + _PROBE_CHUNK, end))
-            packed = self.packed[:, :len(chunk)]
-            self.table.moment_rows(offsets, self.max_order, chunk, packed)
             with np.errstate(divide="ignore", invalid="ignore"):
-                cond = np.linalg.cond(_unpack(packed, offsets))
+                cond = np.linalg.cond(self.table.moments(offsets, self.max_order, chunk))
             ok = np.isfinite(cond) & (cond <= COND_GUARD)
             self.ok[self.done: self.done + ok.size] = ok
             self.done += ok.size

@@ -39,7 +39,7 @@ from .montecarlo import (
     simulate,
 )
 from .selection import _bic_choice, bic_values, select_predictor, subset_select
-from .theory import ArModel, h_step_order, horizon_variance, loss_table, optimal_candidates
+from .theory import ArModel, horizon_variance, loss_table, optimal_candidates
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -251,7 +251,6 @@ def cmd_theory(args: argparse.Namespace) -> int:
     model = _model_from(args)
     h, kmax = args.horizon, args.max_order
     table = loss_table(model, h, kmax)
-    p_h = h_step_order(model, h)
     # An excess constant exists only where the order holds every lag its
     # method requires (the table's loss is infinite elsewhere); report null.
     per_order = [{
@@ -266,7 +265,7 @@ def cmd_theory(args: argparse.Namespace) -> int:
         "config": {"coeffs": list(model.coeffs), "sigma2": model.sigma2,
                    "horizon": h, "max_order": kmax},
         "model_order": model.order,
-        "horizon_order": p_h,
+        "horizon_order": table.horizon_order,
         "irreducible_variance": horizon_variance(model, h),
         "per_order": per_order,
         "optimal": [[k, method] for k, method in sorted(optimal_candidates(table))],

@@ -8,30 +8,31 @@ observations, which is what makes the accumulated-prediction-error
 statistics honest out-of-sample quantities.
 
 One guarded solver serves every fit.  :class:`_Bordering` solves the
-normal equations of any lag path of a packed moment stack with one column
-per system, order-recursively: a candidate's inverse Cholesky factor is its
-parent's bordered by one row.  Its guards are a pivot test and a
+normal equations of any lag path of a moment stack with one column per
+system, order-recursively: a candidate's inverse Cholesky factor is its
+parent's bordered by one row, and the factor is held dense, so each
+product of a step is one contraction.  Its guards are a pivot test and a
 normal-equation residual test, which a condition bound kept by the walk
 skips where it cannot fire, and whole-series and streamed fits add a
 floor on the least relative pivot in place of a condition-number ceiling.
 The public batch fits (:func:`fit_one_step`, :func:`fit_direct`,
 :func:`fit_plugin` and their lag-subset variants) work on a whole series,
 and :func:`forecast` applies them; each is the one-row case of
-:func:`_fit_rows`, which packs each row of a block of series as one column
+:func:`_fit_rows`, which stacks each row of a block of series as one column
 and which the Monte Carlo driver runs a block at a time.  The prefix fits
 read :class:`_CrossProducts`, one table of cumulative cross products with a
 row per lag difference (K + h rows for max lag K at horizon h), through one
-gather, :meth:`_CrossProducts.moment_rows`.  :class:`_BorderedSolver` loads
-a top lag's packed moments from it, so one depth-first walk per top lag
-serves every mask and both horizons, and a dense order k is the single path
-(k, 1, ..., k-1).  :func:`sequential_fitter` exposes the prefix fits as a
+pair-entry gather, :meth:`_CrossProducts.pairs`.  :class:`_BorderedSolver`
+reads the entries each step needs from it on demand, so one depth-first
+walk per top lag serves every mask and both horizons without a moment
+stack, and a dense order k is the single path (k, 1, ..., k-1).
+:func:`sequential_fitter` exposes the prefix fits as a
 per-time stream.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -196,7 +197,7 @@ def _fit_rows(block: np.ndarray, h: int, lags: tuple[int, ...], width: int,
     ``lags`` in a ``width``-lag window, and the guard message of each row
     whose fit failed (its coefficients are nan).
 
-    The direct fit packs each row's ``W'W`` and ``W'y``, lags in path order
+    The direct fit stacks each row's ``W'W`` and ``W'y``, lags in path order
     (top lag first), as one column of a :class:`_Bordering` and walks the
     candidate's path under the conditioning floor, so the arithmetic per row
     is that of a fit of the row alone.  See :func:`masked_fit_direct` and
@@ -219,17 +220,19 @@ def _fit_rows(block: np.ndarray, h: int, lags: tuple[int, ...], width: int,
         # so a lone series is fit next to a copy of itself.
         block = np.repeat(block, 2, axis=0)
     # The window columns of the lags in path order (top lag first), then the
-    # target's: their packed products are W'W, then W'y (y'y is not formed).
+    # target's: their products are W'W, then a row W'y (y'y is not formed).
     count, starts = n - h - j0 + 1, [j0 - lag for lag in lags[-1:] + lags[:-1]] + [j0 + h - 1]
-    row, col = _tril(k + 1)
-    packed = np.empty((row.size - 1, block.shape[0]))
+    products = np.empty((k + 1, k, block.shape[0]))
     with np.errstate(over="ignore", invalid="ignore"):
-        for out, a, b in zip(packed, row, col):
-            np.einsum("rt,rt->r", block[:, starts[a]: starts[a] + count],
-                      block[:, starts[b]: starts[b] + count], out=out)
-    if not np.isfinite(packed).all():
+        for a in range(k + 1):
+            for b in range(min(a + 1, k)):
+                np.einsum("rt,rt->r", block[:, starts[a]: starts[a] + count],
+                          block[:, starts[b]: starts[b] + count], out=products[a, b])
+                if b < a < k:
+                    products[b, a] = products[a, b]
+    if not np.isfinite(products).all():
         raise _overflow_error(block, "cross products")
-    solver = _Bordering(packed[:_triangle(k)], packed[None, _triangle(k):],
+    solver = _Bordering(products[:k], products[None, k],
                         [(f"direct fit h={h} lags={lags}", None, slice(0, rows))], _FLOOR)
     solver.walk_to(tuple(range(k)))
     beta, faults = solver.fit(0)
@@ -372,60 +375,37 @@ class _CrossProducts:
         if not np.isfinite(self._table[np.r_[:max_offset + 1, horizon:rows], -1]).all():
             raise _overflow_error(values, "cumulative cross products")
 
-    def _rows(self, first: np.ndarray, j0: int, uppers: range, out: np.ndarray) -> None:
-        """Entry ``first`` of each window j0..u into ``out``: one row per entry,
-        each a slice of the flat table less one entry, and one column per upper."""
-        flat = self._table.reshape(-1)
-        for row, entry in zip(out, first):
-            np.subtract(flat[uppers[0] + entry: uppers[-1] + entry + 1],
-                        flat[j0 - 1 + entry], out=row)
+    def pairs(self, left: np.ndarray, right: np.ndarray, j0: int, uppers: range,
+              out: np.ndarray) -> np.ndarray:
+        """Moment sums of the offset pairs ``(left[i], right[i])`` for windows
+        j = j0..u into ``out``: one row per pair, one column per upper."""
+        first = np.abs(left - right) * self._table.shape[1] - np.minimum(left, right)
+        return self._entries(first, j0, uppers, out)
 
-    def moment_rows(self, offsets: Sequence[int], j0: int, uppers: range,
-                    out: np.ndarray) -> None:
-        """Moment-sum matrices of ``offsets`` for windows j = j0..u into ``out``,
-        one column per upper, each lower triangle packed: entry (a, b), b <= a,
-        in row ``a(a+1)/2 + b`` (see :func:`_unpack`)."""
-        row, col = _tril(len(offsets))
+    def moments(self, offsets: Sequence[int], j0: int, uppers: range) -> np.ndarray:
+        """(uppers, m, m) moment-sum matrices of ``offsets`` for windows j = j0..u,
+        gathered one row of pairs at a time straight into their place."""
         column = np.asarray(offsets)
-        self._rows(np.abs(column[row] - column[col]) * self._table.shape[1]
-                   - np.minimum(column[row], column[col]), j0, uppers, out)
+        out = np.empty((len(uppers), column.size, column.size))
+        for a, offset in enumerate(column):
+            self.pairs(offset, column, j0, uppers, out[:, a].T)
+        return out
 
     def rhs_rows(self, offsets: Sequence[int], hh: int, j0: int, uppers: range,
                  out: np.ndarray) -> None:
         """Right-hand sums at horizon hh for windows j = j0..u <= n - hh into
         ``out``: one row per offset, one column per upper."""
-        self._rows((np.asarray(offsets) + hh) * self._table.shape[1] + hh, j0, uppers, out)
+        self._entries((np.asarray(offsets) + hh) * self._table.shape[1] + hh, j0, uppers, out)
 
-
-def _triangle(m: int) -> int:
-    """Entries of an m x m lower triangle: row a of a packed one starts at
-    ``_triangle(a)`` and holds entries (a, 0..a)."""
-    return m * (m + 1) // 2
-
-
-@lru_cache(maxsize=None)
-def _tril(m: int) -> tuple[np.ndarray, np.ndarray]:
-    """``np.tril_indices(m)``: the entry (a, b) of each packed row, in order."""
-    row, col = np.tril_indices(m)
-    row.flags.writeable = col.flags.writeable = False
-    return row, col
-
-
-@lru_cache(maxsize=None)
-def _packed_index(m: int) -> np.ndarray:
-    """(m, m) packed row of each entry of a symmetric m x m matrix."""
-    position = np.arange(m)
-    big = np.maximum.outer(position, position)
-    index = big * (big + 1) // 2 + np.minimum.outer(position, position)
-    index.flags.writeable = False
-    return index
-
-
-def _unpack(packed: np.ndarray, positions: Sequence[int]) -> np.ndarray:
-    """(T, m, m) matrices of a packed (rows, T) moment stack, one per column:
-    entry (a, b) of matrix t is entry (positions[a], positions[b]) of column t."""
-    index = _packed_index(max(positions) + 1)[np.ix_(positions, positions)]
-    return packed.T.take(index, axis=1)
+    def _entries(self, first: np.ndarray, j0: int, uppers: range,
+                 out: np.ndarray) -> np.ndarray:
+        """Entry ``first`` of each window j0..u into ``out``: one row per entry,
+        each a slice of the flat table less one entry, and one column per upper."""
+        flat = self._table.reshape(-1)
+        for row, entry in zip(out, first.tolist()):
+            np.subtract(flat[uppers[0] + entry: uppers[-1] + entry + 1], flat[j0 - 1 + entry],
+                        out=row)
+        return out
 
 
 def _lags_ascending(beta: np.ndarray) -> np.ndarray:
@@ -435,12 +415,12 @@ def _lags_ascending(beta: np.ndarray) -> np.ndarray:
 
 
 class _Bordering:
-    """Least squares for every path of lag positions of a packed moment stack,
-    by bordering.
+    """Least squares for every path of lag positions of a moment stack, by
+    bordering.
 
-    ``moment`` holds one system per column: the packed lower triangle of its
-    moment matrix (entry (a, b), b <= a, of positions a and b in row
-    ``a(a+1)/2 + b``), and ``rhs`` (horizons, positions, columns) the
+    ``moment`` (positions, positions, columns) holds one symmetric moment
+    matrix per column (``None`` where a subclass's :meth:`_gather` reads the
+    entries elsewhere), and ``rhs`` (horizons, positions, columns) the
     right-hand sums of each horizon.  ``horizons`` names each horizon's fits
     as ``(name, first, columns)``: a fit reads the slice ``columns``, and its
     guard messages give column t as time ``first + t`` unless ``first`` is
@@ -450,38 +430,45 @@ class _Bordering:
     parent is the path without its last position.  The inverse Cholesky
     factor U of a candidate's moment matrix (``U M U' = I``) is its
     parent's plus one row, so a depth-first walk that calls :meth:`descend`
-    on each path after its parent keeps, in ``factor``, the packed rows of
-    every path from the root to the current one.  The new row is
-    ``[-g/d, 1/d]`` with ``c = U b``, ``g = U' c`` and ``d = sqrt(m_vv -
-    c.c)`` for the new lag's cross moments ``b`` and ``m_vv``; ``z = U r``
-    grows by one entry, and :meth:`fit` gives ``beta = U' z``.  The walk
-    keeps, per depth, ``trace(M^-1) = |U|_F^2``, the running sum of squares
-    of the factor's rows, so that ``trace(M) trace(M^-1)``, an upper bound
-    on the condition number, costs :meth:`fit` one gather of the path's
-    diagonal.  Under a floor it also keeps, per depth, the least relative
-    pivot ``d^2 / m_vv`` along the path: ``m_vv / d^2`` is at most the
-    condition number of the path's moment matrix.  Stacks are lag-major, so
-    a sum over lags runs the same loop over at least two columns whatever
-    the columns, horizons or walk: a path's coefficients do not depend on
-    what else shares the stack.
+    on each path after its parent keeps, in the dense lower-triangular
+    ``factor`` (zero above its diagonal), the rows of every path from the
+    root to the current one.  The new row is ``[-g/d, 1/d]`` with ``c = U
+    b``, ``g = U' c`` and ``d = sqrt(m_vv - c.c)`` for the new lag's cross
+    moments ``b`` and ``m_vv``; ``z = U r`` grows by one entry, and
+    :meth:`fit` gives ``beta = U' z``.  Each product is one contraction
+    over the factor's leading block.  The walk keeps, per depth,
+    ``trace(M)`` and ``trace(M^-1) = |U|_F^2``, whose product, an upper
+    bound on the condition number, screens :meth:`fit`'s residual.  Under a
+    floor it also keeps, per depth, the least relative pivot ``d^2 / m_vv``
+    along the path: ``m_vv / d^2`` is at most the condition number of the
+    path's moment matrix.  Stacks are lag-major, so a sum over lags runs
+    the same loop over at least two columns whatever the columns, horizons
+    or walk: a path's coefficients do not depend on what else shares the
+    stack.
     """
 
-    def __init__(self, moment: np.ndarray, rhs: np.ndarray,
+    def __init__(self, moment: np.ndarray | None, rhs: np.ndarray,
                  horizons: Sequence[tuple[str, int | None, slice]],
                  floor: float = 0.0) -> None:
         capacity, count = rhs.shape[1:]
         self.moment, self.rhs, self.horizons = moment, rhs, list(horizons)
-        self.factor = np.empty_like(moment)
+        self.factor = np.zeros((capacity, capacity, count))
         self.z = np.empty_like(rhs)
-        self.trace_inv = np.empty((capacity, count))
+        self.trace, self.trace_inv = np.empty((2, capacity, count))
         self.floor = floor
         self.least = np.empty((capacity, count)) if floor else None
         # Scratch, reused by every call: beta and two row stacks.
         self.beta, self.work, self.spare = np.empty((3, capacity, count))
         self.pivot, self.scale, self.bound = np.empty((3, count))
-        self.index = _packed_index(capacity)
         self.node: tuple[int, ...] = ()
         self.path = np.empty(0, dtype=np.intp)
+
+    def _gather(self, left: np.ndarray, right: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Moment entries of the position pairs ``(left[i], right[i])`` into
+        ``out``, one row per pair."""
+        capacity, count = self.rhs.shape[1:]
+        return self.moment.reshape(-1, count).take(left * capacity + right, axis=0, out=out,
+                                                   mode="clip")
 
     def walk_to(self, path: tuple[int, ...]) -> None:
         """Descend to ``path`` from the path it shares most with the current
@@ -496,12 +483,12 @@ class _Bordering:
         """Border the factor of ``path[:-1]`` with the lag at ``path[-1]``."""
         k = len(path) - 1
         self.node, self.path = path, np.array(path)
-        factor, inv = self.factor, self.factor[_triangle(k + 1) - 1]
+        factor, inv = self.factor[:k, :k], self.factor[k, k]
         pivot, least = self.pivot, self.least
         # The new lag's cross moments with its parent's lags, then its own.
-        cross = self.moment.take(self.index[path[-1], self.path], axis=0,
-                                 out=self.work[:k + 1], mode="clip")
+        cross = self._gather(self.path[-1], self.path, self.work[:k + 1])
         with np.errstate(all="ignore"):
+            np.copyto(self.trace[k], cross[k])
             if not k:
                 np.sqrt(cross[0], out=inv)
                 np.copyto(pivot, cross[0])
@@ -511,10 +498,8 @@ class _Bordering:
                 np.multiply(inv, inv, out=self.trace_inv[0])
                 np.multiply(self.rhs[:, path[0]], inv, out=self.z[:, 0])
                 return
-            proj = self.spare[:k]  # c = U b
-            for a in range(k):
-                np.einsum("jt,jt->t", factor[_triangle(a): _triangle(a + 1)],
-                          cross[:a + 1], out=proj[a])
+            self.trace[k] += self.trace[k - 1]
+            proj = np.einsum("ajt,jt->at", factor, cross[:k], out=self.spare[:k])  # c = U b
             np.einsum("jt,jt->t", proj, proj, out=pivot)
             np.subtract(cross[k], pivot, out=pivot)
             np.sqrt(pivot, out=inv)
@@ -522,14 +507,11 @@ class _Bordering:
                 np.divide(pivot, cross[k], out=least[k])
                 np.minimum(least[k - 1], least[k], out=least[k])
             np.divide(1.0, inv, out=inv)
-            row = factor[_triangle(k): _triangle(k + 1) - 1]
-            for j in range(k):  # g = U' c, stored as -g/d
-                column = factor.take(self.index[j:k, j], axis=0, out=self.beta[:k - j],
-                                     mode="clip")
-                np.einsum("jt,jt->t", column, proj[j:], out=row[j])
+            row = self.factor[k, :k]  # g = U' c, stored as -g/d
+            np.einsum("ajt,at->jt", factor, proj, out=row)
             row *= inv
             np.negative(row, out=row)
-            row = factor[_triangle(k): _triangle(k + 1)]  # with its diagonal 1/d
+            row = self.factor[k, :k + 1]  # with its diagonal 1/d
             np.einsum("jt,jt->t", row, row, out=self.trace_inv[k])
             self.trace_inv[k] += self.trace_inv[k - 1]
             z = self.z[:, k]
@@ -566,22 +548,18 @@ class _Bordering:
                 faults.setdefault(int(t), f"{name}: ill-conditioned moment matrix"
                                           f"{_at(first, t)} (least relative pivot "
                                           f"{least[t]:.3e})")
-        z, rhs = self.z[horizon], self.rhs[horizon]
-        beta, work, spare = self.beta[:k + 1], self.work[:k + 1], self.spare[:k + 1]
+        rhs, work = self.rhs[horizon], self.work[:k + 1]
         with np.errstate(all="ignore"):
-            for j in range(k + 1):
-                column = self.factor.take(self.index[j:k + 1, j], axis=0,
-                                          out=spare[:k + 1 - j], mode="clip")
-                np.einsum("jt,jt->t", column, z[j:k + 1], out=beta[j])
+            beta = np.einsum("ijt,it->jt", self.factor[:k + 1, :k + 1], self.z[horizon, :k + 1],
+                             out=self.beta[:k + 1])
             if not faults and self._cleared(k, rows):
                 return beta[:, rows], faults
             np.abs(beta, out=work).max(axis=0, out=self.scale)
             rhs.take(path, axis=0, out=work, mode="clip")
             np.abs(work, out=work).max(axis=0, out=self.bound)
             span = np.zeros_like(self.scale)  # the largest |moment entry| of the path
-            for a in range(k + 1):
-                row = self.moment.take(self.index[path[a], path], axis=0, out=spare,
-                                       mode="clip")
+            for a in range(k + 1):  # the residual, one row of the path's moments at a time
+                row = self._gather(path[a], path, self.spare[:k + 1])
                 np.einsum("jt,jt->t", row, beta, out=work[a])
                 work[a] -= rhs[path[a]]
                 np.maximum(span, np.abs(row, out=row).max(axis=0), out=span)
@@ -604,13 +582,10 @@ class _Bordering:
         residual guard: ``trace(M) trace(M^-1)`` within ``_SCREEN / (k + 1)``,
         and ``trace(M)`` and ``max |beta|`` finite and within ``_RANGE`` (see
         ``_SCREEN``).  Uses the fit's scratch, after ``beta``."""
-        path, beta = self.path, self.beta[:k + 1]
-        diagonal = self.moment.take(self.index[path, path], axis=0, out=self.work[:k + 1],
-                                    mode="clip")
-        trace = diagonal.sum(axis=0, out=self.bound)
-        size = np.abs(beta, out=self.spare[:k + 1]).max(axis=0, out=self.scale)
-        bound = np.multiply(trace, self.trace_inv[k], out=self.work[0])
-        trace, size = trace[rows], size[rows]
+        trace = self.trace[k, rows]
+        size = np.abs(self.beta[:k + 1], out=self.spare[:k + 1]).max(axis=0, out=self.scale)
+        bound = np.multiply(self.trace[k], self.trace_inv[k], out=self.work[0])
+        size = size[rows]
         return bool(bound[rows].max() <= _SCREEN / (k + 1)
                     and 1.0 / _RANGE <= trace.min() and trace.max() <= _RANGE
                     and 1.0 / _RANGE <= size.min() and size.max() <= _RANGE)
@@ -630,16 +605,17 @@ def _at(first: int | None, t: int) -> str:
 
 class _BorderedSolver(_Bordering):
     """Prefix least squares for every lag subset of a top lag: the bordering
-    of :class:`_Bordering` over moments gathered from a :class:`_CrossProducts`.
+    of :class:`_Bordering` over moments read from a :class:`_CrossProducts`.
 
     The solver holds the fits of one or more horizons ``(hh, first, last)``:
     the direct fit at horizon hh on each prefix ``x_1..x_i``, i = first..last.
-    Its columns are the union of their window uppers (two at least), and
-    :meth:`load` gathers, for a top lag L up to ``capacity``, the packed
-    moment matrices of the lag order (L, 1, ..., L-1) in one (L(L+1)/2, T)
-    stack and each horizon's right-hand sums in an (L, T) one (zero outside
-    its own uppers).  Every buffer is sized once, for ``capacity``.
-    :meth:`visit` is the one walk over a family of lag sets.
+    Its columns are the union of their window uppers (two at least).  For a
+    top lag L up to ``capacity``, positions are the lag order (L, 1, ...,
+    L-1): :meth:`load` gathers each horizon's right-hand sums in an (L, T)
+    stack (zero outside its own uppers), and the walk reads the moment
+    entries it needs from the table through :meth:`_CrossProducts.pairs`,
+    so no moment stack is held.  Every buffer is sized once, for
+    ``capacity``.  :meth:`visit` is the one walk over a family of lag sets.
     """
 
     def __init__(self, table: _CrossProducts, capacity: int,
@@ -647,23 +623,25 @@ class _BorderedSolver(_Bordering):
         low = min(first - hh for hh, first, _ in spans)
         high = max(last - hh for hh, _, last in spans)
         low -= low == high
-        count = high - low + 1
-        self.table, self.spans, self.low = table, list(spans), low
+        self.table, self.spans, self.uppers = table, list(spans), range(low, high + 1)
         self.lags: tuple[int, ...] = ()
+        self.offsets = np.empty(0, dtype=np.intp)
         super().__init__(
-            np.empty((_triangle(capacity), count)), np.zeros((len(spans), capacity, count)),
+            None, np.zeros((len(spans), capacity, len(self.uppers))),
             [(f"sequential direct fit h={hh}", first,
               slice(first - hh - low, last - hh - low + 1)) for hh, first, last in spans],
             floor)
 
+    def _gather(self, left: np.ndarray, right: np.ndarray, out: np.ndarray) -> np.ndarray:
+        return self.table.pairs(self.offsets[left], self.offsets[right], self.offsets.size,
+                                self.uppers, out)
+
     def load(self, top: int) -> None:
-        """Gather the moment and right-hand sums of top lag ``top``."""
+        """Gather the right-hand sums of top lag ``top``."""
         self.node = ()
-        offsets = (top - 1,) + tuple(range(top - 1))
-        uppers = range(self.low, self.low + self.moment.shape[1])
-        self.table.moment_rows(offsets, top, uppers, self.moment[:_triangle(top)])
+        self.offsets = np.array((top - 1,) + tuple(range(top - 1)))
         for (hh, first, last), (_, _, rows), rhs in zip(self.spans, self.horizons, self.rhs):
-            self.table.rhs_rows(offsets, hh, top, range(first - hh, last - hh + 1),
+            self.table.rhs_rows(self.offsets, hh, top, range(first - hh, last - hh + 1),
                                 rhs[:top, rows])
 
     def visit(self, lag_sets: Sequence[tuple[int, ...]]) -> Iterator[int]:
@@ -745,9 +723,8 @@ def _prefix_fits(solver: _BorderedSolver, h: int, lo: int, hi: int) -> tuple:
     messages by row)."""
     k = len(solver.lags)
     counts = np.arange(lo, hi + 1) - h - k + 1
-    # Lags 1..k-1 sit at positions 1..k-1 of the solver's lag order, lag k at 0.
-    gammas = _unpack(solver.moment[:, solver.horizons[1][2]],
-                     [*range(1, k), 0]) / counts[:, None, None]
+    gammas = solver.table.moments(range(k), k, range(lo - h, hi - h + 1))
+    gammas /= counts[:, None, None]
     one, one_faults = solver.fit(0)
     one = _lags_ascending(one)
     direct, direct_faults = solver.fit(1)

@@ -349,7 +349,12 @@ def h_step_order(model: ArModel, h: int,
     every coefficient vanished (the best h-step predictor is the mean),
     which callers should treat as degenerate.
     """
-    return max(_inputs(model, h, model.order, table)[3][Method.DIRECT], default=-1) + 1
+    return _horizon_order(_inputs(model, h, model.order, table))
+
+
+def _horizon_order(inputs: tuple) -> int:
+    """:func:`h_step_order` from the :func:`_inputs` of any window."""
+    return max(inputs[3][Method.DIRECT], default=-1) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -537,13 +542,15 @@ class LossTable:
     (:func:`subset_loss_table`, where ``max_order`` is the window).  An
     entry whose candidate misses a lag the method requires is
     ``math.inf``: that predictor does not converge to the optimum, so no
-    finite asymptotic loss exists.
+    finite asymptotic loss exists.  ``horizon_order`` is
+    :func:`h_step_order` of the model, read from the same inputs.
     """
 
     horizon: int
     max_order: int
     plugin: Mapping
     direct: Mapping
+    horizon_order: int
 
     def value(self, candidate, method: Method) -> float:
         store = self.plugin if method is Method.PLUGIN else self.direct
@@ -572,7 +579,8 @@ def loss_table(model: ArModel, h: int, max_order: int) -> LossTable:
     for k in range(1, max_order + 1):
         got = _excess_constants(model, inputs, [(1,) * k])
         plugin[k], direct[k] = got[Method.PLUGIN][(1,) * k], got[Method.DIRECT][(1,) * k]
-    return LossTable(horizon=h, max_order=max_order, plugin=plugin, direct=direct)
+    return LossTable(horizon=h, max_order=max_order, plugin=plugin, direct=direct,
+                     horizon_order=_horizon_order(inputs))
 
 
 def subset_loss_table(model: ArModel, h: int, window: int) -> LossTable:
@@ -583,10 +591,10 @@ def subset_loss_table(model: ArModel, h: int, window: int) -> LossTable:
     order; the all-ones mask's entries are ``loss_table``'s at that order
     bit for bit.
     """
-    masks = _all_masks(window)
-    got = _excess_constants(model, _inputs(model, h, window), masks)
+    masks, inputs = _all_masks(window), _inputs(model, h, window)
+    got = _excess_constants(model, inputs, masks)
     return LossTable(horizon=h, max_order=window, plugin=got[Method.PLUGIN],
-                     direct=got[Method.DIRECT])
+                     direct=got[Method.DIRECT], horizon_order=_horizon_order(inputs))
 
 
 def optimal_candidates(table: LossTable) -> set[tuple[object, Method]]:

@@ -23,12 +23,12 @@ from arselect.errors import (
     SeriesOverflowError,
     SingularMomentError,
 )
-from arselect.estimation import _Bordering, _BorderedSolver, _CrossProducts
+from arselect.estimation import _Bordering, _CrossProducts
 from arselect.methods import Method
 from arselect.selection import select_predictor, subset_select
 from arselect.tolerances import TOL_LIN
 
-from conftest import moment_matrices, random_stationary_model
+from conftest import random_stationary_model
 from test_estimation import naive_direct, naive_plugin
 
 
@@ -169,7 +169,7 @@ class TestCholeskyPivot:
         # Cholesky pivot is not positive there.
         values = np.random.default_rng(0).normal(size=20)
         table = _CrossProducts(values, 1, 2)
-        moment = moment_matrices(table, (0, 1), 2, range(2, 3))[0]
+        moment = table.moments((0, 1), 2, range(2, 3))[0]
         rhs = np.empty((2, 1))
         table.rhs_rows((0, 1), 1, 2, range(2, 3), rhs)
         beta = np.linalg.solve(moment, rhs[:, 0])
@@ -303,8 +303,8 @@ class TestOverflow:
     def test_non_finite_residual_is_a_failed_solve(self):
         # One lag at two uppers, the first of them prefix time 7, with moment
         # 1e-300 and right-hand sum 1e300: the coefficient 1e600 overflows.
-        solver = _BorderedSolver(_CrossProducts(np.ones(10), 1, 1), 1, [(1, 7, 8)])
-        solver.moment[0], solver.rhs[0, 0] = 1e-300, 1e300
+        solver = _Bordering(np.full((1, 1, 2), 1e-300), np.full((1, 1, 2), 1e300),
+                            [("sequential direct fit h=1", 7, slice(0, 2))])
         solver.descend((0,))
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(SingularMomentError, match="unreliable solve at time 7"):
@@ -318,7 +318,8 @@ class TestOverflow:
         # coefficients (about +-5e10) are finite, and the condition bound is
         # beyond the screen.  The residual test accepts the fit at scale 1,
         # and at 1e300 finds that its products overflow.
-        moment = np.repeat(np.array([[1.0], [1.0 - 2e-11], [1.0]]) * scale, 2, axis=1)
+        moment = np.repeat(np.array([[[1.0], [1.0 - 2e-11]], [[1.0 - 2e-11], [1.0]]]) * scale,
+                           2, axis=2)
         rhs = np.repeat(np.array([[[1.0], [-1.0]]]) * scale, 2, axis=2)
         solver = _Bordering(moment, rhs, [("sequential direct fit h=1", 7, slice(0, 2))])
         solver.walk_to((0, 1))

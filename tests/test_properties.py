@@ -29,6 +29,7 @@ from hypothesis import strategies as st
 
 import arselect.ape
 import arselect.cli
+import arselect.theory
 from arselect import (
     ArModel,
     Series,
@@ -54,13 +55,13 @@ from arselect.errors import (
 from arselect.estimation import (
     _Bordering,
     _CrossProducts,
-    _unpack,
     masked_fit_direct,
     masked_fit_plugin,
 )
+from arselect.selection import _contains
 from arselect.tolerances import COND_GUARD, TOL_LIN
 
-from conftest import moment_matrices, random_stationary_model
+from conftest import random_stationary_model
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
                     database=None,
@@ -180,7 +181,7 @@ def lu_failure_time(values, h, lags, first):
     table = _CrossProducts(values, h, lags[-1])
     offsets = [lag - 1 for lag in lags]
     uppers = range(first - h, values.size - 2 * h + 1)
-    systems = moment_matrices(table, offsets, lags[-1], uppers)
+    systems = table.moments(offsets, lags[-1], uppers)
     rhs = np.empty((len(offsets), len(uppers)))
     table.rhs_rows(offsets, h, lags[-1], uppers, rhs)
     rhs = rhs.T
@@ -227,8 +228,8 @@ def test_guards_fire_where_lu_fired(data, seed, zeros, spike, n, lags, h):
     if got != want:
         assert got is not None and (want is None or got < want)
         order = [lags[-1] - 1] + [lag - 1 for lag in lags[:-1]]
-        moment = moment_matrices(_CrossProducts(values, h, lags[-1]), order, lags[-1],
-                                 range(got - h, got - h + 1))[0]
+        moment = _CrossProducts(values, h, lags[-1]).moments(
+            order, lags[-1], range(got - h, got - h + 1))[0]
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(moment)
 
@@ -257,6 +258,62 @@ def test_late_one_step_start_matches_per_candidate_path(data, seed, zeros, n,
     want = outcome(lambda: per_candidate_audit(series, h, orders, start_one,
                                                start_h, lambda k, first: True))
     assert got == want
+
+
+def package_outcome(func):
+    """A call's value, or the class name and message of the package error it
+    raised."""
+    try:
+        return func()
+    except ArSelectError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@SETTINGS
+@given(seed=st.integers(0, 2 ** 32 - 1), zeros=st.integers(0, 30), n=st.integers(40, 200),
+       spike=st.none() | st.tuples(st.integers(0, 39), st.integers(1, 4)),
+       exponent=st.integers(150, 160), sign=st.sampled_from([1, -1]),
+       max_order=st.integers(1, 4), h=st.integers(1, 4), subset=st.booleans())
+def test_overflowing_series_select_as_the_per_candidate_path(seed, zeros, n, spike, exponent,
+                                                             sign, max_order, h, subset):
+    # Series scaled to 10^(+-150..160), where cross products, solves and
+    # errors overflow or lose their low bits, with leading zeros and a spike
+    # of 10^1..4.  The walk's zero-padded contractions must not turn an
+    # overflow into another outcome: a selection's audit is the per-candidate
+    # APEs bit for bit, and a selection that raises raises the class and
+    # message of a per-candidate call (the first one met can differ, since
+    # the walk visits candidates by top lag).  No RuntimeWarning is raised.
+    rng = np.random.default_rng(seed)
+    values = np.concatenate([np.zeros(zeros), rng.standard_normal(n)])
+    if spike is not None:
+        values[zeros + spike[0]] *= 10.0 ** spike[1]
+    series = Series(values * 10.0 ** (sign * exponent))
+    if subset:
+        select, candidates = subset_select, arselect.theory._all_masks(max_order)
+    else:
+        select, candidates = select_predictor, list(range(1, max_order + 1))
+    one_step, direct, plugin = {}, {}, {}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = package_outcome(lambda: engine_audit(select(series, h, max_order)))
+        start_one = package_outcome(lambda: start_index(series, 1, max_order))
+        start_h = package_outcome(lambda: start_index(series, h, max_order))
+        for c in candidates:
+            if isinstance(start_one, int):
+                one_step[c] = package_outcome(lambda: ape_direct(series, 1, c, start_one).ape)
+            if isinstance(start_h, int):
+                direct[c] = package_outcome(lambda: ape_direct(series, h, c, start_h).ape)
+                plugin[c] = package_outcome(lambda: ape_plugin(series, h, c, start_h).ape)
+    calls = [start_one, start_h, *one_step.values(), *direct.values(), *plugin.values()]
+    errors = [value for value in calls if isinstance(value, tuple)]
+    if isinstance(got[0], str):
+        assert got in errors
+        return
+    assert not errors
+    first = min(candidates, key=lambda c: (one_step[c], candidates.index(c)))
+    if subset:
+        plugin = {c: ape for c, ape in plugin.items() if _contains(c, first)}
+    assert got == (one_step, direct, plugin)
 
 
 def per_pair_columns(values, horizon, max_offset):
@@ -315,14 +372,18 @@ def test_lag_difference_table_is_the_per_pair_table(data, seed, n, max_offset, h
         right = np.column_stack([rhs[(r, hh)][u] - rhs[(r, hh)][j0 - 1]
                                  for r in offsets])
         # Bit for bit: -0.0 differs from 0.0 here.
-        assert moment_matrices(got, offsets, j0, uppers).tobytes() == stack.tobytes()
+        assert got.moments(offsets, j0, uppers).tobytes() == stack.tobytes()
         rows = np.empty((len(offsets), u.size))
         got.rhs_rows(offsets, hh, j0, uppers, rows)
         assert rows.tobytes() == np.ascontiguousarray(right.T).tobytes()
-        row, col = np.tril_indices(len(offsets))
-        packed = np.empty((row.size, u.size))
-        got.moment_rows(offsets, j0, uppers, packed)
-        assert packed.tobytes() == np.ascontiguousarray(stack[:, row, col].T).tobytes()
+        # The walk's pair-entry gather, on drawn pairs of positions.
+        left, right = (np.array(data.draw(st.lists(st.integers(0, len(offsets) - 1),
+                                                   min_size=pairs, max_size=pairs)))
+                       for pairs in [data.draw(st.integers(1, 12))] * 2)
+        entries = np.empty((left.size, u.size))
+        column = np.asarray(offsets)
+        got.pairs(column[left], column[right], j0, uppers, entries)
+        assert entries.tobytes() == np.ascontiguousarray(stack[:, left, right].T).tobytes()
 
 
 def test_table_holds_one_row_per_lag_difference():
@@ -531,7 +592,10 @@ def screened_fits(patch):
             rows, path = self.horizons[horizon][2], list(self.path)
             patch.setattr(_Bordering, "_cleared", lambda solver, k, rows: False)
             confirmed = fit(self, horizon)[1]
-            cleared.append((_unpack(self.moment[:, rows], path),
+            moment = np.empty((len(path), len(path), self.rhs.shape[2]))
+            for row, a in zip(moment, self.path):
+                self._gather(a, self.path, row)
+            cleared.append((moment[..., rows].transpose(2, 0, 1),
                             self.rhs[horizon][path][:, rows].T, beta.T.copy(), confirmed))
         patch.setattr(_Bordering, "_cleared", screen)
         return beta, faults

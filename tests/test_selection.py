@@ -27,7 +27,7 @@ from arselect.selection import SubsetMask
 from arselect.theory import required_masks
 from arselect.tolerances import TOL_LIN
 
-from conftest import TEST_MODELS, moment_matrices
+from conftest import TEST_MODELS
 from test_ape import naive_ape
 
 
@@ -76,7 +76,7 @@ def lu_walk_family(table, candidates, h, start_one, start_h):
     def direct(offsets, hh, i_values):
         j0 = offsets[-1] + 1
         uppers = range(i_values[0] - hh, i_values[-1] - hh + 1)
-        systems = moment_matrices(table, offsets, j0, uppers)
+        systems = table.moments(offsets, j0, uppers)
         rhs = np.empty((len(offsets), len(uppers)))
         table.rhs_rows(offsets, hh, j0, uppers, rhs)
         rhs = rhs.T
@@ -357,8 +357,9 @@ class TestFootprint:
     # lu_walk_family, on the same call in the same process, so numpy's own
     # allocations count alike on both sides.  With Python 3.11.7 and numpy
     # 2.4.6 on x86-64 the engine itself peaked at 1,344,182 and 5,160,622
-    # bytes, lu_walk_family at 1,344,324 and 5,160,756, and the bordered
-    # solver at 1,280,080 and 4,819,672.
+    # bytes.  lu_walk_family, whose moment matrices are written in place,
+    # peaks at 1,345,668 and 5,165,076, and the bordered solver, whose dense
+    # factor reads its moments from the table, at 1,308,000 and 5,047,864.
     @pytest.mark.parametrize("select, n, h, width", [
         (subset_select, 1000, 3, 8), (select_predictor, 4000, 5, 8)])
     def test_peak_memory_is_within_the_lu_engine(self, monkeypatch, select, n, h, width):
