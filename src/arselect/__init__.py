@@ -64,7 +64,6 @@ from .montecarlo import (
 from .selection import (
     SelectionAudit,
     SelectionResult,
-    SubsetMask,
     bic_order,
     bic_values,
     select_predictor,

@@ -38,9 +38,6 @@ from .tolerances import COND_GUARD
 __all__ = ["ApeResult", "start_index", "ape_plugin", "ape_direct", "ape_excess",
            "family_apes"]
 
-#: Window uppers whose condition numbers one batched start probe takes.
-_PROBE_CHUNK = 32
-
 
 @dataclass(frozen=True)
 class ApeResult:
@@ -69,12 +66,14 @@ def start_index(series: Series, h: int, max_order: int) -> int:
     matrices must pass the conditioning guard at i and at
     ``min(10, n - h - i)`` subsequent times.  The forward probe keeps a
     single accidentally well-posed prefix from starting the sum early.
+    Each probe step takes the condition numbers of the windows it inspects,
+    those up to ``i - h .. i + 9`` (10 + h matrices), and keeps none for the
+    next step or the other horizon.
     """
     if h < 1 or max_order < 1:
         raise ValueError("horizon and max_order must be >= 1")
     _probe_range(series.n, h, max_order)
-    return _probe(_Verdicts(_CrossProducts(series.values, h, max_order), max_order), h,
-                  max_order)
+    return _probe(_CrossProducts(series.values, h, max_order), h, max_order)
 
 
 def _probe_range(n: int, h: int, max_order: int) -> tuple[int, int]:
@@ -86,44 +85,27 @@ def _probe_range(n: int, h: int, max_order: int) -> tuple[int, int]:
     return first, last
 
 
-class _Verdicts:
-    """The start probe's verdicts on one table: whether the order-``max_order``
-    moment matrix of the windows up to each upper passes the conditioning
-    guard.  They are taken ``_PROBE_CHUNK`` uppers at a time as a probe
-    reaches them (the probe usually stops in the first chunk, so taking
-    every window at once costs more than it saves), and the probes of both
-    horizons share them: a verdict does not depend on the horizon."""
+def _probe(table: _CrossProducts, h: int, max_order: int) -> int:
+    """:func:`start_index` on a table of order at least ``max_order``.
 
-    def __init__(self, table: _CrossProducts, max_order: int) -> None:
-        self.table, self.max_order, self.base = table, max_order, 2 * max_order - 1
-        self.ok = np.empty(table.values.size - 1 - self.base, dtype=bool)
-        self.done = 0  # verdicts taken, of uppers base..base + done - 1
-
-    def __getitem__(self, uppers: np.ndarray) -> np.ndarray:
-        """The verdicts of the windows up to each of ``uppers``."""
-        offsets, end = tuple(range(self.max_order)), self.table.values.size - 1
-        while self.base + self.done <= uppers.max():
-            low = self.base + self.done
-            chunk = range(low, min(low + _PROBE_CHUNK, end))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                cond = np.linalg.cond(self.table.moments(offsets, self.max_order, chunk))
-            ok = np.isfinite(cond) & (cond <= COND_GUARD)
-            self.ok[self.done: self.done + ok.size] = ok
-            self.done += ok.size
-        return self.ok[uppers - self.base]
-
-
-def _probe(verdicts: _Verdicts, h: int, max_order: int) -> int:
-    """:func:`start_index` from the verdicts of a table at order ``max_order``
-    (moment sums do not depend on h)."""
-    first, last = _probe_range(verdicts.table.values.size, h, max_order)
+    A step at i checks the times i..end: the order-``max_order`` moment
+    matrices of the windows up to ``i - 1 .. end - 1`` (one step ahead) and
+    ``i - h .. end - h`` (h steps ahead) must pass the conditioning guard.
+    """
+    first, last = _probe_range(table.values.size, h, max_order)
     i = first
     while i <= last:
-        times = np.arange(i, min(i + 10, last) + 1)
-        bad = np.flatnonzero(~(verdicts[times - 1] & verdicts[times - h]))
+        end = min(i + 10, last)
+        # ok[u - i + h] is the verdict of the windows up to u, for u = i - h .. end - 1.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cond = np.linalg.cond(table.moments(range(max_order), max_order,
+                                                range(i - h, end)))
+        ok = np.isfinite(cond) & (cond <= COND_GUARD)
+        steps = np.arange(end - i + 1)
+        bad = np.flatnonzero(~(ok[steps + h - 1] & ok[steps]))
         if not bad.size:
             return i
-        i = int(times[bad[-1]]) + 1
+        i += int(bad[-1]) + 1
     raise NoValidStartError(
         f"no time in [{first}, {last}] passes the well-definedness probe")
 
@@ -257,18 +239,14 @@ def family_apes(series: Series, h: int, candidates: Sequence, max_lag: int
     APE, from one cross-product table.
 
     The starts are :func:`start_index` at horizons 1 and h with order
-    ``max_lag``.  Errors keep the precedence of the per-candidate path:
-    the one-step start, the one-step APEs, the horizon-h start, the rest.
+    ``max_lag``.  Errors are raised in this order: the one-step start, the
+    horizon-h start, then each candidate's fits in the walk's top-lag order
+    (see :func:`_walk_family`).
     """
     _probe_range(series.n, 1, max_lag)
     table = _CrossProducts(series.values, h, max_lag)
-    verdicts = _Verdicts(table, max_lag)
-    start_one = _probe(verdicts, 1, max_lag)
-    try:
-        start_h = start_one if h == 1 else _probe(verdicts, h, max_lag)
-    except NoValidStartError:
-        _walk_family(table, candidates, 1, start_one, start_one)
-        raise
+    start_one = _probe(table, 1, max_lag)
+    start_h = start_one if h == 1 else _probe(table, h, max_lag)
     return start_one, start_h, _walk_family(table, candidates, h, start_one, start_h)
 
 

@@ -40,6 +40,7 @@ from .montecarlo import (
 )
 from .selection import _bic_choice, bic_values, select_predictor, subset_select
 from .theory import ArModel, horizon_variance, loss_table, optimal_candidates
+from .tolerances import DEFAULT_BURN_IN
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -298,16 +299,15 @@ def cmd_select(args: argparse.Namespace) -> int:
     h, kmax = args.horizon, args.max_order
     select = subset_select if args.subset else select_predictor
     result = select(series, h, kmax)
-    candidate = result.order if result.mask is None else result.mask.bits
     report = {
         "command": "select",
         "config": {"input": args.input, "horizon": h, "max_order": kmax,
                    "subset": bool(args.subset)},
         "n": len(series.values),
         "method": result.method,
-        "order": result.order,
-        "mask": list(result.mask.bits) if result.mask is not None else None,
-        "forecast": forecast(series, h, candidate, result.method),
+        "order": None if args.subset else result.candidate,
+        "mask": list(result.candidate) if args.subset else None,
+        "forecast": forecast(series, h, result.candidate, result.method),
         "audit": dataclasses.asdict(result.audit),
     }
     _emit(report, args.output)
@@ -416,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_args(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--burn-in", type=int, default=500)
+    p.add_argument("--burn-in", type=int, default=DEFAULT_BURN_IN)
     p.add_argument("--dist", choices=("normal", "uniform", "student-t"),
                    default="normal")
     p.add_argument("--df", type=float, default=None,
@@ -453,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--reps", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--burn-in", type=int, default=500)
+    p.add_argument("--burn-in", type=int, default=DEFAULT_BURN_IN)
     p.add_argument("--dist", choices=("normal", "uniform", "student-t"),
                    default="normal")
     p.add_argument("--df", type=float, default=None)

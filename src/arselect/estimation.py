@@ -33,6 +33,7 @@ per-time stream.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -150,10 +151,10 @@ def _resolve_candidate(candidate) -> tuple[tuple[int, ...], int, int | tuple[int
     if isinstance(candidate, (int, np.integer)):
         k = int(candidate)
         return _order_lags(k), k, k
-    bits = tuple(int(b) for b in candidate)
-    if not bits or any(b not in (0, 1) for b in bits):
+    bits = tuple(map(int, candidate))
+    if not bits or not {*bits} <= {0, 1}:
         raise ValueError("mask must be a nonempty sequence of 0/1 flags")
-    lags = tuple(i + 1 for i, b in enumerate(bits) if b)
+    lags = tuple(compress(range(1, len(bits) + 1), bits))
     if not lags:
         raise ValueError("mask must flag at least one lag")
     return lags, len(bits), bits
@@ -384,12 +385,13 @@ class _CrossProducts:
 
     def moments(self, offsets: Sequence[int], j0: int, uppers: range) -> np.ndarray:
         """(uppers, m, m) moment-sum matrices of ``offsets`` for windows j = j0..u,
-        gathered one row of pairs at a time straight into their place."""
+        every entry of every upper gathered by one index (the stacks are short:
+        a probe step's windows, or one sequential block)."""
         column = np.asarray(offsets)
-        out = np.empty((len(uppers), column.size, column.size))
-        for a, offset in enumerate(column):
-            self.pairs(offset, column, j0, uppers, out[:, a].T)
-        return out
+        first = (np.abs(column[:, None] - column) * self._table.shape[1]
+                 - np.minimum(column[:, None], column))
+        flat = self._table.reshape(-1)
+        return flat[np.asarray(uppers)[:, None, None] + first] - flat[j0 - 1 + first]
 
     def rhs_rows(self, offsets: Sequence[int], hh: int, j0: int, uppers: range,
                  out: np.ndarray) -> None:

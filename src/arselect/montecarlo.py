@@ -408,7 +408,7 @@ def selection_frequency(model: ArModel, h: int, max_order: int, n: int,
             except SingularMomentError as exc:
                 out.append(exc)
             else:
-                out.append(((result.mask.bits if subset else result.order), result.method))
+                out.append((result.candidate, result.method))
         return out
 
     counts, redraws = Counter(), 0

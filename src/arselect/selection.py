@@ -6,14 +6,14 @@ Step 2 minimizes the horizon-h direct APE over all orders and the
 horizon-h plug-in APE over orders at or above the step-1 choice.  Step 3
 keeps whichever of the two finalists has the smaller APE, with ties
 going to the direct predictor.  The subset variant runs the same three
-steps over every nonzero 0/1 mask on the lag window, with "at or above"
-read as mask containment.
+steps over every nonzero 0/1 mask on the lag window.  "At or above" is
+lag-set containment either way: for orders it is ``>=``, for masks it
+holds bit by bit.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -32,7 +32,6 @@ from .methods import Method
 from .theory import _all_masks
 
 __all__ = [
-    "SubsetMask",
     "SelectionAudit",
     "SelectionResult",
     "select_predictor",
@@ -40,21 +39,6 @@ __all__ = [
     "bic_order",
     "subset_select",
 ]
-
-
-@dataclass(frozen=True)
-class SubsetMask:
-    """A 0/1 flag per lag of a window; flagged lags enter the regression."""
-
-    bits: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "bits", _resolve_candidate(tuple(self.bits))[2])
-
-    @property
-    def lags(self) -> tuple[int, ...]:
-        """One-based lags flagged by the mask."""
-        return _resolve_candidate(self.bits)[0]
 
 
 @dataclass(frozen=True)
@@ -73,13 +57,16 @@ class SelectionAudit:
 
 @dataclass(frozen=True)
 class SelectionResult:
-    """Outcome of the order-and-method (or subset-and-method) selection."""
+    """Outcome of the order-and-method (or subset-and-method) selection.
+
+    ``candidate`` is the chosen order (int) or mask bits (tuple), the label
+    the audit's ``*_choice`` fields use.
+    """
 
     horizon: int
     max_order: int
     method: Method
-    order: int | None
-    mask: SubsetMask | None
+    candidate: int | tuple[int, ...]
     audit: SelectionAudit
 
 
@@ -96,17 +83,20 @@ def _argmin(apes: Mapping, keys: Sequence) -> object:
 
 
 def _three_steps(series: Series, h: int, width: int, candidates: list,
-                 contains, audit_every_plugin: bool):
-    """(method, choice, audit) of the three steps over one candidate family.
+                 audit_every_plugin: bool) -> SelectionResult:
+    """The three steps over one candidate family of orders or masks.
 
-    ``contains(big, small)`` is step 2's "at or above"; the audit's plug-in
-    map covers all candidates or, if not ``audit_every_plugin``, those.
+    Step 2's "at or above" is containment of lag sets: the plug-in search
+    keeps the candidates whose lags include every lag of the step-1 choice.
+    The audit's plug-in map covers all candidates or, if not
+    ``audit_every_plugin``, those.
     """
     start_one, start_h, apes = family_apes(series, h, candidates, width)
     one_step, direct, plugin = ({c: ape[j] for c, ape in zip(candidates, apes)}
                                 for j in range(3))
     one_step_choice = _argmin(one_step, candidates)
-    searched = [c for c in candidates if contains(c, one_step_choice)]
+    floor = set(_resolve_candidate(one_step_choice)[0])
+    searched = [c for c in candidates if floor <= set(_resolve_candidate(c)[0])]
     if not audit_every_plugin:
         plugin = {c: plugin[c] for c in searched}
     direct_choice = _argmin(direct, candidates)
@@ -115,8 +105,10 @@ def _three_steps(series: Series, h: int, width: int, candidates: list,
         method, chosen = Method.PLUGIN, plugin_choice
     else:
         method, chosen = Method.DIRECT, direct_choice
-    return method, chosen, SelectionAudit(start_one, start_h, one_step, direct, plugin,
-                                          one_step_choice, direct_choice, plugin_choice)
+    audit = SelectionAudit(start_one, start_h, one_step, direct, plugin,
+                           one_step_choice, direct_choice, plugin_choice)
+    return SelectionResult(horizon=h, max_order=width, method=method, candidate=chosen,
+                           audit=audit)
 
 
 def select_predictor(series: Series, h: int, max_order: int) -> SelectionResult:
@@ -128,11 +120,7 @@ def select_predictor(series: Series, h: int, max_order: int) -> SelectionResult:
     """
     if h < 1 or max_order < 1:
         raise ValueError("horizon and max_order must be >= 1")
-    method, order, audit = _three_steps(series, h, max_order,
-                                        list(range(1, max_order + 1)),
-                                        operator.ge, True)
-    return SelectionResult(horizon=h, max_order=max_order, method=method,
-                           order=order, mask=None, audit=audit)
+    return _three_steps(series, h, max_order, list(range(1, max_order + 1)), True)
 
 
 # ---------------------------------------------------------------------------
@@ -186,13 +174,6 @@ def _bic_choice(scores: Mapping[int, float]) -> int:
 # subset (mask) selection
 
 
-def _contains(big: tuple[int, ...], small: tuple[int, ...]) -> bool:
-    """True when every lag flagged by mask ``small`` is flagged by ``big``."""
-    if len(big) != len(small):
-        raise ValueError("masks compare only within one window size")
-    return all(x >= y for x, y in zip(big, small))
-
-
 def subset_select(series: Series, h: int, window: int) -> SelectionResult:
     """Run the three-step selection over every lag subset of the window.
 
@@ -204,7 +185,4 @@ def subset_select(series: Series, h: int, window: int) -> SelectionResult:
     """
     if h < 1 or window < 1:
         raise ValueError("horizon and window must be >= 1")
-    method, chosen, audit = _three_steps(series, h, window, _all_masks(window),
-                                         _contains, False)
-    return SelectionResult(horizon=h, max_order=window, method=method,
-                           order=None, mask=SubsetMask(chosen), audit=audit)
+    return _three_steps(series, h, window, _all_masks(window), False)

@@ -295,7 +295,7 @@ def test_criterion_6_selection_efficiency(capsys):
             result = select_predictor(path.series, 3, 4)
             direct = (result.audit.direct_choice, Method.DIRECT)
             plugin = (result.audit.plugin_choice, Method.PLUGIN)
-            chosen = (result.order, result.method)
+            chosen = (result.candidate, result.method)
             picks = {"selector": chosen, "always-direct": direct,
                      "always-plug-in": plugin,
                      "reversed step 3": plugin if chosen == direct else direct}

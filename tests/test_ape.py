@@ -88,6 +88,33 @@ class TestStartIndex:
                 call()
         assert built == []
 
+    def test_probe_takes_only_the_windows_it_inspects(self, monkeypatch):
+        # On a clean path each probe returns at its first time i, whose step
+        # reads the windows up to i - h .. i + 9: 11 matrices at h=1, 13 at h=3.
+        taken = []
+        cond = np.linalg.cond
+
+        def spy(matrices, *args):
+            taken.append(len(matrices))
+            return cond(matrices, *args)
+
+        monkeypatch.setattr(np.linalg, "cond", spy)
+        series = simulate(ArModel((0.9, -0.81), 1.0), 2000, seed=1).series
+        result = select_predictor(series, 3, 4)
+        assert (result.audit.start_one_step, result.audit.start) == (8, 10)
+        assert sum(taken) == 24
+
+    def test_horizon_start_is_raised_before_any_fit(self):
+        # The order-4 one-step fits of these values, whose cross products are
+        # subnormal, fail the residual guard; a selection checks both starts
+        # first, so it raises the horizon-27 start's error instead.
+        series = Series(np.random.default_rng(1).standard_normal(60) * 1e-157)
+        with pytest.raises(NoValidStartError,
+                           match="cannot support horizon 27 with max order 4"):
+            select_predictor(series, 27, 4)
+        with pytest.raises(SingularMomentError, match="h=1: unreliable solve at time 20"):
+            ape_direct(series, 1, 4, start_index(series, 1, 4))
+
 
 class TestApeAgainstRefitOracle:
     def test_matches_naive_refit(self, path):

@@ -221,7 +221,7 @@ class TestSelectReport:
         report = json.loads(out.read_text())
         result = select_predictor(sim.series, 3, 4)
         assert report["method"] == result.method.label == "plugin"
-        assert report["order"] == result.order == 2
+        assert report["order"] == result.candidate == 2
         assert report["forecast"] == predict_with(sim.series,
                                                   fit_plugin(sim.series, 3, 2))
         audit = report["audit"]

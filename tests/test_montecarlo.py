@@ -250,12 +250,8 @@ def frequency_loop(model, h, max_order, n, reps, subset, key_of):
     counts = {}
     for rep in range(reps):
         series = Series(draw(model, n, key_of(rep)))
-        if subset:
-            result = subset_select(series, h, max_order)
-            key = (result.mask.bits, result.method)
-        else:
-            result = select_predictor(series, h, max_order)
-            key = (result.order, result.method)
+        result = (subset_select if subset else select_predictor)(series, h, max_order)
+        key = (result.candidate, result.method)
         counts[key] = counts.get(key, 0) + 1
     return counts
 

@@ -23,7 +23,6 @@ from arselect import (
 from arselect.errors import SubsetTooLargeError
 from arselect.estimation import _BorderedSolver, _resolve_candidate
 from arselect.methods import Method
-from arselect.selection import SubsetMask
 from arselect.theory import required_masks
 from arselect.tolerances import TOL_LIN
 
@@ -121,7 +120,7 @@ def lu_walk_family(table, candidates, h, start_one, start_h):
 class TestDenseSelection:
     def test_golden_choice_frozen(self, path):
         result = select_predictor(path.series, 3, 4)
-        assert (result.order, result.method) == (2, Method.PLUGIN)
+        assert (result.candidate, result.method) == (2, Method.PLUGIN)
         assert result.audit.one_step_choice == 2
         assert result.audit.direct_choice == 1
         assert result.audit.plugin_choice == 2
@@ -162,7 +161,7 @@ class TestDenseSelection:
     def test_horizon_one_always_direct(self, path):
         result = select_predictor(path.series, 1, 4)
         assert result.method is Method.DIRECT
-        assert result.order == result.audit.one_step_choice
+        assert result.candidate == result.audit.one_step_choice
 
     def test_horizon_one_reuses_the_one_step_map(self, path, monkeypatch):
         calls = count_work(monkeypatch)
@@ -190,12 +189,12 @@ class TestDenseSelection:
         assert result.audit.one_step_choice == 3
         assert result.audit.plugin_ape == {1: 0.5, 2: 9.0, 3: 8.0, 4: 9.0}
         assert result.audit.plugin_choice == 3
-        assert (result.order, result.method) == (3, Method.PLUGIN)
+        assert (result.candidate, result.method) == (3, Method.PLUGIN)
 
     def test_scaling_by_two_is_exactly_invariant(self, path):
         result = select_predictor(path.series, 3, 4)
         doubled = select_predictor(Series(path.series.values * 2.0), 3, 4)
-        assert (doubled.order, doubled.method) == (result.order, result.method)
+        assert (doubled.candidate, doubled.method) == (result.candidate, result.method)
         for k in range(1, 5):
             assert doubled.audit.direct_ape[k] == 4.0 * result.audit.direct_ape[k]
 
@@ -226,7 +225,7 @@ class TestDenseSelection:
 
         result = select_predictor(series, h, 4)
         audit = result.audit
-        assert (result.order, result.method) == want
+        assert (result.candidate, result.method) == want
         assert (audit.one_step_choice, audit.direct_choice,
                 audit.plugin_choice) == (k_one, k_direct, k_plugin)
 
@@ -234,9 +233,8 @@ class TestDenseSelection:
 class TestSubsetSelection:
     def test_golden_choice_frozen(self, path):
         result = subset_select(path.series, 3, 4)
-        assert result.mask.bits == (1, 0, 0, 1)
+        assert result.candidate == (1, 0, 0, 1)
         assert result.method is Method.DIRECT
-        assert result.order is None
         assert result.audit.one_step_choice == (1, 1, 0, 0)
 
     def test_enumerates_all_nonzero_masks(self, path):
@@ -257,7 +255,7 @@ class TestSubsetSelection:
         result = subset_select(path.series, 3, 2)
         assert set(result.audit.plugin_ape) == {(1, 0), (1, 1)}
         assert result.audit.plugin_choice == (1, 1)
-        assert (result.mask.bits, result.method) == ((1, 1), Method.PLUGIN)
+        assert (result.candidate, result.method) == ((1, 1), Method.PLUGIN)
 
     def test_horizon_one_solves_one_stack_per_mask(self, path, monkeypatch):
         calls = count_work(monkeypatch)
@@ -269,15 +267,11 @@ class TestSubsetSelection:
         assert audit.plugin_ape == {
             bits: ape for bits, ape in audit.one_step_direct_ape.items()
             if all(s <= b for s, b in zip(step1, bits))}
-        assert (result.mask.bits, result.method) == (step1, Method.DIRECT)
+        assert (result.candidate, result.method) == (step1, Method.DIRECT)
 
     def test_window_cap_enforced(self, path):
         with pytest.raises(SubsetTooLargeError):
             subset_select(path.series, 2, 13)
-
-    def test_mask_helpers(self):
-        mask = SubsetMask((1, 0, 1))
-        assert mask.lags == (1, 3)
 
 
 class TestRequiredMasks:
@@ -358,8 +352,8 @@ class TestFootprint:
     # allocations count alike on both sides.  With Python 3.11.7 and numpy
     # 2.4.6 on x86-64 the engine itself peaked at 1,344,182 and 5,160,622
     # bytes.  lu_walk_family, whose moment matrices are written in place,
-    # peaks at 1,345,668 and 5,165,076, and the bordered solver, whose dense
-    # factor reads its moments from the table, at 1,308,000 and 5,047,864.
+    # peaks at 1,344,268 and 5,160,716, and the bordered solver, whose dense
+    # factor reads its moments from the table, at 1,306,552 and 5,043,448.
     @pytest.mark.parametrize("select, n, h, width", [
         (subset_select, 1000, 3, 8), (select_predictor, 4000, 5, 8)])
     def test_peak_memory_is_within_the_lu_engine(self, monkeypatch, select, n, h, width):
@@ -370,5 +364,5 @@ class TestFootprint:
             patch.setattr(arselect.ape, "_walk_family", lu_walk_family)
             bound = self.traced_peak(select, series, h, width)
             got = select(series, h, width)
-        assert (got.method, got.order, got.mask) == (want.method, want.order, want.mask)
+        assert (got.method, got.candidate) == (want.method, want.candidate)
         assert peak <= bound
