@@ -211,9 +211,10 @@ def _candidate_apes(values: np.ndarray, solver: _BorderedSolver, candidate, h: i
     return one_step, _ape(direct), _ape(plugin)
 
 
-def _walk_family(table: _CrossProducts, candidates: Sequence, h: int, start_one: int,
-                 start_h: int) -> list[tuple[float, float, float]]:
-    """Every candidate's (one-step, direct, plug-in) APE from one solver.
+def _walk_family(table: _CrossProducts, candidates: Sequence, lags: Sequence, h: int,
+                 start_one: int, start_h: int) -> list[tuple[float, float, float]]:
+    """Every candidate's (one-step, direct, plug-in) APE from one solver, given
+    each candidate's lags.
 
     The candidates are taken in the order of the solver's visit, and errors
     are raised in that order; the solver's columns serve the one-step fits
@@ -224,7 +225,6 @@ def _walk_family(table: _CrossProducts, candidates: Sequence, h: int, start_one:
     spans = [(1, min(start_one, start_h), n - 1)]
     if h > 1:
         spans.append((h, start_h, n - h))
-    lags = [_resolve_candidate(candidate)[0] for candidate in candidates]
     solver = _BorderedSolver(table, max(top[-1] for top in lags), spans)
     apes: list = [None] * len(candidates)
     for index in solver.visit(lags):
@@ -234,20 +234,22 @@ def _walk_family(table: _CrossProducts, candidates: Sequence, h: int, start_one:
 
 
 def family_apes(series: Series, h: int, candidates: Sequence, max_lag: int
-                ) -> tuple[int, int, list[tuple[float, float, float]]]:
-    """Both start indices and every candidate's (one-step, direct, plug-in)
-    APE, from one cross-product table.
+                ) -> tuple[int, int, list[tuple[int, ...]], list[tuple[float, float, float]]]:
+    """Both start indices, every candidate's lags and every candidate's
+    (one-step, direct, plug-in) APE, from one cross-product table.
 
     The starts are :func:`start_index` at horizons 1 and h with order
     ``max_lag``.  Errors are raised in this order: the one-step start, the
-    horizon-h start, then each candidate's fits in the walk's top-lag order
-    (see :func:`_walk_family`).
+    horizon-h start, a candidate that does not resolve, then each
+    candidate's fits in the walk's top-lag order (see :func:`_walk_family`).
     """
     _probe_range(series.n, 1, max_lag)
     table = _CrossProducts(series.values, h, max_lag)
     start_one = _probe(table, 1, max_lag)
     start_h = start_one if h == 1 else _probe(table, h, max_lag)
-    return start_one, start_h, _walk_family(table, candidates, h, start_one, start_h)
+    lags = [_resolve_candidate(candidate)[0] for candidate in candidates]
+    return (start_one, start_h, lags,
+            _walk_family(table, candidates, lags, h, start_one, start_h))
 
 
 def ape_excess(result: ApeResult, innovations: np.ndarray,

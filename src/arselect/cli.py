@@ -308,7 +308,9 @@ def cmd_select(args: argparse.Namespace) -> int:
         "order": None if args.subset else result.candidate,
         "mask": list(result.candidate) if args.subset else None,
         "forecast": forecast(series, h, result.candidate, result.method),
-        "audit": dataclasses.asdict(result.audit),
+        # Shallow: _jsonable copies every key and value on its way out.
+        "audit": {field.name: getattr(result.audit, field.name)
+                  for field in dataclasses.fields(result.audit)},
     }
     _emit(report, args.output)
     return EXIT_OK
@@ -397,6 +399,10 @@ def cmd_replicate_table1(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 # parser wiring
 
+_BURN_IN_HELP = ("steps drawn and dropped after the stationary start "
+                f"(default {DEFAULT_BURN_IN}: the start already has the stationary law)")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="arselect",
@@ -416,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_args(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--burn-in", type=int, default=DEFAULT_BURN_IN)
+    p.add_argument("--burn-in", type=int, default=DEFAULT_BURN_IN, help=_BURN_IN_HELP)
     p.add_argument("--dist", choices=("normal", "uniform", "student-t"),
                    default="normal")
     p.add_argument("--df", type=float, default=None,
@@ -453,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--reps", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--burn-in", type=int, default=DEFAULT_BURN_IN)
+    p.add_argument("--burn-in", type=int, default=DEFAULT_BURN_IN, help=_BURN_IN_HELP)
     p.add_argument("--dist", choices=("normal", "uniform", "student-t"),
                    default="normal")
     p.add_argument("--df", type=float, default=None)

@@ -1,5 +1,11 @@
 """Simulation experiments: paths, MSPE estimates, and benchmark ratios.
 
+A path starts from a pre-sample state drawn from the model's stationary
+law, so no burn-in is needed (the default is none).  Each replication's
+substream draws, in this order, the path's ``burn_in + n`` innovations and
+then ``p`` standard normals for its start: the innovations do not depend on
+the start.
+
 Every experiment runs its replications through one driver,
 :func:`_replicate`, which draws, filters and scores them a block at a
 time: replication r draws from the substream keyed
@@ -61,8 +67,11 @@ REFERENCE_RATIOS: dict[int, tuple[float, float, float, float]] = {
 class SimPath:
     """A simulated path with the innovations that generated it.
 
-    The retained window satisfies the model recursion against the
-    retained innovations exactly (the burn-in is discarded from both).
+    The path starts from a stationary pre-sample state, so ``x_1`` already
+    has the model's stationary law; ``burn_in`` steps after that start are
+    discarded from both the path and the innovations.  The kept window
+    satisfies the model recursion against the kept innovations exactly,
+    given the ``p`` values before it.
     """
 
     series: Series
@@ -71,35 +80,101 @@ class SimPath:
     burn_in: int
 
 
-def _draw_innovations(seed, size: int, sigma2: float, dist: str,
+def _draw_innovations(seed, size: int, start: int, sigma2: float, dist: str,
                       df: float | None) -> np.ndarray:
-    """``size`` innovations from the substream ``seed``: one replication's draw."""
+    """One replication's draw from the substream ``seed``: ``size``
+    innovations, then ``start`` standard normals for the pre-sample state.
+
+    The innovations come first, so they do not depend on ``start``.  A zero
+    ``sigma2`` draws nothing and returns zeros.
+    """
     if sigma2 == 0.0:
-        return np.zeros(size)
+        return np.zeros(size + start)
     rng = np.random.default_rng(seed)
     scale = math.sqrt(sigma2)
     if dist == "normal":
-        return scale * rng.standard_normal(size)
+        # One call: numpy's normals do not depend on how a run is split.
+        out = rng.standard_normal(size + start)
+        out[:size] *= scale
+        return out
     if dist == "uniform":
         # sqrt(3 sigma2), which 3 sigma2 would overflow near the float maximum;
         # the two forms agree bit for bit wherever 0.75 sigma2 is normal.
         half_width = (2.0 * math.sqrt(0.75 * sigma2) if sigma2 > 1.0
                       else math.sqrt(3.0 * sigma2))
-        return rng.uniform(-half_width, half_width, size)
-    if dist == "student-t":
+        eps = rng.uniform(-half_width, half_width, size)
+    elif dist == "student-t":
         dof = 12.0 if df is None else float(df)
         if not 8.0 < dof < math.inf:
             raise OutOfDomainError("student-t innovations need finite degrees "
                                    f"of freedom above 8, got {dof}")
-        return scale * math.sqrt((dof - 2.0) / dof) * rng.standard_t(dof, size)
-    raise ValueError(f"unknown innovation distribution {dist!r}")
+        eps = scale * math.sqrt((dof - 2.0) / dof) * rng.standard_t(dof, size)
+    else:
+        raise ValueError(f"unknown innovation distribution {dist!r}")
+    return np.concatenate((eps, rng.standard_normal(start)))
+
+
+#: Largest reflection coefficient a start is drawn with, in magnitude: a model
+#: at the edge of stationarity can round to one on or past +-1.
+_KAPPA_MAX = float(np.nextafter(1.0, 0.0))
+
+
+def _stationary_root(coeffs: np.ndarray) -> np.ndarray:
+    """(p, p) S with ``S' S = Gamma_p / sigma2``: ``z @ S``, for p standard
+    normals z, is a pre-sample ``(x_0, ..., x_{1-p})``, newest first, drawn
+    from the stationary law at unit innovation variance.
+
+    The Levinson recursion run backwards gives the order-k predictors phi_k
+    and reflection coefficients kappa_k of the coefficients.  The pre-sample
+    is drawn oldest first: each value is its order-k prediction from the k
+    values before it plus an innovation of variance
+    ``1 / prod_{i > k} (1 - kappa_i^2)``.  So no Yule-Walker solve, and no
+    guard on one, stands between an accepted model and its start.  A kappa
+    that rounding puts on or past +-1 is drawn as the nearest float inside.
+    """
+    p = coeffs.size
+    phis, gaps = [coeffs], []  # phi_p .. phi_0, and 1 - kappa_k^2 for k = p .. 1
+    for _ in range(p):
+        phi = phis[-1]
+        kappa = min(max(float(phi[-1]), -_KAPPA_MAX), _KAPPA_MAX)
+        gaps.append((1.0 - kappa) * (1.0 + kappa))
+        phis.append((phi[:-1] + kappa * phi[-2::-1]) / gaps[-1])
+    scales = 1.0 / np.sqrt(np.cumprod(gaps)[::-1])
+    root = np.zeros((p, p))  # oldest first until the last line
+    for k in range(p):
+        if k:
+            root[:, k] = root[:, k - 1::-1] @ phis[p - k]
+        root[k, k] = scales[k]
+    return root[:, ::-1]
+
+
+def _start_factor(model: ArModel, sigma2: float) -> np.ndarray:
+    """(p, p) F such that ``z @ F``, for p standard normals z, is the
+    ``lfilter`` state of a pre-sample drawn from N(0, Gamma_p): the
+    pre-sample :func:`_stationary_root` draws, scaled by ``sqrt(sigma2)``,
+    times the Hankel matrix ``H[m, i] = a_{i+m+1}`` (zero past a_p).
+    """
+    coeffs = model.coeffs
+    p = coeffs.size
+    hankel = np.concatenate((coeffs, np.zeros(p)))[np.add.outer(np.arange(p), np.arange(p))]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # checked below
+        factor = math.sqrt(sigma2) * (_stationary_root(coeffs) @ hankel)
+    if not np.isfinite(factor).all():
+        raise OutOfDomainError("the stationary law of the model is out of "
+                               f"floating-point range at sigma2 = {sigma2!r}")
+    return factor
 
 
 def _draw_rows(model: ArModel, n: int, seeds: Sequence, burn_in: int,
                dist: str, df: float | None, sigma2: float | None = None,
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """(paths, innovations), each (len(seeds), n): one path per seed, drawn
-    from a zero state, filtered as one block, with the burn-in dropped."""
+               factor: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(paths, innovations), each (len(seeds), n): one path per seed, from a
+    stationary start, filtered as one block, with the burn-in dropped.
+
+    Seed ``s`` draws ``burn_in + n`` innovations, then ``p`` standard normals
+    for its start (see :func:`_draw_innovations`).  ``factor`` is
+    :func:`_start_factor` of the model and variance, if already known.
+    """
     if n < 1:
         raise ValueError("n must be >= 1")
     if burn_in < 0:
@@ -107,13 +182,24 @@ def _draw_rows(model: ArModel, n: int, seeds: Sequence, burn_in: int,
     variance = model.sigma2 if sigma2 is None else float(sigma2)
     if variance < 0.0:
         raise ValueError("sigma2 override must be >= 0")
+    if factor is None:
+        factor = _start_factor(model, variance)
     from scipy.signal import lfilter  # deferred: loads SciPy on first use
 
-    eps = np.empty((len(seeds), burn_in + n))
-    for row, seed in zip(eps, seeds):
-        row[:] = _draw_innovations(seed, burn_in + n, variance, dist, df)
+    size, p = burn_in + n, model.order
+    draws = np.empty((len(seeds), size + p))
+    for row, seed in zip(draws, seeds):
+        row[:] = _draw_innovations(seed, size, p, variance, dist, df)
+    eps, start = draws[:, :size], draws[:, size:]
     denom = np.concatenate(([1.0], -model.coeffs))
-    paths = lfilter([1.0], denom, eps, axis=1)[:, burn_in:]
+    # zi = start @ factor, one term at a time: a matrix product could round
+    # a row differently with the number of rows, and a block must give what
+    # one row gives.
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        zi = start[:, :1] * factor[0]
+        for j in range(1, p):
+            zi += start[:, j:j + 1] * factor[j]
+        paths = lfilter([1.0], denom, eps, axis=1, zi=zi)[0][:, burn_in:]
     if not np.isfinite(paths).all():
         raise ValueError("series contains non-finite values")
     return paths, eps[:, burn_in:]
@@ -122,12 +208,14 @@ def _draw_rows(model: ArModel, n: int, seeds: Sequence, burn_in: int,
 def simulate(model: ArModel, n: int, seed, burn_in: int = DEFAULT_BURN_IN,
              dist: str = "normal", df: float | None = None,
              sigma2: float | None = None) -> SimPath:
-    """Simulate ``n`` observations of the model after a warm-up period.
+    """Simulate ``n`` observations of the stationary model.
 
-    The recursion starts from a zero state and the first ``burn_in``
-    observations are dropped.  ``sigma2`` overrides the model's
-    innovation variance (zero gives the deterministic skeleton, useful
-    for noiseless checks).  Identical arguments give identical paths.
+    The pre-sample state ``(x_0, ..., x_{1-p})`` is drawn from N(0, Gamma_p),
+    so the path is stationary from its first value: exactly for Gaussian
+    innovations, to second order for uniform and t ones.  ``burn_in``
+    further steps are drawn and dropped (none by default).  ``sigma2``
+    overrides the model's innovation variance (zero gives the zero path).
+    Identical arguments give identical paths.
     """
     paths, eps = _draw_rows(model, n, [seed], burn_in, dist, df, sigma2)
     return SimPath(series=Series(paths[0]), innovations=eps[0].copy(),
@@ -138,9 +226,11 @@ def simulate(model: ArModel, n: int, seed, burn_in: int = DEFAULT_BURN_IN,
 # the replication driver
 
 #: Path elements (burn-in included) one block of replications may hold:
-#: 128 KiB of float64 per block array, whatever the number of replications.
-#: Blocks of twice this size ran the ``mc-study`` benchmark 5% faster but
-#: raised its peak RSS by 2% (2-core x86-64 Linux, numpy 2.4, scipy 1.17).
+#: 128 KiB of float64 per block array, whatever the number of replications
+#: (32 rows at n = 500 without burn-in, 16 with a 500-step one).  With the
+#: 500-step burn-in, blocks of twice this size ran the ``mc-study``
+#: benchmark 5% faster but raised its peak RSS by 2% (2-core x86-64 Linux,
+#: numpy 2.4, scipy 1.17).
 _BLOCK_ELEMENTS = 1 << 14
 
 
@@ -155,18 +245,24 @@ def _replicate(model: ArModel, length: int, reps: int, key: tuple, score,
     singular.  Replication r draws from ``(*key, r, attempt)``.  Only the
     singular rows are redrawn, each from its next attempt, at most three
     times; any other error propagates at once.  Only one block is held at
-    a time, so memory does not grow with ``reps``.
+    a time, so memory does not grow with ``reps``.  The start factor is
+    computed once for all blocks.
     """
+    if burn_in < 0:
+        raise ValueError("burn_in must be >= 0")
     rows = max(1, _BLOCK_ELEMENTS // (burn_in + length))
+    factor = _start_factor(model, model.sigma2)
     for lo in range(0, reps, rows):
         block = range(lo, min(lo + rows, reps))
         got, todo, redraws = {}, list(block), 0
         for attempt in range(4):
             if attempt:
                 redraws += len(todo)
-            paths, _ = _draw_rows(model, length, [(*key, rep, attempt) for rep in todo],
-                                  burn_in, dist, df)
-            got.update(zip(todo, score(paths)))
+            # No reference outlives the scoring, so one block's arrays are
+            # freed before the next block is drawn.
+            got.update(zip(todo, score(_draw_rows(
+                model, length, [(*key, rep, attempt) for rep in todo], burn_in, dist, df,
+                factor=factor)[0])))
             todo = [rep for rep in todo if isinstance(got[rep], SingularMomentError)]
             if not todo:
                 break

@@ -21,13 +21,7 @@ import numpy as np
 
 from .ape import family_apes
 from .errors import SeriesOverflowError
-from .estimation import (
-    Series,
-    _lag_windows,
-    _order_lags,
-    _resolve_candidate,
-    fit_direct,
-)
+from .estimation import Series, _lag_windows, _order_lags, fit_direct
 from .methods import Method
 from .theory import _all_masks
 
@@ -91,12 +85,12 @@ def _three_steps(series: Series, h: int, width: int, candidates: list,
     The audit's plug-in map covers all candidates or, if not
     ``audit_every_plugin``, those.
     """
-    start_one, start_h, apes = family_apes(series, h, candidates, width)
+    start_one, start_h, lags, apes = family_apes(series, h, candidates, width)
     one_step, direct, plugin = ({c: ape[j] for c, ape in zip(candidates, apes)}
                                 for j in range(3))
     one_step_choice = _argmin(one_step, candidates)
-    floor = set(_resolve_candidate(one_step_choice)[0])
-    searched = [c for c in candidates if floor <= set(_resolve_candidate(c)[0])]
+    floor = set(lags[candidates.index(one_step_choice)])
+    searched = [c for c, lag in zip(candidates, lags) if floor.issubset(lag)]
     if not audit_every_plugin:
         plugin = {c: plugin[c] for c in searched}
     direct_choice = _argmin(direct, candidates)

@@ -28,5 +28,6 @@ COND_GUARD = 1e12
 #: (2**cap - 1 candidate masks).
 SUBSET_ORDER_CAP = 12
 
-#: Warm-up observations discarded by default when simulating a path.
-DEFAULT_BURN_IN = 500
+#: Steps drawn and discarded by default after a simulated path's stationary
+#: start; none are needed, since the start already has the stationary law.
+DEFAULT_BURN_IN = 0

@@ -34,9 +34,11 @@ def run_cli(*argv):
 
 @pytest.fixture(scope="module")
 def series_csv(tmp_path_factory):
-    """A 400-observation benchmark path stored the way the CLI stores it."""
+    """A 400-observation benchmark path stored the way the CLI stores it.
+
+    The 500-step burn-in keeps the path the golden choices were frozen on."""
     path = tmp_path_factory.mktemp("series") / "bench.csv"
-    sim = simulate(MODEL, 400, seed=42)
+    sim = simulate(MODEL, 400, seed=42, burn_in=500)
     write_series_csv(str(path), sim.series.values, sim.innovations)
     return str(path), sim
 
@@ -72,6 +74,15 @@ class TestSeriesFiles:
         series, eps = read_series_csv(str(target))
         assert eps is None
         assert len(series.values) == 40
+
+    def test_simulate_double_root_next_to_the_unit_circle(self, tmp_path):
+        # An accepted model whose Yule-Walker system fails its guard.
+        target = tmp_path / "root.csv"
+        code = run_cli("simulate", "--coeffs=1.999999996,-0.9999999959999999", "--n", "200",
+                       "--seed", "1", "--output", str(target))
+        assert code == 0
+        series, _ = read_series_csv(str(target))
+        assert series.values.size == 200 and np.isfinite(series.values).all()
 
     def test_malformed_header_is_validation_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

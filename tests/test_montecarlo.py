@@ -24,12 +24,18 @@ from arselect import (
     three_step_excess_ratio,
 )
 import arselect.montecarlo
-from arselect.errors import OutOfDomainError, SingularMomentError, TooFewObservationsError
+from arselect.errors import (
+    OutOfDomainError,
+    SingularMomentError,
+    SingularYuleWalkerError,
+    TooFewObservationsError,
+)
 from arselect.estimation import Series, forecast
 from arselect.methods import Method
 from arselect.montecarlo import ThreeStepRatio, _excess_deviations
 from arselect.selection import select_predictor, subset_select
 from arselect.theory import companion_matrix, required_masks
+from arselect.tolerances import DEFAULT_BURN_IN
 
 from conftest import random_stationary_model
 
@@ -78,12 +84,75 @@ class TestSimulate:
         # Bit for bit wherever 3 sigma2 is finite, subnormal sigma2 included.
         want = np.random.default_rng(4).uniform(-math.sqrt(3.0 * sigma2),
                                                 math.sqrt(3.0 * sigma2), 64)
-        got = arselect.montecarlo._draw_innovations(4, 64, sigma2, "uniform", None)
+        got = arselect.montecarlo._draw_innovations(4, 64, 0, sigma2, "uniform", None)
         assert got.tobytes() == want.tobytes()
 
     def test_uniform_innovations_near_the_float_maximum(self):
         eps = simulate(ArModel((0.5,), 1.7e308), 20, seed=1, dist="uniform").innovations
         assert np.isfinite(eps).all() and np.max(np.abs(eps)) <= math.sqrt(3.0) * 1.31e154
+
+
+class TestStationaryStart:
+    """Every path starts from a pre-sample drawn from the stationary law."""
+
+    def test_near_unit_root_first_value_has_the_stationary_variance(self):
+        # gamma_0 = 1 / (1 - 0.999^2) = 500.25.  A zero start with a 500-step
+        # burn-in gives Var(x_1) = 500.25 (1 - 0.999^1002), about 317.
+        model, reps = ArModel((0.999,), 1.0), 20000
+        blocks = [block for block, _ in arselect.montecarlo._replicate(
+            model, 1, reps, (11,), lambda paths: list(paths[:, 0]))]
+        squares = np.concatenate(blocks) ** 2
+        gamma0 = autocovariances(model, 0).value(0)
+        std_error = squares.std(ddof=1) / math.sqrt(reps)
+        assert abs(squares.mean() - gamma0) <= 4.0 * std_error
+
+    def test_start_covariance_is_gamma_p(self):
+        rng = np.random.default_rng(19)
+        for _ in range(200):
+            model = random_stationary_model(rng, max_order=6)
+            root = arselect.montecarlo._stationary_root(model.coeffs)
+            gamma = autocovariances(model, model.order).gamma_matrix(model.order)
+            assert np.allclose(model.sigma2 * root.T @ root, gamma,
+                               rtol=0.0, atol=1e-9 * gamma[0, 0])
+
+    def test_double_root_next_to_the_unit_circle_simulates(self):
+        # The Yule-Walker guard rejects this accepted model (condition number
+        # 1.9e16); its start does not go through that guard.
+        model = ArModel((1.999999996, -0.9999999959999999))
+        with pytest.raises(SingularYuleWalkerError):
+            autocovariances(model, 1)
+        sim = simulate(model, 200, seed=1)
+        x, eps = sim.series.values, sim.innovations
+        assert np.isfinite(x).all()
+        assert np.array_equal(x[2:], eps[2:] + (1.999999996 * x[1:-1]
+                                                + (-0.9999999959999999) * x[:-2]))
+
+    @pytest.mark.parametrize("dist", ["normal", "uniform"])
+    def test_start_normals_come_after_the_innovations(self, dist):
+        # So a burn-in-500 path keeps the innovations of the zero-start simulator.
+        rng = np.random.default_rng((3, 1))
+        eps = (rng.standard_normal(502) if dist == "normal"
+               else rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), 502))
+        want = np.concatenate((eps, rng.standard_normal(2)))
+        got = arselect.montecarlo._draw_innovations((3, 1), 502, 2, 1.0, dist, None)
+        assert np.array_equal(got, want)
+        path = simulate(ArModel((0.9, -0.81)), 2, seed=(3, 1), burn_in=500, dist=dist)
+        assert np.array_equal(path.innovations, eps[500:])
+
+    def test_mspe_draws_n_plus_h_plus_p_per_replication(self, monkeypatch):
+        sizes = []
+        draw_innovations = arselect.montecarlo._draw_innovations
+
+        def spy(seed, size, start, *args):
+            sizes.append(size + start)
+            return draw_innovations(seed, size, start, *args)
+
+        monkeypatch.setattr(arselect.montecarlo, "_draw_innovations", spy)
+        mc_mspe(MODEL, 3, 2, Method.PLUGIN, 500, 40, 1)
+        assert sizes == [500 + 3 + 2] * 40
+
+    def test_zero_variance_keeps_a_zero_start(self):
+        assert not simulate(ArModel((0.999,)), 30, seed=1, sigma2=0.0).series.values.any()
 
 
 class TestMcMspe:
@@ -353,16 +422,17 @@ class TestExactSubsetLosses:
 
 def zero_first_draw(monkeypatch, *key):
     """Make the first draw of the replication keyed ``key`` (experiment key,
-    then replication) the all-zero path, on which every fit is singular;
-    returns the seeds drawn."""
+    then replication) the all-zero path, on which every fit is singular:
+    its innovations and its start normals are all zero.  Returns the seeds
+    drawn."""
     seeds = []
     draw_innovations = arselect.montecarlo._draw_innovations
 
-    def spy(seed, size, *args):
+    def spy(seed, size, start, *args):
         seeds.append(tuple(seed))
         if tuple(seed) in (key, (*key, 0)):
-            return np.zeros(size)
-        return draw_innovations(seed, size, *args)
+            return np.zeros(size + start)
+        return draw_innovations(seed, size, start, *args)
 
     monkeypatch.setattr(arselect.montecarlo, "_draw_innovations", spy)
     return seeds
@@ -404,7 +474,7 @@ class TestSingularDrawsAreRedrawn:
         assert seeds == [(4, 0, 0), (4, 1, 0), (4, 2, 0), (4, 3, 0), (4, 1, 1)]
 
 
-def block_rows(n, h, burn_in=500):
+def block_rows(n, h, burn_in=DEFAULT_BURN_IN):
     """Replications per block for paths of n + h observations."""
     return max(1, arselect.montecarlo._BLOCK_ELEMENTS // (burn_in + n + h))
 
@@ -519,9 +589,11 @@ class TestBlockDriver:
         draw_innovations = arselect.montecarlo._draw_innovations
         seeds = []
 
-        def spy(seed, size, *args):
+        def spy(seed, size, start, *args):
             seeds.append(tuple(seed))
-            return np.zeros(size) if seed[1] == 2 else draw_innovations(seed, size, *args)
+            if seed[1] == 2:  # innovations and start normals alike
+                return np.zeros(size + start)
+            return draw_innovations(seed, size, start, *args)
 
         monkeypatch.setattr(arselect.montecarlo, "_draw_innovations", spy)
         with pytest.raises(SingularMomentError,
@@ -547,18 +619,21 @@ class TestPinnedValues:
     """Hex values the driver gave when it drew, fitted and scored one
     replication at a time.  A batched form that rounds differently from
     the per-row one (a stacked plug-in recursion, an einsum moment) moves
-    them, where the loops above, which share the fit code, cannot tell."""
+    them, where the loops above, which share the fit code, cannot tell.
+    The cases at burn-in 500 also pin the innovation stream, which the
+    stationary start (drawn after the innovations) leaves as it was; the
+    others, and the ratio table, pin the start itself."""
 
     @pytest.mark.parametrize("coeffs, h, candidate, method, n, reps, seed, burn_in, dist, df, "
                              "mean, std_error", [
         ((0.9, -0.81), 2, (1, 1, 0, 1), "plugin", 150, 7, 5, 500, "normal", None,
          "0x1.6ca5e131ed159p-1", "0x1.c2e2315327be6p-3"),
         ((0.95,), 5, (1, 0, 0, 1), "plugin", 150, 7, 5, 37, "student-t", 9.5,
-         "0x1.f13806e51483dp+0", "0x1.bc48599699cbfp-1"),
+         "0x1.f10ff55aa27a0p+0", "0x1.bc837b35556d7p-1"),
         ((0.9, -0.81), 3, 2, "plugin", 120, 33, 5, 500, "uniform", None,
          "0x1.a10f700ec2e7cp+0", "0x1.68de8a5701887p-2"),
         ((0.5, -0.25), 3, (1, 0, 1), "direct", 60, 70, 9, 0, "normal", None,
-         "0x1.7984b8d608af3p+0", "0x1.08931e94489d7p-2"),
+         "0x1.77fd90be11addp+0", "0x1.0823eb29047efp-2"),
     ])
     def test_mc_mspe(self, coeffs, h, candidate, method, n, reps, seed, burn_in, dist, df,
                      mean, std_error):
@@ -569,7 +644,7 @@ class TestPinnedValues:
     def test_ratio_table_and_subset_losses(self):
         row = replicate_table1(n=80, reps=45, seed=3)[2]
         assert (row.ratio.hex(), row.std_error.hex()) == (
-            "0x1.1798181258bcfp+1", "0x1.5deec742ea02cp-1")
+            "0x1.03b76efdd8b09p+0", "0x1.9dbf06f43e164p-4")
         out = subset_losses(MODEL, 3, 3, 80, 45, 2)[0]
         assert (out[(1, 0, 1), Method.DIRECT].hex(), out[(1, 1, 1), Method.PLUGIN].hex()) == (
-            "0x1.b12a418f8c1f1p+2", "0x1.7ad9e1cdcf006p+2")
+            "0x1.bf28e87879e15p+2", "0x1.85c137b48a974p+2")

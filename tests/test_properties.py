@@ -16,6 +16,7 @@ for bit.  Fuzzes of ``arselect mspe``, ``theory``, ``simulate``,
 request to a documented exit code (and the ``mspe``, ``theory``,
 ``simulate`` and ``replicate-table1`` reports to strict JSON), and the ``np.loadtxt`` series
 reader is held to the row-by-row reader bit for bit and message for message.
+A written series, with or without innovations, reads back bit for bit.
 """
 import json
 import math
@@ -26,6 +27,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import arselect.ape
 import arselect.cli
@@ -44,7 +46,7 @@ from arselect import (
     subset_loss_table,
     subset_select,
 )
-from arselect.cli import main, read_series_csv
+from arselect.cli import main, read_series_csv, write_series_csv
 from arselect.errors import (
     ArSelectError,
     NoValidStartError,
@@ -455,7 +457,8 @@ def strict_json(text):
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(coeffs=st.sampled_from(["0.9,-0.81", "0.5", "-0.5,0.2,0.1", "0.3,0.2", "1.2", "0"]),
+@given(coeffs=st.sampled_from(["0.9,-0.81", "0.5", "-0.5,0.2,0.1", "0.3,0.2", "1.2", "0",
+                               "1.999999996,-0.9999999959999999"]),
        n=st.integers(0, 60), reps=st.integers(1, 5), horizon=st.integers(0, 5),
        burn_in=optional("--burn-in", st.integers(-1, 40)),
        candidate=st.one_of(st.integers(0, 4).map(lambda k: ["--order", str(k)]),
@@ -469,6 +472,8 @@ def strict_json(text):
        seed=st.integers(-1, 2 ** 64))
 @example(coeffs="0.9,-0.81", n=40, reps=5, horizon=3, burn_in=[], candidate=["--order", "2"],
          method="plugin", dist=[], df=[], sigma2=["--sigma2", "1e300"], seed=1)
+@example(coeffs="0.5", n=10, reps=2, horizon=1, burn_in=["--burn-in", "-11"],
+         candidate=["--order", "1"], method="direct", dist=[], df=[], sigma2=[], seed=1)
 def test_mspe_exits_with_a_documented_code(coeffs, n, reps, horizon, burn_in, candidate,
                                            method, dist, df, sigma2, seed, capsys):
     argv = ["mspe", f"--coeffs={coeffs}", "--n", str(n), "--reps", str(reps),
@@ -548,7 +553,8 @@ def test_theory_exits_with_a_documented_code(coeffs, sigma2, horizon, max_order,
 @settings(max_examples=120, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(command=st.sampled_from(["simulate", "replicate-table1"]),
-       coeffs=st.sampled_from(["0.9,-0.81", "0.5", "-0.5,0.2,0.1", "1.2", "0"]),
+       coeffs=st.sampled_from(["0.9,-0.81", "0.5", "-0.5,0.2,0.1", "1.2", "0",
+                               "1.999999996,-0.9999999959999999"]),
        n=st.integers(-1, 40), reps=st.integers(0, 4),
        burn_in=optional("--burn-in", st.integers(-1, 40)),
        dist=optional("--dist", st.sampled_from(["normal", "uniform", "student-t"])),
@@ -717,6 +723,34 @@ def test_loadtxt_reader_is_the_row_loop(text, tmp_path, monkeypatch):
         patch.setattr(arselect.cli, "_parse_body", lambda body, width: None)
         want = csv_outcome(str(path))
     assert got == want
+
+
+@st.composite
+def written_series(draw):
+    """(values, innovations or None): a simulated path with its innovations,
+    or any finite floats, subnormals and signed zeros included."""
+    with_eps = draw(st.booleans())
+    if draw(st.booleans()):
+        seed = draw(st.integers(0, 2 ** 32 - 1))
+        model = random_stationary_model(np.random.default_rng(seed), max_order=4)
+        path = simulate(model, draw(st.integers(1, 300)), seed=seed)
+        return path.series.values, path.innovations if with_eps else None
+    n = draw(st.integers(1, 40))
+    floats = arrays(np.float64, n, elements=st.floats(allow_nan=False, allow_infinity=False))
+    return draw(floats), draw(floats) if with_eps else None
+
+
+@SETTINGS
+@given(series=written_series())
+@example(series=(np.array([-0.0, 5e-324, -1.7976931348623157e308, 0.1]),
+                 np.array([0.0, -5e-324, 2.2250738585072014e-308, 1e-320])))
+def test_csv_round_trip_is_bit_exact(series, tmp_path):
+    values, eps = series
+    path = str(tmp_path / "series.csv")
+    write_series_csv(path, values, eps)
+    got, got_eps = read_series_csv(path)
+    assert got.values.tobytes() == values.tobytes()
+    assert (got_eps is None if eps is None else got_eps.tobytes() == eps.tobytes())
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None,
