@@ -15,10 +15,17 @@ the next attempt, at most three times.  The key is ``(seed,)`` for
 for model ``index`` of :func:`replicate_table1`.  For
 seeds below 2**64, ``(seed, r, 0)`` is the stream of ``(seed, r)``, as
 numpy's ``SeedSequence`` pads its entropy with zeros.
+
+A substream is the stream of ``np.random.default_rng`` of its key, bit for
+bit, but no generator is built per replication: a block's keys are hashed
+at once, by numpy's ``SeedSequence`` algorithm run over arrays, into PCG64
+states, and one generator draws every row from its row's state.  A single
+path (:func:`simulate`) is a block of one row.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -80,38 +87,140 @@ class SimPath:
     burn_in: int
 
 
-def _draw_innovations(seed, size: int, start: int, sigma2: float, dist: str,
-                      df: float | None) -> np.ndarray:
-    """One replication's draw from the substream ``seed``: ``size``
-    innovations, then ``start`` standard normals for the pre-sample state.
+# numpy's SeedSequence (a pool of four 32-bit words) and PCG64 seeding constants
+_MASK32 = 0xFFFF_FFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
 
-    The innovations come first, so they do not depend on ``start``.  A zero
-    ``sigma2`` draws nothing and returns zeros.
+
+def _entropy_words(seed) -> list[int]:
+    """The 32-bit words numpy's ``SeedSequence`` takes from ``seed``: each
+    non-negative integer little-endian, 0 as one word, sequences flattened."""
+    if isinstance(seed, (int, np.integer)):
+        seed = int(seed)
+        if seed < 0:
+            raise ValueError("expected non-negative integer")
+        return [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    if isinstance(seed, (float, np.inexact, str)):
+        raise TypeError(f"seed must be integer, not {seed!r}")
+    words = []
+    for part in seed:
+        if type(part) is int and 0 <= part <= _MASK32:  # one word, inline: the usual part
+            words.append(part)
+        else:
+            words += _entropy_words(part)
+    return words
+
+
+@functools.cache
+def _hash_constants(init: int, mult: int, count: int) -> np.ndarray:
+    """(count + 1, 1) successive hash multipliers ``init * mult**k`` mod 2**32,
+    read-only, since every caller shares them."""
+    out = [init]
+    for _ in range(count):
+        out.append(out[-1] * mult & _MASK32)
+    out = np.array(out, dtype=np.uint32)[:, None]
+    out.flags.writeable = False
+    return out
+
+
+def _hashmix(value: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's ``hashmix`` of ``value`` under each of ``len(consts) - 1``
+    successive multipliers, one row each."""
+    value = (value ^ consts[:-1]) * consts[1:]
+    value ^= value >> 16
+    return value
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """SeedSequence's ``mix`` of ``x`` and ``y``, elementwise."""
+    value = _MIX_MULT_L * x
+    value -= _MIX_MULT_R * y
+    value ^= value >> 16
+    return value
+
+
+def _pcg64_states(seeds: Sequence) -> list[dict]:
+    """The ``bit_generator.state`` of ``np.random.default_rng(seed)`` for each
+    seed, hashed as one block (a ``None`` seed takes fresh entropy).
+
+    This is numpy's documented ``SeedSequence`` mix run over every seed at
+    once: the hash multipliers depend only on a word's position, so each
+    step is one array operation over the seeds, and the three pool words a
+    source word updates are updated together.  PCG64's seeding step then
+    runs on Python integers.
+    """
+    words = [_entropy_words(np.random.SeedSequence().entropy if seed is None else seed)
+             for seed in seeds]
+    width = max([4, *map(len, words)])
+    entropy = np.array([row + [0] * (width - len(row)) for row in words],
+                       dtype=np.uint32).reshape(len(words), width).T
+    consts = _hash_constants(_INIT_A, _MULT_A, 4 * width)
+    pool = _hashmix(entropy[:4], consts[:5])
+    for src in range(4):  # every pool word into every other one
+        dst = [i for i in range(4) if i != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts[4 + 3 * src: 8 + 3 * src]))
+    lengths = np.array([len(row) for row in words])
+    for src in range(4, width):  # words past the pool into every pool word
+        mixed = _mix(pool, _hashmix(entropy[src], consts[4 * src: 4 * src + 5]))
+        pool = np.where(lengths > src, mixed, pool)
+    state = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _hash_constants(_INIT_B, _MULT_B, 8))
+    state = state.astype(np.uint64)
+    out = []
+    for hi, lo, inc_hi, inc_lo in (state[::2] | state[1::2] << 32).T.tolist():
+        inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
+        out.append({"bit_generator": "PCG64",
+                    "state": {"state": (inc + (hi << 64 | lo)) * _PCG64_MULT + inc & _MASK128,
+                              "inc": inc},
+                    "has_uint32": 0, "uinteger": 0})
+    return out
+
+
+def _draw_innovations(seeds: Sequence, size: int, start: int, sigma2: float, dist: str,
+                      df: float | None) -> np.ndarray:
+    """(len(seeds), size + start) draws, row r from the substream ``seeds[r]``:
+    ``size`` innovations, then ``start`` standard normals for the pre-sample
+    state.
+
+    The innovations come first, so they do not depend on ``start``.  Every
+    row draws from one generator whose state is set to its substream's, so
+    the rows are those of ``np.random.default_rng(seed)``.  A zero ``sigma2``
+    draws nothing and returns zeros.
     """
     if sigma2 == 0.0:
-        return np.zeros(size + start)
-    rng = np.random.default_rng(seed)
+        return np.zeros((len(seeds), size + start))
+    states = _pcg64_states(seeds)
     scale = math.sqrt(sigma2)
-    if dist == "normal":
-        # One call: numpy's normals do not depend on how a run is split.
-        out = rng.standard_normal(size + start)
-        out[:size] *= scale
-        return out
     if dist == "uniform":
         # sqrt(3 sigma2), which 3 sigma2 would overflow near the float maximum;
         # the two forms agree bit for bit wherever 0.75 sigma2 is normal.
         half_width = (2.0 * math.sqrt(0.75 * sigma2) if sigma2 > 1.0
                       else math.sqrt(3.0 * sigma2))
-        eps = rng.uniform(-half_width, half_width, size)
+        scale = 1.0  # the draws are at scale already; a product by 1 changes no bit
     elif dist == "student-t":
         dof = 12.0 if df is None else float(df)
         if not 8.0 < dof < math.inf:
             raise OutOfDomainError("student-t innovations need finite degrees "
                                    f"of freedom above 8, got {dof}")
-        eps = scale * math.sqrt((dof - 2.0) / dof) * rng.standard_t(dof, size)
-    else:
+        scale *= math.sqrt((dof - 2.0) / dof)
+    elif dist != "normal":
         raise ValueError(f"unknown innovation distribution {dist!r}")
-    return np.concatenate((eps, rng.standard_normal(start)))
+    draws = np.empty((len(seeds), size + start))
+    rng = np.random.Generator(np.random.PCG64(0))  # its state is set row by row
+    for row, state in zip(draws, states):
+        rng.bit_generator.state = state
+        if dist == "normal":
+            # One call: numpy's normals do not depend on how a run is split.
+            rng.standard_normal(out=row)
+            continue
+        row[:size] = (rng.uniform(-half_width, half_width, size) if dist == "uniform"
+                      else rng.standard_t(dof, size))
+        rng.standard_normal(out=row[size:])
+    draws[:, :size] *= scale
+    return draws
 
 
 #: Largest reflection coefficient a start is drawn with, in magnitude: a model
@@ -187,9 +296,7 @@ def _draw_rows(model: ArModel, n: int, seeds: Sequence, burn_in: int,
     from scipy.signal import lfilter  # deferred: loads SciPy on first use
 
     size, p = burn_in + n, model.order
-    draws = np.empty((len(seeds), size + p))
-    for row, seed in zip(draws, seeds):
-        row[:] = _draw_innovations(seed, size, p, variance, dist, df)
+    draws = _draw_innovations(seeds, size, p, variance, dist, df)
     eps, start = draws[:, :size], draws[:, size:]
     denom = np.concatenate(([1.0], -model.coeffs))
     # zi = start @ factor, one term at a time: a matrix product could round

@@ -84,7 +84,7 @@ class TestSimulate:
         # Bit for bit wherever 3 sigma2 is finite, subnormal sigma2 included.
         want = np.random.default_rng(4).uniform(-math.sqrt(3.0 * sigma2),
                                                 math.sqrt(3.0 * sigma2), 64)
-        got = arselect.montecarlo._draw_innovations(4, 64, 0, sigma2, "uniform", None)
+        got = arselect.montecarlo._draw_innovations([4], 64, 0, sigma2, "uniform", None)[0]
         assert got.tobytes() == want.tobytes()
 
     def test_uniform_innovations_near_the_float_maximum(self):
@@ -134,7 +134,7 @@ class TestStationaryStart:
         eps = (rng.standard_normal(502) if dist == "normal"
                else rng.uniform(-math.sqrt(3.0), math.sqrt(3.0), 502))
         want = np.concatenate((eps, rng.standard_normal(2)))
-        got = arselect.montecarlo._draw_innovations((3, 1), 502, 2, 1.0, dist, None)
+        got = arselect.montecarlo._draw_innovations([(3, 1)], 502, 2, 1.0, dist, None)[0]
         assert np.array_equal(got, want)
         path = simulate(ArModel((0.9, -0.81)), 2, seed=(3, 1), burn_in=500, dist=dist)
         assert np.array_equal(path.innovations, eps[500:])
@@ -143,9 +143,10 @@ class TestStationaryStart:
         sizes = []
         draw_innovations = arselect.montecarlo._draw_innovations
 
-        def spy(seed, size, start, *args):
-            sizes.append(size + start)
-            return draw_innovations(seed, size, start, *args)
+        def spy(seeds, *args):
+            draws = draw_innovations(seeds, *args)
+            sizes.extend(len(row) for row in draws)
+            return draws
 
         monkeypatch.setattr(arselect.montecarlo, "_draw_innovations", spy)
         mc_mspe(MODEL, 3, 2, Method.PLUGIN, 500, 40, 1)
@@ -180,9 +181,9 @@ def count_simulations(monkeypatch):
     calls = []
     draw_innovations = arselect.montecarlo._draw_innovations
 
-    def spy(seed, *args):
-        calls.append(tuple(seed))
-        return draw_innovations(seed, *args)
+    def spy(seeds, *args):
+        calls.extend(map(tuple, seeds))
+        return draw_innovations(seeds, *args)
 
     monkeypatch.setattr(arselect.montecarlo, "_draw_innovations", spy)
     return calls
@@ -402,6 +403,94 @@ class TestSubstreams:
         assert selection_frequency(MODEL, 3, 3, 200, 4, 8).redraws == 1
 
 
+def default_rng_draws(seeds, size, start, sigma2, dist, df):
+    """The reference block draw: one ``np.random.default_rng(seed)`` per row."""
+    rows = []
+    for seed in seeds:
+        rng, scale = np.random.default_rng(seed), math.sqrt(sigma2)
+        if dist == "normal":
+            row = rng.standard_normal(size + start)
+            row[:size] *= scale
+            rows.append(row)
+            continue
+        if dist == "uniform":
+            half_width = (2.0 * math.sqrt(0.75 * sigma2) if sigma2 > 1.0
+                          else math.sqrt(3.0 * sigma2))
+            eps = rng.uniform(-half_width, half_width, size)
+        else:
+            dof = 12.0 if df is None else float(df)
+            eps = scale * math.sqrt((dof - 2.0) / dof) * rng.standard_t(dof, size)
+        rows.append(np.concatenate((eps, rng.standard_normal(start))))
+    return np.array(rows)
+
+
+#: Seeds of 1, 2, 3, 4, 5, 7 and 8 entropy words; a key (seed, r, attempt)
+#: adds two, so the keys below span widths 1 to 10.
+WIDE_SEEDS = [0, 2**32 - 1, 2**32, 2**64 + 7, 2**96 + 1, 2**128 + 5, 2**200 + 3, 2**224]
+WIDE_KEYS = [key for seed in WIDE_SEEDS
+             for key in [seed, (seed,), *product([seed], (0, 3), range(4))]]
+
+
+class TestBlockSeeding:
+    """A block's substreams are hashed at once and drawn from one generator:
+    every row is still the stream of ``np.random.default_rng(seed)``."""
+
+    def test_keys_span_entropy_widths_one_to_nine(self):
+        widths = {len(arselect.montecarlo._entropy_words(key)) for key in WIDE_KEYS}
+        assert widths >= set(range(1, 10))
+
+    @pytest.mark.parametrize("dist, df", [("normal", None), ("uniform", None),
+                                          ("student-t", 9.5), ("student-t", None)])
+    @pytest.mark.parametrize("sigma2", [0.3, 1.0, 1e300])
+    def test_rows_are_the_default_rng_streams(self, dist, df, sigma2):
+        # One block mixes every width, so rows past the pool are masked apart.
+        got = arselect.montecarlo._draw_innovations(WIDE_KEYS, 40, 3, sigma2, dist, df)
+        want = default_rng_draws(WIDE_KEYS, 40, 3, sigma2, dist, df)
+        assert got.tobytes() == want.tobytes()
+
+    def test_states_are_the_default_rng_states(self):
+        keys = [*WIDE_KEYS, (), [1, [2, 3]], np.int64(7), (np.uint32(3), 2**40), (True, 3)]
+        for key, state in zip(keys, arselect.montecarlo._pcg64_states(keys)):
+            assert state == np.random.default_rng(key).bit_generator.state, key
+
+    def test_an_integer_seed_is_its_one_element_key(self):
+        for dist in ("normal", "uniform"):
+            a, b = (simulate(MODEL, 60, seed=seed, dist=dist) for seed in (5, (5,)))
+            assert a.series.values.tobytes() == b.series.values.tobytes()
+            assert a.innovations.tobytes() == b.innovations.tobytes()
+
+    def test_no_seed_draws_fresh_entropy(self):
+        a, b = (simulate(MODEL, 60, seed=None).series.values for _ in range(2))
+        assert np.isfinite(a).all() and not np.array_equal(a, b)
+
+    @pytest.mark.parametrize("seed", [-1, (3, -1), 1.5, (3, 2.5), np.float64(2.0)])
+    def test_bad_seeds_raise_as_default_rng_does(self, seed):
+        with pytest.raises(Exception) as want:
+            np.random.default_rng(seed)
+        with pytest.raises(want.type):
+            simulate(MODEL, 20, seed=seed)
+        if isinstance(seed, int):
+            with pytest.raises(want.type, match="expected non-negative integer"):
+                mc_mspe(MODEL, 3, 2, Method.PLUGIN, 60, 4, seed)
+
+    @pytest.mark.parametrize("seed", [1, 2**64 + 1])
+    def test_results_are_those_of_one_generator_per_row(self, seed, monkeypatch):
+        def run():
+            return (mc_mspe(MODEL, 3, 2, Method.PLUGIN, 150, 40, seed),
+                    mc_mspe(MODEL, 2, (1, 0, 1), Method.DIRECT, 80, 30, seed,
+                            dist="student-t", df=10.0),
+                    selection_frequency(MODEL, 3, 3, 200, 8, seed),
+                    selection_frequency(MODEL, 3, 3, 150, 6, seed, subset=True))
+
+        got = run()
+        monkeypatch.setattr(arselect.montecarlo, "_draw_innovations", default_rng_draws)
+        want = run()
+        for a, b in zip(got[:2], want[:2]):
+            assert (a.mean.hex(), a.std_error.hex(), a.redraws) == (
+                b.mean.hex(), b.std_error.hex(), b.redraws)
+        assert got[2:] == want[2:]
+
+
 class TestExactSubsetLosses:
     @pytest.mark.parametrize("coeffs, h, window, seed", [((0.9, -0.81), 3, 4, 1),
                                                          ((0.5, -0.25), 2, 3, 2),
@@ -428,11 +517,13 @@ def zero_first_draw(monkeypatch, *key):
     seeds = []
     draw_innovations = arselect.montecarlo._draw_innovations
 
-    def spy(seed, size, start, *args):
-        seeds.append(tuple(seed))
-        if tuple(seed) in (key, (*key, 0)):
-            return np.zeros(size + start)
-        return draw_innovations(seed, size, start, *args)
+    def spy(block, *args):
+        draws = draw_innovations(block, *args)
+        for row, seed in zip(draws, block):
+            seeds.append(tuple(seed))
+            if tuple(seed) in (key, (*key, 0)):
+                row[:] = 0.0
+        return draws
 
     monkeypatch.setattr(arselect.montecarlo, "_draw_innovations", spy)
     return seeds
@@ -589,11 +680,13 @@ class TestBlockDriver:
         draw_innovations = arselect.montecarlo._draw_innovations
         seeds = []
 
-        def spy(seed, size, start, *args):
-            seeds.append(tuple(seed))
-            if seed[1] == 2:  # innovations and start normals alike
-                return np.zeros(size + start)
-            return draw_innovations(seed, size, start, *args)
+        def spy(block, *args):
+            draws = draw_innovations(block, *args)
+            for row, seed in zip(draws, block):
+                seeds.append(tuple(seed))
+                if seed[1] == 2:  # innovations and start normals alike
+                    row[:] = 0.0
+            return draws
 
         monkeypatch.setattr(arselect.montecarlo, "_draw_innovations", spy)
         with pytest.raises(SingularMomentError,

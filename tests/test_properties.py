@@ -8,7 +8,9 @@ per-time probe written here, the lag-difference table to the
 per-pair cumulative columns it replaced, and the bordered solver's guards
 to the batched LU solver it replaced, and every fit its residual screen
 clears to the residual test it skips.  Scaling a series by a power of
-two scales every APE exactly, and a full mask is its dense order.  The
+two scales every APE exactly, and a full mask is its dense order.  A
+series built from a strided or reversed view is its contiguous copy, and
+rewriting the values after a step's target leaves that step's error.  The
 theory report, the loss table and the subset table's all-ones mask, which
 share one constants core, are held to the standalone excess constants bit
 for bit.  Fuzzes of ``arselect mspe``, ``theory``, ``simulate``,
@@ -433,6 +435,67 @@ def test_full_mask_is_the_dense_order(series, order, h):
             continue
         assert full.ape == dense.ape
         assert full.step_errors.tobytes() == dense.step_errors.tobytes()
+
+
+@st.composite
+def candidates(draw, max_lag=4):
+    """An order, or a lag mask with at least one lag."""
+    if draw(st.booleans()):
+        return draw(st.integers(1, max_lag))
+    bits = draw(st.lists(st.integers(0, 1), min_size=1, max_size=max_lag))
+    assume(any(bits))
+    return tuple(bits)
+
+
+@SETTINGS
+@given(series=stationary_series(max_n=300), stride=st.integers(1, 4), data=st.data(),
+       reverse=st.booleans(), h=st.integers(1, 4), candidate=candidates())
+def test_strided_series_is_its_contiguous_copy(series, stride, data, reverse, h, candidate):
+    # Lag slices are read as views of a series' buffer, so a series built
+    # from any strided or reversed view must behave as its contiguous copy.
+    values = series.values
+    offset = data.draw(st.integers(0, stride - 1))
+    buffer = np.zeros(values.size * stride + offset)
+    buffer[offset::stride] = values[::-1] if reverse else values
+    last = offset + (values.size - 1) * stride
+    view = buffer[last::-stride] if reverse else buffer[offset::stride]
+    assert np.array_equal(view, values)
+    strided, plain = Series(view), Series(values.copy())
+    start = outcome(lambda: start_index(plain, h, 4))
+    assert outcome(lambda: start_index(strided, h, 4)) == start
+    if not isinstance(start, type):
+        for ape in (ape_direct, ape_plugin):
+            got = outcome(lambda: ape(strided, h, candidate, start, keep_steps=True))
+            want = outcome(lambda: ape(plain, h, candidate, start, keep_steps=True))
+            if isinstance(want, type):
+                assert got is want
+                continue
+            assert got.ape == want.ape
+            assert got.step_errors.tobytes() == want.step_errors.tobytes()
+    for select in (select_predictor, subset_select):
+        assert outcome(lambda: select(strided, h, 3)) == outcome(lambda: select(plain, h, 3))
+
+
+@SETTINGS
+@given(series=stationary_series(max_n=300), h=st.integers(1, 4), candidate=candidates(),
+       data=st.data())
+def test_no_step_error_sees_past_its_target(series, h, candidate, data):
+    # The step at prefix i fits on x_1 .. x_i and forecasts x_{i+h}, values[i + h - 1]:
+    # rewriting every value after that target leaves the steps up to prefix i.
+    values = series.values
+    start = outcome(lambda: start_index(series, h, 4))
+    assume(not isinstance(start, type))
+    prefix = data.draw(st.integers(start, values.size - h))
+    tampered = values.copy()
+    tampered[prefix + h:] = data.draw(arrays(np.float64, values.size - prefix - h,
+                                             elements=st.floats(-1e3, 1e3)))
+    kept = prefix - start + 1  # steps at prefixes start .. prefix
+    for ape in (ape_direct, ape_plugin):
+        before = outcome(lambda: ape(series, h, candidate, start, keep_steps=True))
+        after = outcome(lambda: ape(Series(tampered), h, candidate, start, keep_steps=True))
+        if isinstance(before, type) or isinstance(after, type):
+            continue  # a fit singular somewhere along the series has no step errors
+        assert after.step_errors[:kept].tobytes() == before.step_errors[:kept].tobytes()
 
 
 def optional(flag, values):
