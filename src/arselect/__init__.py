@@ -27,7 +27,6 @@ from .errors import (
     SeriesOverflowError,
     SingularGammaError,
     SingularMomentError,
-    SingularYuleWalkerError,
     SubsetTooLargeError,
     TooFewObservationsError,
     UnderspecifiedOrderError,
@@ -87,7 +86,6 @@ from .theory import (
     optimal_direct_coeffs,
     plugin_excess_constant,
     required_masks,
-    spectral_radius,
     subset_loss_table,
     three_step_excess_ratio,
     underfit_ape_drift,

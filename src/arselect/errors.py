@@ -40,10 +40,6 @@ class OutOfDomainError(ValidationError):
 
 # --- population-level computations ------------------------------------------
 
-class SingularYuleWalkerError(NumericalError):
-    """The Yule-Walker system for the autocovariances is numerically singular."""
-
-
 class SingularGammaError(NumericalError):
     """A population autocovariance matrix failed the conditioning guard."""
 

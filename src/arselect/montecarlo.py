@@ -1,7 +1,8 @@
 """Simulation experiments: paths, MSPE estimates, and benchmark ratios.
 
 A path starts from a pre-sample state drawn from the model's stationary
-law, so no burn-in is needed (the default is none).  Each replication's
+law, factored from the same Levinson step-down that validates the model,
+so no burn-in is needed (the default is none).  Each replication's
 substream draws, in this order, the path's ``burn_in + n`` innovations and
 then ``p`` standard normals for its start: the innovations do not depend on
 the start.
@@ -39,6 +40,7 @@ from .methods import Method
 from .selection import select_predictor, subset_select
 from .theory import (
     ArModel,
+    _step_down,
     companion_matrix,
     horizon_variance,
     loss_table,
@@ -223,36 +225,24 @@ def _draw_innovations(seeds: Sequence, size: int, start: int, sigma2: float, dis
     return draws
 
 
-#: Largest reflection coefficient a start is drawn with, in magnitude: a model
-#: at the edge of stationarity can round to one on or past +-1.
-_KAPPA_MAX = float(np.nextafter(1.0, 0.0))
-
-
 def _stationary_root(coeffs: np.ndarray) -> np.ndarray:
     """(p, p) S with ``S' S = Gamma_p / sigma2``: ``z @ S``, for p standard
     normals z, is a pre-sample ``(x_0, ..., x_{1-p})``, newest first, drawn
     from the stationary law at unit innovation variance.
 
-    The Levinson recursion run backwards gives the order-k predictors phi_k
-    and reflection coefficients kappa_k of the coefficients.  The pre-sample
-    is drawn oldest first: each value is its order-k prediction from the k
-    values before it plus an innovation of variance
-    ``1 / prod_{i > k} (1 - kappa_i^2)``.  So no Yule-Walker solve, and no
-    guard on one, stands between an accepted model and its start.  A kappa
-    that rounding puts on or past +-1 is drawn as the nearest float inside.
+    The pre-sample is drawn oldest first from the model's step-down
+    (:func:`~arselect.theory._step_down`), which ``ArModel`` ran to accept
+    the model: each value is its order-k prediction phi_k from the k values
+    before it plus an innovation of variance ``1 / prod_{i > k} (1 -
+    kappa_i^2)``.
     """
+    phis, ratios = _step_down(coeffs)
     p = coeffs.size
-    phis, gaps = [coeffs], []  # phi_p .. phi_0, and 1 - kappa_k^2 for k = p .. 1
-    for _ in range(p):
-        phi = phis[-1]
-        kappa = min(max(float(phi[-1]), -_KAPPA_MAX), _KAPPA_MAX)
-        gaps.append((1.0 - kappa) * (1.0 + kappa))
-        phis.append((phi[:-1] + kappa * phi[-2::-1]) / gaps[-1])
-    scales = 1.0 / np.sqrt(np.cumprod(gaps)[::-1])
+    scales = 1.0 / np.sqrt(ratios)
     root = np.zeros((p, p))  # oldest first until the last line
     for k in range(p):
         if k:
-            root[:, k] = root[:, k - 1::-1] @ phis[p - k]
+            root[:, k] = root[:, k - 1::-1] @ phis[k]
         root[k, k] = scales[k]
     return root[:, ::-1]
 

@@ -33,7 +33,6 @@ from .errors import (
     NonStationaryError,
     OutOfDomainError,
     SingularGammaError,
-    SingularYuleWalkerError,
     SubsetTooLargeError,
     UnderspecifiedOrderError,
     ZeroLeadCoefficientError,
@@ -54,7 +53,6 @@ __all__ = [
     "LossTable",
     "DriftResult",
     "companion_matrix",
-    "spectral_radius",
     "iterate_plugin_coeffs",
     "ma_coefficients",
     "horizon_variance",
@@ -105,9 +103,33 @@ def companion_matrix(coeff_vec) -> np.ndarray:
     return mat
 
 
-def spectral_radius(matrix) -> float:
-    """Largest eigenvalue modulus of a square matrix."""
-    return float(np.max(np.abs(np.linalg.eigvals(np.asarray(matrix, dtype=float)))))
+def _step_down(coeffs: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """``(phis, ratios)`` of the Levinson recursion run backwards: the one map
+    from coefficients to second-order structure.  ``phis[k]`` is the order-k
+    predictor phi_k, newest lag first (``phis[p]`` is ``coeffs``), whose last
+    entry is the reflection coefficient kappa_k; ``ratios[k] = prod_{i > k}
+    (1 - kappa_i^2)``, k < p, is sigma2 over the order-k prediction-error
+    variance.
+
+    Schur-Cohn: the coefficients are stationary exactly when every |kappa_k|
+    is below one.  The first kappa from k = p down that is not finite or not
+    below ``1 - STATIONARITY_MARGIN`` in magnitude raises
+    :class:`NonStationaryError` naming it, so no divisor is below about
+    ``2 * STATIONARITY_MARGIN``.
+    """
+    bound = 1.0 - STATIONARITY_MARGIN
+    phis, gaps = [coeffs], []  # phi_p .. phi_0, and 1 - kappa_k^2 for k = p .. 1
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite kappa fails below
+        for k in range(coeffs.size, 0, -1):
+            phi = phis[-1]
+            kappa = float(phi[-1])
+            if not abs(kappa) < bound:
+                raise NonStationaryError(
+                    f"reflection coefficient kappa_{k} = {kappa!r} is not below "
+                    f"{bound!r} in magnitude")
+            gaps.append((1.0 - kappa) * (1.0 + kappa))
+            phis.append((phi[:-1] + kappa * phi[-2::-1]) / gaps[-1])
+    return phis[::-1], np.cumprod(gaps)[::-1]
 
 
 @dataclass(frozen=True)
@@ -128,7 +150,8 @@ class ArModel:
     NonPositiveVarianceError
         If ``sigma2 <= 0``.
     NonStationaryError
-        If the companion spectral radius reaches ``1 - STATIONARITY_MARGIN``.
+        If a reflection coefficient is not finite or reaches
+        ``1 - STATIONARITY_MARGIN`` in magnitude (:func:`_step_down`).
     """
 
     coeffs: np.ndarray
@@ -148,11 +171,7 @@ class ArModel:
         if coeffs[-1] == 0.0:
             raise ZeroLeadCoefficientError(
                 "last coefficient is zero; drop it and declare the true order")
-        radius = spectral_radius(companion_matrix(coeffs))
-        if radius >= 1.0 - STATIONARITY_MARGIN:
-            raise NonStationaryError(
-                f"companion spectral radius {radius:.12g} is not below "
-                f"{1.0 - STATIONARITY_MARGIN}")
+        _step_down(coeffs)
 
     @property
     def order(self) -> int:
@@ -244,38 +263,22 @@ def _toeplitz(column: np.ndarray) -> np.ndarray:
 def autocovariances(model: ArModel, max_lag: int) -> AutocovarianceTable:
     """Autocovariances of the model up to ``max_lag``.
 
-    The first ``p + 1`` values solve the Yule-Walker system; the rest
-    follow from the recursion ``gamma_j = sum_i a_i gamma_{j-i}``.  A
-    subnormal ``sigma2``, or one whose autocovariances overflow, raises
-    ``OutOfDomainError``.
+    From the step-down (:func:`_step_down`), ``gamma_0 = sigma2 /
+    prod_k (1 - kappa_k^2)`` and ``gamma_k = phi_k . (gamma_{k-1}, ...,
+    gamma_0)`` for ``k <= p``; the rest follow from the model recursion
+    ``gamma_j = sum_i a_i gamma_{j-i}``.  A subnormal ``sigma2``, or one
+    whose autocovariances overflow, raises ``OutOfDomainError``.
     """
     if max_lag < 0:
         raise ValueError("max_lag must be >= 0")
-    a = model.coeffs
+    phis, ratios = _step_down(model.coeffs)
     p = model.order
-    upto = max(max_lag, p)
-
-    system = np.zeros((p + 1, p + 1))
-    rhs = np.zeros(p + 1)
-    system[0, 0] = 1.0
-    for i in range(1, p + 1):
-        system[0, i] -= a[i - 1]
-    rhs[0] = model.sigma2
-    for j in range(1, p + 1):
-        system[j, j] += 1.0
-        for i in range(1, p + 1):
-            system[j, abs(j - i)] -= a[i - 1]
-    _check_condition(system, SingularYuleWalkerError, "Yule-Walker system")
-    try:
-        head = np.linalg.solve(system, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularYuleWalkerError(str(exc)) from exc
-
-    gamma = np.zeros(upto + 1)
-    gamma[: p + 1] = head
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is checked below
-        for j in range(p + 1, upto + 1):
-            gamma[j] = float(np.dot(a, gamma[j - p: j][::-1]))
+    gamma = np.zeros(max(max_lag, p) + 1)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # checked below
+        gamma[0] = model.sigma2 / ratios[0]
+        for j in range(1, gamma.size):
+            phi = phis[min(j, p)]
+            gamma[j] = float(np.dot(phi, gamma[j - phi.size: j][::-1]))
     # The pivots of Gamma(k) are prediction-error variances, none below
     # sigma2, so a subnormal sigma2 would cost the solves their precision.
     if not (np.isfinite(gamma).all() and model.sigma2 >= np.finfo(float).tiny):

@@ -9,8 +9,9 @@ coefficients count as zero, and how ties are resolved.
 #: zero (e.g. when reading off the order of an h-step projection).
 TOL_ZERO = 1e-10
 
-#: A coefficient vector is accepted as stationary only if the spectral
-#: radius of its companion matrix is below 1 minus this margin.
+#: A coefficient vector is accepted as stationary only if each of its
+#: reflection coefficients (the Schur-Cohn test) is below 1 minus this
+#: margin in magnitude.
 STATIONARITY_MARGIN = 1e-9
 
 #: Maximum relative residual tolerated on a normal-equation solve.

@@ -75,14 +75,19 @@ class TestSeriesFiles:
         assert eps is None
         assert len(series.values) == 40
 
-    def test_simulate_double_root_next_to_the_unit_circle(self, tmp_path):
-        # An accepted model whose Yule-Walker system fails its guard.
+    def test_simulate_double_root_next_to_the_unit_circle(self, tmp_path, capsys):
+        # A double root at 0.9999 is accepted (kappa_1 = 1 - 5e-9); the
+        # floats 1.999999996, -0.9999999959999999 have an exact unit root.
         target = tmp_path / "root.csv"
-        code = run_cli("simulate", "--coeffs=1.999999996,-0.9999999959999999", "--n", "200",
+        code = run_cli("simulate", "--coeffs=1.9998,-0.99980001", "--n", "200",
                        "--seed", "1", "--output", str(target))
         assert code == 0
         series, _ = read_series_csv(str(target))
         assert series.values.size == 200 and np.isfinite(series.values).all()
+        capsys.readouterr()
+        assert run_cli("simulate", "--coeffs=1.999999996,-0.9999999959999999", "--n", "200",
+                       "--seed", "1", "--output", str(tmp_path / "unit.csv")) == 2
+        assert "kappa_1" in capsys.readouterr().err
 
     def test_malformed_header_is_validation_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -367,7 +372,7 @@ class TestExitCodes:
         leaves = {name: cls for name, cls in vars(errors).items()
                   if isinstance(cls, type) and issubclass(cls, bases[0])
                   and cls not in bases}
-        assert len(leaves) == 15
+        assert len(leaves) == 14
         for name, cls in leaves.items():
             is_validation = issubclass(cls, errors.ValidationError)
             assert is_validation != issubclass(cls, errors.NumericalError), name

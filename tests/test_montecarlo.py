@@ -27,7 +27,6 @@ import arselect.montecarlo
 from arselect.errors import (
     OutOfDomainError,
     SingularMomentError,
-    SingularYuleWalkerError,
     TooFewObservationsError,
 )
 from arselect.estimation import Series, forecast
@@ -37,7 +36,7 @@ from arselect.selection import select_predictor, subset_select
 from arselect.theory import companion_matrix, required_masks
 from arselect.tolerances import DEFAULT_BURN_IN
 
-from conftest import random_stationary_model
+from conftest import ILL_CONDITIONED, exact_autocovariances, random_stationary_model
 
 MODEL = ArModel((0.9, -0.81), 1.0)
 
@@ -107,25 +106,27 @@ class TestStationaryStart:
         assert abs(squares.mean() - gamma0) <= 4.0 * std_error
 
     def test_start_covariance_is_gamma_p(self):
+        # Against autocovariances, which share the step-down, and against an
+        # exact Yule-Walker solve, which does not.
         rng = np.random.default_rng(19)
-        for _ in range(200):
-            model = random_stationary_model(rng, max_order=6)
+        for model in [ILL_CONDITIONED] + [random_stationary_model(rng, max_order=6)
+                                          for _ in range(200)]:
             root = arselect.montecarlo._stationary_root(model.coeffs)
+            cov = model.sigma2 * root.T @ root
             gamma = autocovariances(model, model.order).gamma_matrix(model.order)
-            assert np.allclose(model.sigma2 * root.T @ root, gamma,
-                               rtol=0.0, atol=1e-9 * gamma[0, 0])
+            assert np.allclose(cov, gamma, rtol=0.0, atol=1e-9 * gamma[0, 0])
+            exact = exact_autocovariances(model.coeffs, model.sigma2, model.order - 1)
+            lags = np.arange(model.order)
+            want = np.array([float(g) for g in exact])[np.abs(lags[:, None] - lags)]
+            assert np.max(np.abs(cov - want)) < 5e-12 * want[0, 0]
 
     def test_double_root_next_to_the_unit_circle_simulates(self):
-        # The Yule-Walker guard rejects this accepted model (condition number
-        # 1.9e16); its start does not go through that guard.
-        model = ArModel((1.999999996, -0.9999999959999999))
-        with pytest.raises(SingularYuleWalkerError):
-            autocovariances(model, 1)
+        # A double root at 0.9999: kappa_1 = 1 - 5e-9, gamma_0 = 2.5e11.
+        model = ArModel((1.9998, -0.99980001))
         sim = simulate(model, 200, seed=1)
         x, eps = sim.series.values, sim.innovations
         assert np.isfinite(x).all()
-        assert np.array_equal(x[2:], eps[2:] + (1.999999996 * x[1:-1]
-                                                + (-0.9999999959999999) * x[:-2]))
+        assert np.array_equal(x[2:], eps[2:] + (1.9998 * x[1:-1] + (-0.99980001) * x[:-2]))
 
     @pytest.mark.parametrize("dist", ["normal", "uniform"])
     def test_start_normals_come_after_the_innovations(self, dist):

@@ -51,6 +51,7 @@ from arselect import (
 from arselect.cli import main, read_series_csv, write_series_csv
 from arselect.errors import (
     ArSelectError,
+    NonStationaryError,
     NoValidStartError,
     SeriesOverflowError,
     SingularMomentError,
@@ -64,7 +65,7 @@ from arselect.estimation import (
 )
 from arselect.tolerances import COND_GUARD, TOL_LIN
 
-from conftest import random_stationary_model
+from conftest import near_unit_root_coeffs, random_stationary_model
 
 SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
                     database=None,
@@ -582,8 +583,8 @@ def test_theory_constants_are_the_standalone_constants(seed, h, data, capsys):
     assert subsets.direct[ones].hex() == table.direct[max_order].hex()
 
 
-# A double root at 0.99973: the Yule-Walker system passes its guard, and
-# Gamma(k) fails its own from k = 6 on (exit 3).
+# A double root at 0.99973: the model is accepted, and Gamma(k) fails its
+# guard from k = 6 on (exit 3).
 SINGULAR_GAMMA = "1.999464406779661,-0.9994644784946853"
 
 
@@ -642,6 +643,35 @@ def test_simulate_and_replicate_table1_exit_with_a_documented_code(
     assert "Traceback" not in captured.err
     if code == 0:
         strict_json(open(f"{path}.json").read() if command == "simulate" else captured.out)
+
+
+@SETTINGS
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_near_unit_root_models_get_an_answer_or_a_typed_error(seed, tmp_path, capsys):
+    # Roots within 1e-12 .. 1e-1 of the unit circle.  A model the
+    # reflection-coefficient rule accepts simulates to finite values, and
+    # its theory and MSPE answer or exit 3; a rejected one exits 2 everywhere.
+    coeffs = near_unit_root_coeffs(np.random.default_rng(seed))
+    accepted = outcome(lambda: ArModel(coeffs)) is not NonStationaryError
+    text, p, path = ",".join(map(repr, coeffs)), len(coeffs), tmp_path / "near.csv"
+    for argv, codes in (
+            (["theory", f"--coeffs={text}", "--horizon", "3", "--max-order", str(p + 1)],
+             {0, 3}),
+            (["simulate", f"--coeffs={text}", "--n", "100", "--seed", str(seed),
+              "--output", str(path)], {0}),
+            (["mspe", f"--coeffs={text}", "--horizon", "3", "--order", str(p), "--method",
+              "plugin", "--n", "100", "--reps", "5", "--seed", str(seed)], {0, 3})):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = exit_code(argv)
+        assert not caught
+        captured = capsys.readouterr()
+        assert code in (codes if accepted else {2}), (argv[0], captured.err)
+        assert "Traceback" not in captured.err
+        if code == 0 and argv[0] == "simulate":
+            assert np.isfinite(read_series_csv(str(path))[0].values).all()
+        elif code == 0:
+            strict_json(captured.out)
 
 
 def screened_fits(patch):

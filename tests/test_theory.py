@@ -25,7 +25,6 @@ from arselect import (
     optimal_direct_coeffs,
     plugin_excess_constant,
     required_masks,
-    spectral_radius,
     subset_loss_table,
     three_step_excess_ratio,
     underfit_ape_drift,
@@ -43,7 +42,13 @@ from arselect.errors import (
 from arselect.methods import Method
 from arselect.theory import _all_masks, _check_condition, _toeplitz
 
-from conftest import TEST_MODELS, curve_model, random_stationary_model
+from conftest import (
+    ILL_CONDITIONED,
+    TEST_MODELS,
+    curve_model,
+    exact_autocovariances,
+    random_stationary_model,
+)
 
 BALANCE_ROOT = -0.5497712740472172  # where the two three-step losses tie
 
@@ -63,10 +68,36 @@ class TestModelValidation:
         with pytest.raises(NonPositiveVarianceError):
             ArModel((0.5,), 0.0)
 
-    def test_spectral_radius_of_companion(self):
-        # AR(1) companion radius is |a1| itself
-        assert spectral_radius(companion_matrix(np.array([-0.7]))) == \
-            pytest.approx(0.7, abs=1e-12)
+    def test_exact_unit_root_next_to_a_double_root_is_rejected(self):
+        # 1 - a1 - a2 is exactly 0 in these floats: the roots are 1 and
+        # 0.999999996, and kappa_1 rounds to 1.000000002.
+        with pytest.raises(NonStationaryError, match="kappa_1 = "):
+            ArModel((1.999999996, -0.9999999959999999))
+
+    @pytest.mark.parametrize("coeffs, k", [((1.5, 0.9), 1), ((0.1, 0.2, 1.0), 3),
+                                           ((0.2, -1.5, 0.5), 2)])
+    def test_error_names_the_first_failing_kappa(self, coeffs, k):
+        # The step-down runs from kappa_p down and stops at the first failure.
+        with pytest.raises(NonStationaryError) as info:
+            ArModel(coeffs)
+        message = str(info.value)
+        assert f"kappa_{k} = " in message and "0.999999999" in message
+
+    @pytest.mark.parametrize("coeffs, stationary", [
+        ((1e308, 0.99), False),  # kappa_1 overflows to inf
+        ((1e308, -1e308, 0.5), False),
+        ((1.7e308,), False),
+        ((-1.7e308, 1.7e308), False),
+        ((0.5, 1e-320), True),  # a subnormal kappa_2
+    ])
+    def test_extreme_coefficients_decide_without_a_warning(self, coeffs, stationary):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if stationary:
+                ArModel(coeffs)
+            else:
+                with pytest.raises(NonStationaryError):
+                    ArModel(coeffs)
 
 
 class TestMovingAverageWeights:
@@ -102,6 +133,25 @@ class TestAutocovariances:
                 direct = model.sigma2 * float(np.dot(b[: b.size - j], b[j:]))
                 worst = max(worst, abs(direct - table.value(j)))
         assert worst < 1e-9
+
+    def test_matches_exact_yule_walker_on_an_ill_conditioned_model(self):
+        # cond(Gamma_6) = 7.6e6 (random_stationary_model, max order 6,
+        # default_rng(5), draw 602).  A floating-point Yule-Walker solve
+        # erred by 2.4e-11 of gamma_0 here, the step-up by 6.6e-13.
+        exact = exact_autocovariances(ILL_CONDITIONED.coeffs, ILL_CONDITIONED.sigma2, 12)
+        got = autocovariances(ILL_CONDITIONED, 12).gamma
+        assert max(abs(float(g - e)) for g, e in zip(got.tolist(), exact)) \
+            < 5e-12 * float(exact[0])
+
+    def test_matches_exact_yule_walker_on_generated_models(self, rng):
+        worst = 0.0
+        for _ in range(100):
+            model = random_stationary_model(rng, max_order=6)
+            exact = exact_autocovariances(model.coeffs, model.sigma2, 10)
+            got = autocovariances(model, 10).gamma
+            worst = max(worst, max(abs(float(g - e)) for g, e in zip(got.tolist(), exact))
+                        / float(exact[0]))
+        assert worst < 1e-12
 
     def test_gamma_matrix_is_toeplitz_spd(self):
         table = autocovariances(ArModel((0.6, -0.36), 1.0), 6)
