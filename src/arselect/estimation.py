@@ -17,9 +17,10 @@ skips where it cannot fire, and whole-series and streamed fits add a
 floor on the least relative pivot in place of a condition-number ceiling.
 The public batch fits (:func:`fit_one_step`, :func:`fit_direct`,
 :func:`fit_plugin` and their lag-subset variants) work on a whole series,
-and :func:`forecast` applies them; each is the one-row case of
-:func:`_fit_rows`, which stacks each row of a block of series as one column
-and which the Monte Carlo driver runs a block at a time.  The prefix fits
+and :func:`forecast` applies them as one sequential sum over the lags; each
+is the one-row case of :func:`_fit_rows`, which stacks each row of a block
+of series as one column and which the Monte Carlo driver runs a block at a
+time.  The prefix fits
 read :class:`_CrossProducts`, one table of cumulative cross products with a
 row per lag difference (K + h rows for max lag K at horizon h), through one
 pair-entry gather, :meth:`_CrossProducts.pairs`.  :class:`_BorderedSolver`
@@ -211,9 +212,7 @@ def _fit_rows(block: np.ndarray, h: int, lags: tuple[int, ...], width: int,
             embedded = np.zeros((one.shape[0], width))
             embedded[:, [lag - 1 for lag in lags]] = one
             one = embedded
-        if h == 1:
-            return one, faults
-        return np.array([iterate_plugin_coeffs(row, h) for row in one]), faults
+        return iterate_plugin_coeffs(one, h), faults
     (rows, n), k, j0 = block.shape, len(lags), lags[-1]
     _require_windows(n, h, j0)
     if rows == 1:
@@ -273,8 +272,19 @@ def predict_with(series: Series, coeffs: np.ndarray) -> float:
     if k > series.n:
         raise TooFewObservationsError(
             f"need {k} observations for an order-{k} forecast, have {series.n}")
-    lag = series.values[series.n - k:][::-1]
-    return float(lag @ coeffs)
+    return float(_lag_sum(series.values[None], range(1, k + 1), coeffs[None])[0])
+
+
+def _lag_sum(block: np.ndarray, lags: Sequence[int], coeffs: np.ndarray) -> np.ndarray:
+    """(rows,) forecasts ``sum_j coeffs[:, j] x_{n+1-lags[j]}`` of each row of a
+    (rows, n) block, summed from zero one lag at a time in the order of
+    ``lags``: the rounding of numpy's dot over a reversed lag window, so an
+    order, its full mask and a row alone or in a block agree bit for bit."""
+    n = block.shape[1]
+    out = np.zeros(block.shape[0])
+    for lag, column in zip(lags, coeffs.T):
+        out += block[:, n - lag] * column
+    return out
 
 
 def masked_fit_direct(series: Series, h: int, lags: Sequence[int]) -> np.ndarray:
@@ -319,18 +329,13 @@ def _check_forecast(n: int, h: int, candidate, method: Method,
 
 
 def _forecast_rows(block: np.ndarray, h: int, candidate, method: Method,
-                   ) -> tuple[list[float], dict[int, str]]:
-    """:func:`forecast` from every row of a (rows, n) block, and the guard
-    message of each row whose fit failed (its forecast is nan)."""
-    n = block.shape[1]
-    lags, width, label, plugin = _check_forecast(n, h, candidate, method)
+                   ) -> tuple[np.ndarray, dict[int, str]]:
+    """(rows,) :func:`forecast` from every row of a (rows, n) block, and the
+    guard message of each row whose fit failed (its forecast is nan).  A
+    plug-in fit weighs every lag of its window, a direct one its own lags."""
+    lags, width, _, plugin = _check_forecast(block.shape[1], h, candidate, method)
     coeffs, faults = _fit_rows(block, h, lags, width, plugin)
-    if plugin or isinstance(label, int):
-        return [float(row[n - width:][::-1] @ c) for row, c in zip(block, coeffs)], faults
-    # A gathered copy and the reversed window view round differently in
-    # the dot product; orders use the view, as predict_with does.
-    picks = [lag - 1 for lag in lags]
-    return [float(row[::-1][picks] @ c) for row, c in zip(block, coeffs)], faults
+    return _lag_sum(block, _order_lags(width) if plugin else lags, coeffs), faults
 
 
 def forecast(series: Series, h: int, candidate, method: Method) -> float:
@@ -343,7 +348,7 @@ def forecast(series: Series, h: int, candidate, method: Method) -> float:
     forecasts, faults = _forecast_rows(series.values[None], h, candidate, method)
     if faults:
         raise SingularMomentError(faults[0])
-    return forecasts[0]
+    return float(forecasts[0])
 
 
 # ---------------------------------------------------------------------------
@@ -702,13 +707,12 @@ def sequential_fitter(series: Series, h: int, max_order: int,
         for t, i in enumerate(range(lo, hi + 1)):
             fits: dict[int, LsFit] = {}
             try:
-                for k, counts, gammas, one, direct, faults in orders:
+                for k, counts, gammas, one, plugin, direct, faults in orders:
                     fault = faults[0].get(t) or faults[1].get(t)
                     if fault:
                         raise SingularMomentError(fault)
-                    a_plugin = one[t] if h == 1 else iterate_plugin_coeffs(one[t], h)
                     fits[k] = LsFit(horizon=h, order=k, gamma_hat=gammas[t],
-                                    a_one_step=one[t], a_plugin=a_plugin,
+                                    a_one_step=one[t], a_plugin=plugin[t],
                                     a_direct=direct[t], n_used=int(counts[t]))
             except SingularMomentError:
                 if well_defined_from is not None and i >= well_defined_from:
@@ -721,14 +725,17 @@ def sequential_fitter(series: Series, h: int, max_order: int,
 def _prefix_fits(solver: _BorderedSolver, h: int, lo: int, hi: int) -> tuple:
     """The fits of the dense order ``solver`` has just visited, on prefixes
     ``lo..hi``, for :func:`sequential_fitter`: (k, window counts, sample
-    moments, one-step and direct coefficient rows, and each horizon's guard
-    messages by row)."""
+    moments, one-step, plug-in and direct coefficient rows, and each
+    horizon's guard messages by row).  The plug-in rows are one stacked
+    iteration of the one-step rows, those that failed as nan."""
     k = len(solver.lags)
     counts = np.arange(lo, hi + 1) - h - k + 1
     gammas = solver.table.moments(range(k), k, range(lo - h, hi - h + 1))
     gammas /= counts[:, None, None]
     one, one_faults = solver.fit(0)
     one = _lags_ascending(one)
+    one[list(one_faults)] = np.nan
     direct, direct_faults = solver.fit(1)
     direct = _lags_ascending(direct)
-    return k, counts, gammas, one, direct, (one_faults, direct_faults)
+    return (k, counts, gammas, one, iterate_plugin_coeffs(one, h), direct,
+            (one_faults, direct_faults))

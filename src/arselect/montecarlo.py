@@ -323,12 +323,14 @@ def simulate(model: ArModel, n: int, seed, burn_in: int = DEFAULT_BURN_IN,
 # the replication driver
 
 #: Path elements (burn-in included) one block of replications may hold:
-#: 128 KiB of float64 per block array, whatever the number of replications
-#: (32 rows at n = 500 without burn-in, 16 with a 500-step one).  With the
-#: 500-step burn-in, blocks of twice this size ran the ``mc-study``
-#: benchmark 5% faster but raised its peak RSS by 2% (2-core x86-64 Linux,
-#: numpy 2.4, scipy 1.17).
-_BLOCK_ELEMENTS = 1 << 14
+#: 512 KiB of float64 per block array, whatever the number of replications
+#: (130 rows at n = 500 without burn-in, 65 with a 500-step one).  A block
+#: is fitted, iterated and forecast as arrays over its rows, so most of its
+#: scoring cost is fixed per block.  On the ``mc-study`` benchmark (2-core
+#: x86-64 Linux, numpy 2.4, scipy 1.17) this size ran about 105 operations
+#: per second against 89 at 1 << 15, at the same peak RSS; 1 << 17 was
+#: slower in-process.
+_BLOCK_ELEMENTS = 1 << 16
 
 
 def _replicate(model: ArModel, length: int, reps: int, key: tuple, score,
@@ -390,7 +392,7 @@ def _squared_errors(model: ArModel, h: int, n: int, reps: int, key: tuple,
         forecasts, faults = [], {}
         for candidate, method in pairs:
             got, failed = _forecast_rows(block[:, :n], h, candidate, method)
-            forecasts.append(got)
+            forecasts.append(got.tolist())
             faults = {**failed, **faults}
         out = []
         for r, path in enumerate(block):
@@ -457,10 +459,14 @@ def mc_mspe(model: ArModel, h: int, candidate, method: Method, n: int,
     method = Method(method)
     squares, redraws = _squared_errors(model, h, n, reps, (seed,), [(candidate, method)],
                                        lambda path: path[n + h - 1], burn_in, dist, df)
-    sq = squares[:, 0]
+    # The moments of the squares in units of the power of two 2^e <= sigma2,
+    # scaled back: the spread of squares near the float maximum overflows,
+    # and a power of two divides and multiplies every rounding step exactly.
+    unit = math.ldexp(1.0, math.frexp(model.sigma2)[1] - 1)
+    sq = squares[:, 0] / unit
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        mean = float(sq.mean())
-        std_error = float(sq.std(ddof=1)) / math.sqrt(reps)
+        mean = float(sq.mean()) * unit
+        std_error = float(sq.std(ddof=1)) * unit / math.sqrt(reps)
     if not (math.isfinite(mean) and math.isfinite(std_error)):
         raise OutOfDomainError(f"MSPE estimate is not finite at sigma2 = {model.sigma2!r}")
     return MspeEstimate(horizon=h, candidate=_resolve_candidate(candidate)[2],

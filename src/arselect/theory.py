@@ -326,19 +326,23 @@ def optimal_direct_coeffs(table: AutocovarianceTable, h: int, k: int) -> np.ndar
 def iterate_plugin_coeffs(one_step: np.ndarray, h: int) -> np.ndarray:
     """Map one-step coefficients to their h-step plug-in iterate.
 
-    Applies the transposed companion matrix ``h - 1`` times; for
-    ``h = 1`` the input is returned unchanged.  Equivalently this is the
-    first row of the h-th companion-matrix power.
+    ``one_step`` is one vector ``(a_1, ..., a_k)`` or a ``(..., k)`` stack
+    of them.  Each of the ``h - 1`` steps applies the transposed companion
+    matrix as one elementwise recursion over the stack, ``b <- a b_1``
+    and then ``b_c += b'_{c+1}`` for the previous iterate ``b'``: one
+    product and one sum per entry, with no matrix product, so an entry's
+    bits depend neither on the size of the stack nor on a BLAS kernel.
+    The result is the first row of the h-th companion-matrix power; for
+    ``h = 1`` the input is returned unchanged.
     """
     if h < 1:
         raise ValueError("horizon must be >= 1")
-    vec = np.atleast_1d(np.asarray(one_step, dtype=float))
-    if h == 1:
-        return vec
-    comp_t = companion_matrix(vec).T
-    out = vec
+    coeffs = np.atleast_1d(np.asarray(one_step, dtype=float))
+    out = coeffs
     for _ in range(h - 1):
-        out = comp_t @ out
+        prev = out
+        out = coeffs * prev[..., :1]
+        out[..., :-1] += prev[..., 1:]
     return out
 
 

@@ -337,15 +337,39 @@ class TestMspeCommand:
         assert code == 2
         assert capsys.readouterr().err == "error: n must be >= 1\n"
 
-    @pytest.mark.parametrize("sigma2", ["1e200", "1e300"])
-    def test_overflowing_estimate_is_out_of_domain(self, capsys, sigma2):
-        # The squared errors' spread overflows before their mean does.
+    @staticmethod
+    def _mspe_at(capsys, sigma2):
         code = run_cli("mspe", "--coeffs", "0.9,-0.81", "--horizon", "3", "--order", "2",
                        "--method", "plugin", "--n", "100", "--reps", "50", "--seed", "1",
                        "--sigma2", sigma2)
-        assert code == 2
-        assert capsys.readouterr().err == (
-            f"error: OutOfDomainError: MSPE estimate is not finite at sigma2 = {float(sigma2)!r}\n")
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    @pytest.mark.parametrize("sigma2", ["1e200", "1e300"])
+    def test_large_sigma2_gives_a_finite_estimate(self, capsys, sigma2):
+        # The squares' spread would overflow; their moments are formed in
+        # units of a power of two near sigma2.
+        unit = json.loads(self._mspe_at(capsys, "1")[1])
+        code, out, _ = self._mspe_at(capsys, sigma2)
+        assert code == 0
+        report = json.loads(out)
+        for key in ("mean", "std_error"):
+            assert report[key] / float(sigma2) == pytest.approx(unit[key], rel=1e-9)
+
+    def test_power_of_two_sigma2_scales_the_estimate_exactly(self, capsys):
+        # Every path, forecast and square scales by a power of two exactly.
+        unit = json.loads(self._mspe_at(capsys, "1")[1])
+        code, out, _ = self._mspe_at(capsys, repr(2.0 ** 600))
+        assert code == 0
+        report = json.loads(out)
+        assert (report["mean"], report["std_error"]) == (
+            unit["mean"] * 2.0 ** 600, unit["std_error"] * 2.0 ** 600)
+
+    def test_overflowing_series_is_numerical(self, capsys):
+        # Past about 1e305 the paths' cross products overflow first.
+        code, _, err = self._mspe_at(capsys, "1e307")
+        assert code == 3
+        assert err.startswith("error: SeriesOverflowError: series overflows")
 
     def test_candidate_flags_are_exclusive(self, capsys):
         both = run_cli("mspe", "--coeffs", "0.9,-0.81", "--horizon", "2",

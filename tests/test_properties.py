@@ -8,12 +8,12 @@ per-time probe written here, the lag-difference table to the
 per-pair cumulative columns it replaced, and the bordered solver's guards
 to the batched LU solver it replaced, and every fit its residual screen
 clears to the residual test it skips.  Scaling a series by a power of
-two scales every APE exactly, and a full mask is its dense order.  A
-series built from a strided or reversed view is its contiguous copy, and
-rewriting the values after a step's target leaves that step's error.  The
-theory report, the loss table and the subset table's all-ones mask, which
-share one constants core, are held to the standalone excess constants bit
-for bit.  Fuzzes of ``arselect mspe``, ``theory``, ``simulate``,
+two scales every APE exactly, and a full mask is its dense order, in its
+APEs and its whole-series forecast.  A series built from a strided or
+reversed view is its contiguous copy, and rewriting the values after a
+step's target leaves that step's error.  The theory report, the loss table
+and the subset table's all-ones mask, which share one constants core, are
+held to the standalone excess constants bit for bit.  Fuzzes of ``arselect mspe``, ``theory``, ``simulate``,
 ``replicate-table1``, ``select`` and ``bic`` hold every accepted or rejected
 request to a documented exit code (and the ``mspe``, ``theory``,
 ``simulate`` and ``replicate-table1`` reports to strict JSON), and the ``np.loadtxt`` series
@@ -36,6 +36,7 @@ import arselect.cli
 import arselect.theory
 from arselect import (
     ArModel,
+    Method,
     Series,
     ape_direct,
     ape_plugin,
@@ -60,8 +61,12 @@ from arselect.errors import (
 from arselect.estimation import (
     _Bordering,
     _CrossProducts,
+    fit_direct,
+    fit_plugin,
+    forecast,
     masked_fit_direct,
     masked_fit_plugin,
+    predict_with,
 )
 from arselect.tolerances import COND_GUARD, TOL_LIN
 
@@ -436,6 +441,26 @@ def test_full_mask_is_the_dense_order(series, order, h):
             continue
         assert full.ape == dense.ape
         assert full.step_errors.tobytes() == dense.step_errors.tobytes()
+
+
+@SETTINGS
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(20, 300), order=st.integers(1, 6),
+       h=st.integers(1, 5), normals=st.booleans())
+def test_full_mask_forecast_is_the_dense_order(seed, n, order, h, normals):
+    # Order k, its mask 1^k and (plug-in) the mask 1^k 0 on one more lag
+    # forecast bit for bit alike, and an order is predict_with of its fit.
+    rng = np.random.default_rng(seed)
+    series = (Series(rng.standard_normal(n)) if normals else
+              simulate(random_stationary_model(rng, max_order=4), n, seed=seed).series)
+    assume(n >= h + order + 2)
+    for method, fit in ((Method.DIRECT, fit_direct), (Method.PLUGIN, fit_plugin)):
+        dense = outcome(lambda: forecast(series, h, order, method))
+        masks = [(1,) * order] + [(1,) * order + (0,)] * (method is Method.PLUGIN)
+        for mask in masks:
+            full = outcome(lambda: forecast(series, h, mask, method))
+            assert full is dense if isinstance(dense, type) else full.hex() == dense.hex()
+        if not isinstance(dense, type):
+            assert dense.hex() == predict_with(series, fit(series, h, order)).hex()
 
 
 @st.composite

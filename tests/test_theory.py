@@ -194,6 +194,38 @@ class TestProjectionCoefficients:
         row = np.linalg.matrix_power(companion_matrix(one_step), 3)[0]
         assert np.allclose(iterate_plugin_coeffs(one_step, 3), row,
                            atol=1e-14)
+        rng = np.random.default_rng(33)
+        worst = 0.0
+        for k in range(1, 9):
+            for h in range(1, 9):
+                for one_step in rng.uniform(-1.0, 1.0, (25, k)) / k:
+                    want = np.linalg.matrix_power(companion_matrix(one_step), h)[0]
+                    got = iterate_plugin_coeffs(one_step, h)
+                    worst = max(worst, float(np.max(np.abs(got - want)) / np.max(np.abs(want))))
+        assert worst <= 1e-12
+
+    def test_stacked_iteration_is_the_row_by_row_iteration(self):
+        rng = np.random.default_rng(31)
+        for k in range(1, 7):
+            stack = rng.uniform(-1.0, 1.0, (3, 5, k))
+            for h in (1, 2, 3, 6):
+                got = iterate_plugin_coeffs(stack, h)
+                assert got.shape == stack.shape
+                for index in np.ndindex(3, 5):
+                    assert iterate_plugin_coeffs(stack[index], h).tobytes() == \
+                        got[index].tobytes()
+
+    def test_iteration_is_invariant_under_zero_padding(self):
+        # A plug-in mask embeds its fit in a wider window with zeros.
+        rng = np.random.default_rng(32)
+        for k in range(1, 6):
+            for pad in (1, 3):
+                for h in (2, 3, 5):
+                    one_step = rng.uniform(-1.0, 1.0, (20, k))
+                    padded = np.concatenate((one_step, np.zeros((20, pad))), axis=1)
+                    got = iterate_plugin_coeffs(padded, h)
+                    assert np.array_equal(got[:, :k], iterate_plugin_coeffs(one_step, h))
+                    assert not got[:, k:].any()
 
     def test_curve_models_collapse_to_order_one_at_three_steps(self):
         for coeffs in TEST_MODELS:
