@@ -13,12 +13,14 @@ Every candidate's prefix fits come from the walk of the bordered solver of
 ``estimation``: :func:`family_apes` visits a whole family and
 :func:`ape_direct` and :func:`ape_plugin` visit one candidate with the same
 operations, so the two agree bit for bit.  One former makes every error
-from lag slices of the series: a direct forecast is one step of it, and a
-plug-in forecast iterates the one-step fit on its own forecasts.
+from lag slices of the series, each step's lag rows one gather: a direct
+forecast is one step of it, and a plug-in forecast iterates the one-step
+fit on its own forecasts, its first step the one-step forecast itself.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -112,39 +114,49 @@ def _probe(table: _CrossProducts, h: int, max_order: int) -> int:
 
 def _ape(errors: np.ndarray) -> float:
     """Sum of squared errors; one that overflows is an error, not an APE."""
+    return _apes(errors[None], np.empty((1, errors.size)))[0]
+
+
+def _apes(errors: np.ndarray, squares: np.ndarray) -> list[float]:
+    """:func:`_ape` of each row of ``errors`` (each the pairwise sum of a
+    1-D row), checked in row order; ``squares`` (``errors`` itself, say)
+    takes the squares."""
     with np.errstate(over="ignore", invalid="ignore"):
-        ape = float(np.sum(errors ** 2))
-    if not np.isfinite(ape):
-        raise SeriesOverflowError(
-            f"series overflows: an accumulated prediction error is {ape}")
-    return ape
+        apes = np.add.reduce(np.square(errors, out=squares), axis=1).tolist()
+    for ape in apes:
+        if not math.isfinite(ape):
+            raise SeriesOverflowError(
+                f"series overflows: an accumulated prediction error is {ape}")
+    return apes
 
 
-def _lag_rows(values: np.ndarray, width: int, first: int, count: int) -> np.ndarray:
-    """(width, count) view of lag slices: row c, column t is x_{i-c} for the
-    prefix i = first + t >= width."""
+def _slices(values: np.ndarray, count: int) -> np.ndarray:
+    """(n - count + 1, count) view: row e is ``values[e: e + count]``."""
     step = values.itemsize
-    return np.ndarray((width, count), buffer=values, offset=(first - 1) * step,
-                      strides=(-step, step))
+    return np.ndarray((values.size - count + 1, count), buffer=values, strides=(step, step))
 
 
-def _errors(values: np.ndarray, coeffs: np.ndarray, lags: Sequence[int], h: int,
-            steps: int, first: int, scratch: np.ndarray) -> np.ndarray:
-    """h-step errors of per-prefix coefficients on ``lags`` (one row each),
-    column t applied to the newest lags of the prefix ``first + t`` and then
-    to its own forecasts, ``steps`` times in all: one step for a direct fit,
-    h for a plug-in one-step fit (its companion matrix, with zeros for the
-    lags it leaves out, applied h-1 times).  The lag rows of each step are
-    copied into the flat buffer ``scratch``."""
-    count = coeffs.shape[1]
-    window = _lag_rows(values, max(lags), first, count)
-    known = scratch[:len(lags) * count].reshape(len(lags), count)
-    forecasts: list[np.ndarray] = []
-    for step in range(steps):  # forecasts[s] is of x_{i+h-steps+s+1}
-        for row, lag in zip(known, lags):
-            row[:] = forecasts[step - lag] if lag <= step else window[lag - 1 - step]
+def _forecast(values: np.ndarray, coeffs: np.ndarray, lags: Sequence[int], steps: int,
+              first: int, lead: np.ndarray | None = None) -> np.ndarray:
+    """Forecasts of per-prefix coefficients on ``lags`` (one row each), column t
+    applied to the newest lags of the prefix ``first + t`` and then to its own
+    forecasts, ``steps`` times in all: one step for a direct fit, h for a
+    plug-in one-step fit (its companion matrix, with zeros for the lags it
+    leaves out, applied h-1 times).  Each step gathers its lag rows from the
+    series in one index and then puts its own earlier forecasts in the rows of
+    lags that reach them.  ``lead``, if given, is the first step's forecasts:
+    the one-step forecasts of the same coefficients."""
+    slices = _slices(values, coeffs.shape[1])
+    forecasts = [] if lead is None else [lead]  # forecasts[s] is of x_{i+h-steps+s+1}
+    for step in range(len(forecasts), steps):
+        # Row j holds x_{i+1+step-lags[j]}, for lags[j] > step.
+        known = slices[np.subtract(first + step, lags)]
+        for j, lag in enumerate(lags):
+            if lag <= step:
+                known[j] = forecasts[step - lag]
         forecasts.append(np.einsum("jt,jt->t", coeffs, known))
-    return values[first + h - 1: first + h - 1 + count] - forecasts[-1]
+        del known  # before the next step's rows
+    return forecasts[-1]
 
 
 def _accumulate(series: Series, h: int, candidate, start: int,
@@ -162,8 +174,8 @@ def _accumulate(series: Series, h: int, candidate, start: int,
                              [(h if direct else 1, start, n - h)])
     for _ in solver.visit([lags]):
         coeffs = solver.solve(0)
-    errors = _errors(series.values, coeffs, solver.lags, h, 1 if direct else h, start,
-                     solver.work.reshape(-1))
+    errors = series.values[start + h - 1:] - _forecast(series.values, coeffs, solver.lags,
+                                                         1 if direct else h, start)
     return ApeResult(horizon=h, candidate=label, method=method, start=start,
                      ape=_ape(errors), n=n,
                      step_errors=errors if keep_steps else None)
@@ -195,20 +207,26 @@ def _candidate_apes(values: np.ndarray, solver: _BorderedSolver, candidate, h: i
     ``solver`` has just descended to.
 
     The one-step rows, solved from the earlier start, give the one-step
-    APE and, sliced at ``start_h``, the plug-in APE; at h=1 they give all
-    three.  The direct rows are solved after both.
+    APE and, sliced at ``start_h``, the plug-in APE, whose first step is
+    the one-step forecast; at h=1 they give all three.  The direct rows are
+    solved after both, and the direct and plug-in sums are one reduction.
+    Errors are raised in the order of the per-candidate calls: the one-step
+    fit and APE, then the direct fit and APE, then the plug-in APE.
     """
     lags, n = solver.lags, values.size
     lo = min(start_one, start_h)
-    scratch = solver.work.reshape(-1)
     one = solver.solve(0)
-    one_step = _ape(_errors(values, one, lags, 1, 1, lo, scratch)[start_one - lo:])
+    ahead = _forecast(values, one, lags, 1, lo)  # of x_{i+1}, i = lo..n-1
+    one_step = _ape(values[start_one:] - ahead[start_one - lo:])
     if h == 1:
         return one_step, one_step, one_step
-    plugin = _errors(values, one[:, start_h - lo: n - h + 1 - lo], lags, h, h, start_h,
-                     scratch)
-    direct = _errors(values, solver.solve(1), lags, h, 1, start_h, scratch)
-    return one_step, _ape(direct), _ape(plugin)
+    cut = slice(start_h - lo, n - h + 1 - lo)
+    targets = values[start_h + h - 1:]
+    errors = np.empty((2, targets.size))  # direct, plug-in
+    np.subtract(targets, _forecast(values, one[:, cut], lags, h, start_h, ahead[cut]),
+                out=errors[1])
+    np.subtract(targets, _forecast(values, solver.solve(1), lags, 1, start_h), out=errors[0])
+    return (one_step, *_apes(errors, errors))
 
 
 def _walk_family(table: _CrossProducts, candidates: Sequence, lags: Sequence, h: int,
@@ -216,10 +234,12 @@ def _walk_family(table: _CrossProducts, candidates: Sequence, lags: Sequence, h:
     """Every candidate's (one-step, direct, plug-in) APE from one solver, given
     each candidate's lags.
 
-    The candidates are taken in the order of the solver's visit, and errors
-    are raised in that order; the solver's columns serve the one-step fits
-    on prefixes ``min(start_one, start_h)..n-1`` and, at h > 1, the direct
-    fits on ``start_h..n-h``.
+    The candidates are taken one at a time in the order of the solver's
+    visit, and errors are raised in that order, as soon as a candidate's
+    fits or sums fail; the solver's columns serve the one-step fits on
+    prefixes ``min(start_one, start_h)..n-1`` and, at h > 1, the direct fits
+    on ``start_h..n-h``.  The walk holds the state of the current path only
+    (see ``estimation._Bordering``).
     """
     n = table.values.size
     spans = [(1, min(start_one, start_h), n - 1)]

@@ -22,11 +22,13 @@ is the one-row case of :func:`_fit_rows`, which stacks each row of a block
 of series as one column and which the Monte Carlo driver runs a block at a
 time.  The prefix fits
 read :class:`_CrossProducts`, one table of cumulative cross products with a
-row per lag difference (K + h rows for max lag K at horizon h), through one
-pair-entry gather, :meth:`_CrossProducts.pairs`.  :class:`_BorderedSolver`
-reads the entries each step needs from it on demand, so one depth-first
-walk per top lag serves every mask and both horizons without a moment
-stack, and a dense order k is the single path (k, 1, ..., k-1).
+row per lag difference (K + h rows for max lag K at horizon h): the window
+sums of any set of entries are one gather of their slices of the flat table
+less their values at the window start (:func:`_window_sums`).
+:class:`_BorderedSolver` reads the entries each step needs from it on
+demand, so one depth-first walk per top lag serves every mask and both
+horizons without a moment stack, and a dense order k is the single path
+(k, 1, ..., k-1).
 :func:`sequential_fitter` exposes the prefix fits as a
 per-time stream.
 """
@@ -129,6 +131,10 @@ _SCREEN = TOL_LIN / (16 * np.finfo(float).eps)
 #: its residual stays far from overflow and from the subnormal numbers,
 #: whose absolute rounding the relative bound above does not cover.
 _RANGE = 1e100
+
+#: The reductions of the guards, called as ufunc methods: ``_max(x)`` is
+#: ``x.max()`` without the method's Python wrapper.
+_min, _max = np.minimum.reduce, np.maximum.reduce
 
 
 def _order_lags(k: int) -> tuple[int, ...]:
@@ -381,20 +387,18 @@ class _CrossProducts:
         if not np.isfinite(self._table[np.r_[:max_offset + 1, horizon:rows], -1]).all():
             raise _overflow_error(values, "cumulative cross products")
 
-    def pairs(self, left: np.ndarray, right: np.ndarray, j0: int, uppers: range,
-              out: np.ndarray) -> np.ndarray:
-        """Moment sums of the offset pairs ``(left[i], right[i])`` for windows
-        j = j0..u into ``out``: one row per pair, one column per upper."""
-        first = np.abs(left - right) * self._table.shape[1] - np.minimum(left, right)
-        return self._entries(first, j0, uppers, out)
+    def pair_entries(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """Flat-table entry of the moment sums of each (broadcast) offset pair
+        ``(left, right)`` at upper 0: row ``|left - right|``, shifted by the
+        smaller offset."""
+        return np.abs(left - right) * self._table.shape[1] - np.minimum(left, right)
 
     def moments(self, offsets: Sequence[int], j0: int, uppers: range) -> np.ndarray:
         """(uppers, m, m) moment-sum matrices of ``offsets`` for windows j = j0..u,
         every entry of every upper gathered by one index (the stacks are short:
         a probe step's windows, or one sequential block)."""
         column = np.asarray(offsets)
-        first = (np.abs(column[:, None] - column) * self._table.shape[1]
-                 - np.minimum(column[:, None], column))
+        first = self.pair_entries(column[:, None], column)
         flat = self._table.reshape(-1)
         return flat[np.asarray(uppers)[:, None, None] + first] - flat[j0 - 1 + first]
 
@@ -405,14 +409,35 @@ class _CrossProducts:
         self._entries((np.asarray(offsets) + hh) * self._table.shape[1] + hh, j0, uppers, out)
 
     def _entries(self, first: np.ndarray, j0: int, uppers: range,
-                 out: np.ndarray) -> np.ndarray:
-        """Entry ``first`` of each window j0..u into ``out``: one row per entry,
-        each a slice of the flat table less one entry, and one column per upper."""
+                 out: np.ndarray | None = None) -> np.ndarray:
+        """Entry ``first`` of each window j0..u into ``out`` or a new array, one
+        row per entry and one column per upper (see :func:`_window_sums`)."""
+        return _window_sums(self.slices(len(uppers)), *self.bounds(first, j0, uppers[0]), out)
+
+    def bounds(self, first: np.ndarray, j0: int, lower: int) -> tuple[np.ndarray, np.ndarray]:
+        """For each entry ``first``: the row of :meth:`slices` holding its values
+        from the upper ``lower`` on, and its value at ``j0 - 1`` (on a
+        trailing axis), the two terms of :func:`_window_sums`."""
+        return lower + first, self._table.reshape(-1)[j0 - 1 + first][..., None]
+
+    def slices(self, size: int) -> np.ndarray:
+        """View of the flat table whose row e is its entries e..e + size - 1."""
         flat = self._table.reshape(-1)
-        for row, entry in zip(out, first.tolist()):
-            np.subtract(flat[uppers[0] + entry: uppers[-1] + entry + 1], flat[j0 - 1 + entry],
-                        out=row)
-        return out
+        step = flat.itemsize
+        return np.ndarray((flat.size - size + 1, size), buffer=flat, strides=(step, step))
+
+
+def _window_sums(slices: np.ndarray, starts: np.ndarray, bases: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """Rows ``slices[starts]`` less ``bases`` into ``out`` or a new array: one
+    gather of each entry's slice of the flat table, less the entry at j0 - 1
+    (the subtractions of a loop over the entries, in one call)."""
+    rows = slices[starts]
+    rows -= bases
+    if out is None:
+        return rows
+    out[...] = rows
+    return out
 
 
 def _lags_ascending(beta: np.ndarray) -> np.ndarray:
@@ -452,6 +477,17 @@ class _Bordering:
     the same loop over at least two columns whatever the columns, horizons
     or walk: a path's coefficients do not depend on what else shares the
     stack.
+
+    The unit of the walk is one path: :meth:`descend` borders the factor
+    with one lag in about twenty array calls over every column (the new
+    lag's cross moments are one gather; ``c.c`` and each horizon's ``c.z``
+    are one contraction), and the guards' column-wide verdicts are taken
+    once per path, for every horizon (:meth:`_verdict`).  The walk holds the
+    factor, ``z``, the traces and one row stack of scratch, and no state of
+    paths other than the current one: stacking a node's children would hold
+    each child's factor row, ``z`` and traces until the walk reached it,
+    about 1.7 MB at a window of 8 lags and 1000 observations, where the
+    walk's own arrays take about 1 MB.
     """
 
     def __init__(self, moment: np.ndarray | None, rhs: np.ndarray,
@@ -460,19 +496,25 @@ class _Bordering:
         capacity, count = rhs.shape[1:]
         self.moment, self.rhs, self.horizons = moment, rhs, list(horizons)
         self.factor = np.zeros((capacity, capacity, count))
-        self.z = np.empty_like(rhs)
+        # Row 0 is scratch, descend's projection c = U b and then fit's beta;
+        # rows 1.. hold z, one per horizon.  descend takes c.c and every c.z
+        # in one contraction, into ``sums``, whose row 0 is the pivot.
+        self.stack = np.empty((1 + len(rhs), capacity, count))
+        self.beta, self.z = self.stack[0], self.stack[1:]
+        self.sums = np.empty((1 + len(rhs), count))
+        self.pivot = self.sums[0]
         self.trace, self.trace_inv = np.empty((2, capacity, count))
         self.floor = floor
         self.least = np.empty((capacity, count)) if floor else None
-        # Scratch, reused by every call: beta and two row stacks.
-        self.beta, self.work, self.spare = np.empty((3, capacity, count))
-        self.pivot, self.scale, self.bound = np.empty((3, count))
+        self.scale, self.bound = np.empty((2, count))
         self.node: tuple[int, ...] = ()
         self.path = np.empty(0, dtype=np.intp)
+        self.verdict: tuple[bool, bool] | None = None
 
-    def _gather(self, left: np.ndarray, right: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Moment entries of the position pairs ``(left[i], right[i])`` into
-        ``out``, one row per pair."""
+    def _gather(self, left: np.ndarray, right: np.ndarray,
+                out: np.ndarray | None = None) -> np.ndarray:
+        """Moment entries of the position pairs ``(left[i], right[i])``, one row
+        per pair, into ``out`` or a new array."""
         capacity, count = self.rhs.shape[1:]
         return self.moment.reshape(-1, count).take(left * capacity + right, axis=0, out=out,
                                                    mode="clip")
@@ -489,14 +531,14 @@ class _Bordering:
     def descend(self, path: tuple[int, ...]) -> None:
         """Border the factor of ``path[:-1]`` with the lag at ``path[-1]``."""
         k = len(path) - 1
-        self.node, self.path = path, np.array(path)
+        self.node, self.path, self.verdict = path, np.array(path), None
         factor, inv = self.factor[:k, :k], self.factor[k, k]
         pivot, least = self.pivot, self.least
         # The new lag's cross moments with its parent's lags, then its own.
-        cross = self._gather(self.path[-1], self.path, self.work[:k + 1])
+        cross = self._gather(self.path[-1], self.path)
         with np.errstate(all="ignore"):
-            np.copyto(self.trace[k], cross[k])
             if not k:
+                np.copyto(self.trace[0], cross[0])
                 np.sqrt(cross[0], out=inv)
                 np.copyto(pivot, cross[0])
                 if least is not None:
@@ -505,14 +547,15 @@ class _Bordering:
                 np.multiply(inv, inv, out=self.trace_inv[0])
                 np.multiply(self.rhs[:, path[0]], inv, out=self.z[:, 0])
                 return
-            self.trace[k] += self.trace[k - 1]
-            proj = np.einsum("ajt,jt->at", factor, cross[:k], out=self.spare[:k])  # c = U b
-            np.einsum("jt,jt->t", proj, proj, out=pivot)
-            np.subtract(cross[k], pivot, out=pivot)
+            np.add(cross[k], self.trace[k - 1], out=self.trace[k])
+            proj = np.einsum("ajt,jt->at", factor, cross[:k], out=self.beta[:k])  # c = U b
+            sums = np.einsum("jt,hjt->ht", proj, self.stack[:, :k], out=self.sums)
+            np.subtract(cross[k], pivot, out=pivot)  # pivot is sums[0] = c.c
             np.sqrt(pivot, out=inv)
             if least is not None:
                 np.divide(pivot, cross[k], out=least[k])
                 np.minimum(least[k - 1], least[k], out=least[k])
+            del cross
             np.divide(1.0, inv, out=inv)
             row = self.factor[k, :k]  # g = U' c, stored as -g/d
             np.einsum("ajt,at->jt", factor, proj, out=row)
@@ -522,8 +565,7 @@ class _Bordering:
             np.einsum("jt,jt->t", row, row, out=self.trace_inv[k])
             self.trace_inv[k] += self.trace_inv[k - 1]
             z = self.z[:, k]
-            np.einsum("jt,hjt->ht", proj, self.z[:, :k], out=z)
-            np.subtract(self.rhs[:, path[-1]], z, out=z)
+            np.subtract(self.rhs[:, path[-1]], sums[1:], out=z)
             z *= inv
 
     def fit(self, horizon: int) -> tuple[np.ndarray, dict[int, str]]:
@@ -545,28 +587,30 @@ class _Bordering:
         k = path.size - 1
         name, first, rows = self.horizons[horizon]
         faults: dict[int, str] = {}
-        pivot = self.pivot[rows]
-        least = None if self.least is None else self.least[k, rows]
-        if not (pivot.min() > 0.0 and pivot.max() < np.inf
-                and (least is None or least.min() >= self.floor)):
-            for t in np.flatnonzero(~((pivot > 0.0) & (pivot < np.inf))):
-                faults[int(t)] = f"{name}: singular moment matrix{_at(first, t)}"
-            for t in ([] if least is None else np.flatnonzero(~(least >= self.floor))):
-                faults.setdefault(int(t), f"{name}: ill-conditioned moment matrix"
-                                          f"{_at(first, t)} (least relative pivot "
-                                          f"{least[t]:.3e})")
-        rhs, work = self.rhs[horizon], self.work[:k + 1]
+        rhs = self.rhs[horizon]
         with np.errstate(all="ignore"):
+            if not self._verdict(k)[0]:
+                pivot = self.pivot[rows]
+                least = None if self.least is None else self.least[k, rows]
+                if not (pivot.min() > 0.0 and pivot.max() < np.inf
+                        and (least is None or least.min() >= self.floor)):
+                    for t in np.flatnonzero(~((pivot > 0.0) & (pivot < np.inf))):
+                        faults[int(t)] = f"{name}: singular moment matrix{_at(first, t)}"
+                    for t in ([] if least is None else np.flatnonzero(~(least >= self.floor))):
+                        faults.setdefault(int(t), f"{name}: ill-conditioned moment matrix"
+                                                  f"{_at(first, t)} (least relative pivot "
+                                                  f"{least[t]:.3e})")
             beta = np.einsum("ijt,it->jt", self.factor[:k + 1, :k + 1], self.z[horizon, :k + 1],
                              out=self.beta[:k + 1])
             if not faults and self._cleared(k, rows):
                 return beta[:, rows], faults
-            np.abs(beta, out=work).max(axis=0, out=self.scale)
+            work = np.abs(beta)
+            work.max(axis=0, out=self.scale)
             rhs.take(path, axis=0, out=work, mode="clip")
             np.abs(work, out=work).max(axis=0, out=self.bound)
             span = np.zeros_like(self.scale)  # the largest |moment entry| of the path
             for a in range(k + 1):  # the residual, one row of the path's moments at a time
-                row = self._gather(path[a], path, self.spare[:k + 1])
+                row = self._gather(path[a], path)
                 np.einsum("jt,jt->t", row, beta, out=work[a])
                 work[a] -= rhs[path[a]]
                 np.maximum(span, np.abs(row, out=row).max(axis=0), out=span)
@@ -584,18 +628,38 @@ class _Bordering:
                         f"(relative residual {residual[t] / scale[t]:.3e})"))
         return beta[:, rows], faults
 
+    def _verdict(self, k: int) -> tuple[bool, bool]:
+        """Whether every column of the path just descended to has a positive,
+        finite pivot (and a least relative pivot at the floor), and whether
+        every column passes the condition-bound and ``trace(M)`` parts of the
+        screen of :meth:`_cleared`.  Both are taken once per path, over all
+        columns, so they hold for the columns of every horizon; where one
+        does not, a fit checks its own columns."""
+        if self.verdict is None:
+            pivot, trace = self.pivot, self.trace[k]
+            bound = np.multiply(trace, self.trace_inv[k], out=self.bound)
+            self.verdict = (
+                bool(_min(pivot) > 0.0 and _max(pivot) < np.inf
+                     and (self.least is None or _min(self.least[k]) >= self.floor)),
+                bool(_max(bound) <= _SCREEN / (k + 1)
+                     and 1.0 / _RANGE <= _min(trace) and _max(trace) <= _RANGE))
+        return self.verdict
+
     def _cleared(self, k: int, rows: slice) -> bool:
         """Whether the condition bound clears every column of ``rows`` of the
         residual guard: ``trace(M) trace(M^-1)`` within ``_SCREEN / (k + 1)``,
         and ``trace(M)`` and ``max |beta|`` finite and within ``_RANGE`` (see
-        ``_SCREEN``).  Uses the fit's scratch, after ``beta``."""
+        ``_SCREEN``).  The first two come from :meth:`_verdict` where it
+        clears every column.  Uses the fit's scratch, after ``beta``."""
+        size = _max(np.abs(self.beta[:k + 1]), axis=0, out=self.scale)[rows]
+        if not (1.0 / _RANGE <= _min(size) and _max(size) <= _RANGE):
+            return False
+        if self._verdict(k)[1]:
+            return True
         trace = self.trace[k, rows]
-        size = np.abs(self.beta[:k + 1], out=self.spare[:k + 1]).max(axis=0, out=self.scale)
-        bound = np.multiply(self.trace[k], self.trace_inv[k], out=self.work[0])
-        size = size[rows]
-        return bool(bound[rows].max() <= _SCREEN / (k + 1)
-                    and 1.0 / _RANGE <= trace.min() and trace.max() <= _RANGE
-                    and 1.0 / _RANGE <= size.min() and size.max() <= _RANGE)
+        bound = np.multiply(self.trace[k], self.trace_inv[k], out=self.bound)[rows]
+        return bool(_max(bound) <= _SCREEN / (k + 1)
+                    and 1.0 / _RANGE <= _min(trace) and _max(trace) <= _RANGE)
 
     def solve(self, horizon: int) -> np.ndarray:
         """:meth:`fit`, raising the first guard message if a column failed."""
@@ -619,10 +683,11 @@ class _BorderedSolver(_Bordering):
     Its columns are the union of their window uppers (two at least).  For a
     top lag L up to ``capacity``, positions are the lag order (L, 1, ...,
     L-1): :meth:`load` gathers each horizon's right-hand sums in an (L, T)
-    stack (zero outside its own uppers), and the walk reads the moment
-    entries it needs from the table through :meth:`_CrossProducts.pairs`,
-    so no moment stack is held.  Every buffer is sized once, for
-    ``capacity``.  :meth:`visit` is the one walk over a family of lag sets.
+    stack (zero outside its own uppers) and the table bounds of every pair of
+    its positions, and :meth:`descend` reads the moment entries it needs
+    from the table in one gather, so no moment stack is held.  Every buffer
+    is sized once, for ``capacity``.  :meth:`visit` is the one walk over a
+    family of lag sets.
     """
 
     def __init__(self, table: _CrossProducts, capacity: int,
@@ -632,21 +697,24 @@ class _BorderedSolver(_Bordering):
         low -= low == high
         self.table, self.spans, self.uppers = table, list(spans), range(low, high + 1)
         self.lags: tuple[int, ...] = ()
-        self.offsets = np.empty(0, dtype=np.intp)
+        self.offsets = self.starts = self.bases = np.empty(0, dtype=np.intp)
+        self.slices = table.slices(len(self.uppers))
         super().__init__(
             None, np.zeros((len(spans), capacity, len(self.uppers))),
             [(f"sequential direct fit h={hh}", first,
               slice(first - hh - low, last - hh - low + 1)) for hh, first, last in spans],
             floor)
 
-    def _gather(self, left: np.ndarray, right: np.ndarray, out: np.ndarray) -> np.ndarray:
-        return self.table.pairs(self.offsets[left], self.offsets[right], self.offsets.size,
-                                self.uppers, out)
+    def _gather(self, left: np.ndarray, right: np.ndarray,
+                out: np.ndarray | None = None) -> np.ndarray:
+        return _window_sums(self.slices, self.starts[left, right], self.bases[left, right], out)
 
     def load(self, top: int) -> None:
         """Gather the right-hand sums of top lag ``top``."""
         self.node = ()
         self.offsets = np.array((top - 1,) + tuple(range(top - 1)))
+        self.starts, self.bases = self.table.bounds(
+            self.table.pair_entries(self.offsets[:, None], self.offsets), top, self.uppers[0])
         for (hh, first, last), (_, _, rows), rhs in zip(self.spans, self.horizons, self.rhs):
             self.table.rhs_rows(self.offsets, hh, top, range(first - hh, last - hh + 1),
                                 rhs[:top, rows])
@@ -656,7 +724,8 @@ class _BorderedSolver(_Bordering):
         its index, with ``lags`` its lags in coefficient-row order (top first).
 
         The sets are visited by top lag, each top lag loaded once, and then
-        depth first, each after the paths leading to it.
+        depth first, each after the paths leading to it, one set at a time: a
+        caller that raises on a set's fits raises in this visit order.
         """
         # A set's path: the positions of its lags in the order (top, 1, ..., top - 1).
         paths = [(0,) + lags[:-1] for lags in lag_sets]

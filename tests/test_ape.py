@@ -26,6 +26,7 @@ from arselect.errors import (
 from arselect.estimation import _Bordering, _CrossProducts
 from arselect.methods import Method
 from arselect.selection import select_predictor, subset_select
+from arselect.theory import _all_masks
 from arselect.tolerances import TOL_LIN
 
 from conftest import random_stationary_model
@@ -205,6 +206,35 @@ class TestCholeskyPivot:
         with pytest.raises(SingularMomentError,
                            match="h=1: singular moment matrix at time 3$"):
             ape_direct(Series(values), 1, 2, 3)
+
+
+class TestRaiseOrder:
+    def test_first_failing_sibling_in_visit_order_is_raised(self):
+        # Lags (1, 3) and (2, 3) are children of the same node of the walk,
+        # top lag 3 (paths (0, 1) and (0, 2)).  On this series at 1e-157 both
+        # fits fail the residual guard, (1, 3) at time 9 and (2, 3) at the
+        # earlier time 7, and the masks visited before them fit.  The family
+        # raises (1, 3)'s message, whatever the order of the candidate list.
+        series = Series(np.random.default_rng(7).standard_normal(40) * 1e-157)
+        start = start_index(series, 1, 3)
+        first = ("sequential direct fit h=1: unreliable solve at time 9 "
+                 "(relative residual 5.298e-10)")
+        later = ("sequential direct fit h=1: unreliable solve at time 7 "
+                 "(relative residual 2.992e-10)")
+        for mask in ((1, 0, 0), (0, 1, 0), (1, 1, 0)):
+            ape_direct(series, 1, mask, start)
+        for mask, message in (((1, 0, 1), first), ((0, 1, 1), later)):
+            with pytest.raises(SingularMomentError) as info:
+                ape_direct(series, 1, mask, start)
+            assert str(info.value) == message
+        masks = _all_masks(3)
+        for candidates in (masks, masks[::-1]):
+            with pytest.raises(SingularMomentError) as info:
+                family_apes(series, 1, candidates, 3)
+            assert str(info.value) == first
+        with pytest.raises(SingularMomentError) as info:
+            subset_select(series, 1, 3)
+        assert str(info.value) == first
 
 
 class TestStridedSeries:

@@ -282,35 +282,21 @@ def package_outcome(func):
         return type(exc).__name__, str(exc)
 
 
-@SETTINGS
-@given(seed=st.integers(0, 2 ** 32 - 1), zeros=st.integers(0, 30), n=st.integers(40, 200),
-       spike=st.none() | st.tuples(st.integers(0, 39), st.integers(1, 4)),
-       exponent=st.integers(150, 160), sign=st.sampled_from([1, -1]),
-       max_order=st.integers(1, 4), h=st.integers(1, 4), subset=st.booleans())
-def test_overflowing_series_select_as_the_per_candidate_path(seed, zeros, n, spike, exponent,
-                                                             sign, max_order, h, subset):
-    # Series scaled to 10^(+-150..160), where cross products, solves and
-    # errors overflow or lose their low bits, with leading zeros and a spike
-    # of 10^1..4.  The walk's zero-padded contractions must not turn an
-    # overflow into another outcome: a selection's audit is the per-candidate
-    # APEs bit for bit, and a selection that raises raises the class and
-    # message of a per-candidate call (the first one met can differ, since
-    # the walk visits candidates by top lag).  No RuntimeWarning is raised.
-    rng = np.random.default_rng(seed)
-    values = np.concatenate([np.zeros(zeros), rng.standard_normal(n)])
-    if spike is not None:
-        values[zeros + spike[0]] *= 10.0 ** spike[1]
-    series = Series(values * 10.0 ** (sign * exponent))
+def check_select_is_the_per_candidate_path(series, h, width, subset):
+    """A selection's audit is the per-candidate APEs bit for bit, and a
+    selection that raises raises the class and message of a per-candidate
+    call (the first one met can differ, since the walk visits candidates by
+    top lag).  No RuntimeWarning is raised."""
     if subset:
-        select, candidates = subset_select, arselect.theory._all_masks(max_order)
+        select, candidates = subset_select, arselect.theory._all_masks(width)
     else:
-        select, candidates = select_predictor, list(range(1, max_order + 1))
+        select, candidates = select_predictor, list(range(1, width + 1))
     one_step, direct, plugin = {}, {}, {}
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        got = package_outcome(lambda: engine_audit(select(series, h, max_order)))
-        start_one = package_outcome(lambda: start_index(series, 1, max_order))
-        start_h = package_outcome(lambda: start_index(series, h, max_order))
+        got = package_outcome(lambda: engine_audit(select(series, h, width)))
+        start_one = package_outcome(lambda: start_index(series, 1, width))
+        start_h = package_outcome(lambda: start_index(series, h, width))
         for c in candidates:
             if isinstance(start_one, int):
                 one_step[c] = package_outcome(lambda: ape_direct(series, 1, c, start_one).ape)
@@ -328,6 +314,50 @@ def test_overflowing_series_select_as_the_per_candidate_path(seed, zeros, n, spi
         plugin = {c: ape for c, ape in plugin.items()
                   if all(b >= s for b, s in zip(c, first))}
     assert got == (one_step, direct, plugin)
+
+
+@SETTINGS
+@given(seed=st.integers(0, 2 ** 32 - 1), zeros=st.integers(0, 30), n=st.integers(40, 200),
+       spike=st.none() | st.tuples(st.integers(0, 39), st.integers(1, 4)),
+       exponent=st.integers(150, 160), sign=st.sampled_from([1, -1]),
+       max_order=st.integers(1, 4), h=st.integers(1, 4), subset=st.booleans())
+def test_overflowing_series_select_as_the_per_candidate_path(seed, zeros, n, spike, exponent,
+                                                             sign, max_order, h, subset):
+    # Series scaled to 10^(+-150..160), where cross products, solves and
+    # errors overflow or lose their low bits, with leading zeros and a spike
+    # of 10^1..4.  The walk's zero-padded contractions must not turn an
+    # overflow into another outcome.
+    rng = np.random.default_rng(seed)
+    values = np.concatenate([np.zeros(zeros), rng.standard_normal(n)])
+    if spike is not None:
+        values[zeros + spike[0]] *= 10.0 ** spike[1]
+    check_select_is_the_per_candidate_path(Series(values * 10.0 ** (sign * exponent)), h,
+                                           max_order, subset)
+
+
+@settings(max_examples=16, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), zeros=st.integers(0, 30), n=st.integers(40, 160),
+       sign=st.sampled_from([None, 1, -1]), exponent=st.integers(148, 152),
+       spike=st.tuples(st.integers(0, 39), st.integers(1, 4)), window=st.integers(5, 7),
+       h=st.integers(1, 4))
+# Every fit clears, at 10^-152; an accumulated error overflows; a fit fails
+# its residual guard at time 34.
+@example(seed=3, zeros=3, n=63, sign=-1, exponent=152, spike=(3, 4), window=7, h=3)
+@example(seed=6, zeros=6, n=66, sign=1, exponent=150, spike=(6, 3), window=6, h=2)
+@example(seed=976, zeros=26, n=147, sign=1, exponent=152, spike=(2, 2), window=7, h=3)
+def test_wide_subset_select_is_the_per_candidate_path(seed, zeros, n, sign, exponent, spike,
+                                                      window, h):
+    # Windows of 5-7 lags, where a node of the walk has up to 6 children:
+    # standard normals led by zeros, or the same scaled to 10^+-(148..152)
+    # with a spike of 10^1..4, where some fits and sums fail.  The audit is
+    # the per-candidate APEs bit for bit, or the selection raises what a
+    # per-candidate call raises.
+    rng = np.random.default_rng(seed)
+    values = np.concatenate([np.zeros(zeros), rng.standard_normal(n)])
+    if sign is not None:
+        values[zeros + spike[0]] *= 10.0 ** spike[1]
+        values *= 10.0 ** (sign * exponent)
+    check_select_is_the_per_candidate_path(Series(values), h, window, subset=True)
 
 
 def per_pair_columns(values, horizon, max_offset):
@@ -390,13 +420,13 @@ def test_lag_difference_table_is_the_per_pair_table(data, seed, n, max_offset, h
         rows = np.empty((len(offsets), u.size))
         got.rhs_rows(offsets, hh, j0, uppers, rows)
         assert rows.tobytes() == np.ascontiguousarray(right.T).tobytes()
-        # The walk's pair-entry gather, on drawn pairs of positions.
+        # The walk's gather of pair entries, on drawn pairs of positions.
         left, right = (np.array(data.draw(st.lists(st.integers(0, len(offsets) - 1),
                                                    min_size=pairs, max_size=pairs)))
                        for pairs in [data.draw(st.integers(1, 12))] * 2)
         entries = np.empty((left.size, u.size))
         column = np.asarray(offsets)
-        got.pairs(column[left], column[right], j0, uppers, entries)
+        got._entries(got.pair_entries(column[left], column[right]), j0, uppers, entries)
         assert entries.tobytes() == np.ascontiguousarray(stack[:, left, right].T).tobytes()
 
 
