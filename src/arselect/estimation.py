@@ -710,7 +710,8 @@ class _BorderedSolver(_Bordering):
         return _window_sums(self.slices, self.starts[left, right], self.bases[left, right], out)
 
     def load(self, top: int) -> None:
-        """Gather the right-hand sums of top lag ``top``."""
+        """Gather the right-hand sums of top lag ``top`` and the table bounds of
+        every pair of its positions."""
         self.node = ()
         self.offsets = np.array((top - 1,) + tuple(range(top - 1)))
         self.starts, self.bases = self.table.bounds(
