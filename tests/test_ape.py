@@ -221,7 +221,7 @@ class TestRaiseOrder:
                  "(relative residual 5.298e-10)")
         later = ("sequential direct fit h=1: unreliable solve at time 7 "
                  "(relative residual 2.992e-10)")
-        for mask in ((1, 0, 0), (0, 1, 0), (1, 1, 0)):
+        for mask in ((1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)):
             ape_direct(series, 1, mask, start)
         for mask, message in (((1, 0, 1), first), ((0, 1, 1), later)):
             with pytest.raises(SingularMomentError) as info:
