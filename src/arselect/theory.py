@@ -6,6 +6,15 @@ coefficients, the asymptotic excess-MSPE constants of the plug-in and
 direct predictors, and the loss tables / optimal candidate sets that the
 data-driven selection procedure is trying to hit.
 
+A constant is formed in one of two places.  The dense orders, and a
+window's all-ones mask, come from one nested pass over the model's own
+Levinson factor (:func:`_order_constants`): each order adds one row's
+term, so a table of K orders costs one condition number of ``Gamma(K)``
+and ``O((p + h)^3 + K)`` further work, and order k's constants are the
+same bits in every table.  Every other lag mask solves on its own
+``Gamma_S`` (:func:`_mask_constants`).  Both run after the window's one
+condition guard in :func:`_inputs`.
+
 Conventions
 -----------
 A model of order p with coefficients ``a = (a_1, ..., a_p)`` generates
@@ -290,8 +299,10 @@ def autocovariances(model: ArModel, max_lag: int) -> AutocovarianceTable:
 
 def _check_condition(mat: np.ndarray, error: type, label: str) -> None:
     """Raise ``error`` if ``mat``'s condition number is not finite or above
-    ``COND_GUARD``: the one conditioning guard of the theory solves."""
-    cond = np.linalg.cond(mat)
+    ``COND_GUARD``: the one conditioning guard of the theory solves.  The
+    condition number is scale-free; it is taken of ``mat`` over its largest
+    magnitude, so entries near the float maximum do not overflow the SVD."""
+    cond = np.linalg.cond(mat / np.abs(mat).max())
     if not np.isfinite(cond) or cond > COND_GUARD:
         raise error(f"{label} condition number {cond:.3e} exceeds guard")
 
@@ -361,7 +372,7 @@ def h_step_order(model: ArModel, h: int,
 
 def _horizon_order(inputs: tuple) -> int:
     """:func:`h_step_order` from the :func:`_inputs` of any window."""
-    return max(inputs[3][Method.DIRECT], default=-1) + 1
+    return max(inputs[2][Method.DIRECT], default=-1) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -379,35 +390,37 @@ def required_masks(model: ArModel, h: int, window: int
                    ) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Minimal (plug-in, direct) masks on the window a candidate must
     contain for that method's excess constant to be finite."""
-    required = _inputs(model, h, window)[3]
+    required = _inputs(model, h, window)[2]
     return tuple(tuple(int(lag in required[method]) for lag in range(window))
                  for method in Method)
 
 
-def _scaled(model: ArModel, trace: float) -> float:
-    """An excess constant ``sigma2 * trace``, which must be finite: the
+def _scaled(model: ArModel, trace):
+    """Excess constants ``sigma2 * trace``, which must be finite: the
     constants are formed with overflow warnings off."""
-    value = float(model.sigma2 * trace)
-    if not math.isfinite(value):
+    value = model.sigma2 * trace
+    if not np.isfinite(value).all():
         raise OutOfDomainError(f"excess constant is not finite at sigma2 = {model.sigma2!r}")
     return value
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _inputs(model: ArModel, h: int, window: int, table: AutocovarianceTable | None = None
-            ) -> tuple[np.ndarray, np.ndarray, AutocovarianceTable, dict]:
-    """``(b, u, table, required)`` for the constants of every candidate on
+            ) -> tuple[np.ndarray, AutocovarianceTable, dict]:
+    """``(b, table, required)`` for the constants of every candidate on
     windows up to ``window``, which must reach the model order.
 
-    ``b = (b_0..b_{h-1})`` are the MA weights and ``u_e = sum_d w_d
-    gamma_{d+e}`` for ``e < window``, ``w`` the autocorrelation of ``b``;
-    the table reaches lag ``h + window - 1`` (``table`` where it does).
+    ``b = (b_0..b_{h-1})`` are the MA weights, and the table reaches lag
+    ``h + window - 1`` (``table`` where it does).
     ``required`` maps each method to the zero-based lags a candidate must
     hold for its constant to be finite: every lag with a nonzero model
     coefficient (the rule that fixes the model's order) for the plug-in
     predictor, and every lag whose order-p h-step projection coefficient
     exceeds ``TOL_ZERO`` for the direct one.  A candidate that misses one
     converges to a worse predictor, so it has no finite asymptotic excess.
+
+    ``Gamma(window)``'s condition guard runs here, once per table: a
+    principal submatrix's condition number is no larger, so it covers
+    every order and mask on the window and the order-p projection solve.
     """
     if h < 1:
         raise ValueError("horizon must be >= 1")
@@ -415,55 +428,122 @@ def _inputs(model: ArModel, h: int, window: int, table: AutocovarianceTable | No
         raise UnderspecifiedOrderError(
             f"window {window} cannot carry the order-{model.order} model")
     table = _require_table(model, table, h + window - 1)
+    _checked_gamma(table, window)
     b = ma_coefficients(model, n_terms=h - 1).b
-    w, d_vals = np.correlate(b, b, mode="full"), np.arange(1 - h, h)
-    u = np.array([np.dot(w, table.gamma[np.abs(d_vals + e)]) for e in range(window)])
-    projection = optimal_direct_coeffs(table, h, model.order)
-    return b, u, table, {
+    p = model.order
+    projection = np.linalg.solve(table.gamma_matrix(p), table.gamma[h: h + p])
+    return b, table, {
         Method.PLUGIN: tuple(np.flatnonzero(model.coeffs).tolist()),
         Method.DIRECT: tuple(np.flatnonzero(np.abs(projection) > TOL_ZERO).tolist())}
 
 
+def _lagged_covariances(b: np.ndarray, table: AutocovarianceTable, count: int) -> np.ndarray:
+    """``u_e = sum_d w_d gamma_{d+e}`` for ``e < count``, ``w`` the
+    autocorrelation of ``b``: ``V[r, s] = u_{|r-s|}`` is the covariance of
+    ``sum_{j<h} b_j (x_j, ..., x_{j-k+1})'``."""
+    w, d_vals = np.correlate(b, b, mode="full"), np.arange(1 - b.size, b.size)
+    return np.array([np.dot(w, table.gamma[np.abs(d_vals + e)]) for e in range(count)])
+
+
+def _sensitivity(model: ArModel, b: np.ndarray, window: int) -> np.ndarray:
+    """``S = sum_{e<h} b_{h-1-e} A^e``, with ``A`` the companion matrix of
+    the model's coefficients zero-padded to the window: the transposed
+    Jacobian of the h-step plug-in coefficients in the one-step ones."""
+    h = b.size
+    one_step = np.zeros(window)
+    one_step[: model.order] = model.coeffs
+    comp = companion_matrix(one_step)
+    power = np.eye(window)
+    sensitivity = np.zeros((window, window))
+    for exponent in range(h):
+        sensitivity += b[h - 1 - exponent] * power
+        if exponent < h - 1:
+            power = power @ comp
+    return sensitivity
+
+
 @np.errstate(over="ignore", invalid="ignore")
-def _excess_constants(model: ArModel, inputs: tuple, masks: list[tuple[int, ...]],
-                      methods: tuple[Method, ...] = tuple(Method),
-                      ) -> dict[Method, dict[tuple[int, ...], float]]:
-    """``{method: {mask: constant}}`` for each of ``methods`` and each lag
-    mask on one window w, from the :func:`_inputs` of a window at least
-    w: the one place a constant is formed.
+def _order_constants(model: ArModel, inputs: tuple, max_order: int
+                     ) -> dict[Method, list[float]]:
+    """``{method: [constant at order 1, ..., order max_order]}`` from the
+    :func:`_inputs` of a window that reaches ``max_order``: the dense orders
+    in one nested pass over the model's own Levinson factor.
+
+    The unit lower-triangular ``C`` with ``C Gamma(k) C' = diag(v_j)`` holds
+    in row j the order-j prediction-error filter (Brockwell & Davis 1991,
+    §5.2): 1 at lag j and ``-phi_{j,i}`` at lag ``j - i``, with ``phi_j``
+    from :func:`_step_down` and ``v_j = sigma2 / r_j``, where ``r_j`` is
+    ``prod_{i>j} (1 - kappa_i^2)`` below p and 1 from p on.  From row p on
+    the filter is the model's own coefficients, so ``C`` is banded and
+    ``Gamma(k)``'s factor is the leading block of every larger one's.  Each
+    order then adds one row's term to each trace:
+
+    - direct, ``trace(Gamma^{-1} V) = sum_j r_j c_j V c_j' / sigma2`` for the
+      rows ``c_j`` of ``C`` and ``V`` of :func:`_lagged_covariances`;
+    - plug-in, ``trace(Gamma S' Gamma^{-1} S) = sum_{j,c} N_jc^2 r_j / r_c``
+      with ``N = C S C^{-1}`` and ``S`` of :func:`_sensitivity`.  For
+      ``k >= p``, ``S`` of order k + 1 keeps order k's as its leading
+      block, and so does ``N``.
+
+    A band row turns the lag vector into backward innovations, white with
+    variance ``sigma2``: its direct term is ``sum_i b_i^2`` exactly, and
+    from row ``p + h - 1`` on, row j of ``N`` is ``b_{h-1}, ..., b_0`` at
+    lags ``j - h + 1 .. j``, so its plug-in term is the same sum.  Only the
+    rows above those are formed, at sizes set by p and h alone, and the
+    terms are summed in order, so order k's constants do not depend on
+    ``max_order``, bit for bit.  An order that misses a lag its method
+    requires gets ``math.inf``.
+    """
+    b, table, required = inputs
+    p = model.order
+    phis, ratios = _step_down(model.coeffs)
+    rows = p + b.size - 1
+    unit = np.eye(rows)
+    for j in range(1, rows):
+        phi = phis[min(j, p)]
+        unit[j, j - phi.size: j] = -phi[::-1]
+    weight = np.ones(rows)
+    weight[:p] = ratios
+    inner = unit @ _sensitivity(model, b, rows) @ np.linalg.inv(unit)
+    head, lags = unit[:p, :p], np.arange(p)
+    cov = _lagged_covariances(b, table, p)[np.abs(lags[:, None] - lags)]
+    terms = np.full((len(Method), max_order), float(np.dot(b, b)))  # a band row's term
+    for row, formed in zip(terms, ((inner * inner * weight[:, None] / weight).sum(axis=1),
+                                   ((head @ cov) * head).sum(axis=1) * ratios / model.sigma2)):
+        row[: formed.size] = formed[:max_order]
+    constants = _scaled(model, np.cumsum(terms, axis=1))
+    for row, method in zip(constants, Method):
+        row[: max(required[method], default=0)] = math.inf  # orders that miss a lag
+    return dict(zip(Method, constants.tolist()))
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _mask_constants(model: ArModel, inputs: tuple, window: int,
+                    masks: list[tuple[int, ...]]) -> dict[Method, dict[tuple[int, ...], float]]:
+    """``{method: {mask: constant}}`` for lag masks on a window, from the
+    window's :func:`_inputs`: one solve on ``Gamma_S`` per mask and method.
 
     For the lags S of a mask, the plug-in constant is
     ``sigma2 * trace(Gamma_w J_S Gamma_S^{-1} J_S')``, with ``J_S`` the
-    columns at S of the Jacobian ``J = (sum_{j<h} b_j A^{h-1-j})'`` of the
-    h-step plug-in coefficients in the one-step ones and ``A`` the
-    companion matrix of the model's coefficients zero-padded to w.  The
+    columns at S of ``J = S'`` (:func:`_sensitivity` on the window w).  The
     direct constant is ``sigma2 * trace(Gamma_S^{-1} V_S)``, with
-    ``V_S[r, s] = u_{|l_r - l_s|}`` the covariance of
-    ``sum_{j<h} b_j`` times the lag vector.  ``Gamma_S`` is gathered from
-    the window's Toeplitz, whose condition guard runs once: a principal
-    submatrix's condition number is no larger.  A mask that misses a lag
+    ``V_S[r, s] = u_{|l_r - l_s|}`` (:func:`_lagged_covariances`).
+    ``Gamma_S`` is gathered from the window's Toeplitz, which
+    :func:`_inputs` guarded.  It is not a leading block, so these constants
+    do not nest as :func:`_order_constants` do.  A mask that misses a lag
     its method requires gets ``math.inf``.
     """
-    b, u, table, required = inputs
-    window, h = len(masks[0]), b.size
-    out = {method: dict.fromkeys(masks, math.inf) for method in methods}
-    wanted = {mask: [method for method in methods
-                     if all(lag < window and mask[lag] for lag in required[method])]
+    b, table, required = inputs
+    out = {method: dict.fromkeys(masks, math.inf) for method in Method}
+    wanted = {mask: [method for method in Method
+                     if all(mask[lag] for lag in required[method])]
               for mask in masks}
     wanted = {mask: chosen for mask, chosen in wanted.items() if chosen}
     if not wanted:
         return out
-    gam = _checked_gamma(table, window)
+    gam, u = table.gamma_matrix(window), _lagged_covariances(b, table, window)
     if any(Method.PLUGIN in chosen for chosen in wanted.values()):
-        one_step = np.zeros(window)
-        one_step[: model.order] = model.coeffs
-        comp = companion_matrix(one_step)
-        power = np.eye(window)
-        sensitivity = np.zeros((window, window))  # J'
-        for exponent in range(h):
-            sensitivity += b[h - 1 - exponent] * power
-            if exponent < h - 1:
-                power = power @ comp
+        sensitivity = _sensitivity(model, b, window)
     for mask, chosen in wanted.items():
         lags = np.array(mask).nonzero()[0]
         diff = np.abs(lags[:, None] - lags)
@@ -474,22 +554,21 @@ def _excess_constants(model: ArModel, inputs: tuple, masks: list[tuple[int, ...]
                 trace = np.trace(gam @ rows.T @ np.linalg.solve(gam_s, rows))
             else:
                 trace = np.trace(np.linalg.solve(gam_s, u[diff]))
-            out[method][mask] = _scaled(model, trace)
+            out[method][mask] = float(_scaled(model, trace))
     return out
 
 
 def _order_constant(model: ArModel, h: int, k: int, table: AutocovarianceTable | None,
                     method: Method) -> float:
-    """The ``method`` constant of lags ``1..k`` on window k, which must be
-    finite."""
+    """The ``method`` constant of order k, which must be finite."""
     if k < 1:
         raise ValueError("order must be >= 1")
     inputs = _inputs(model, h, max(k, model.order), table)
-    value = _excess_constants(model, inputs, [(1,) * k], (method,))[method][(1,) * k]
+    value = _order_constants(model, inputs, k)[method][k - 1]
     if value == math.inf:
         raise UnderspecifiedOrderError(
             f"{method.label} constant undefined at order {k}: the window misses "
-            f"lag {inputs[3][method][-1] + 1}, which the {method.label} predictor needs")
+            f"lag {inputs[2][method][-1] + 1}, which the {method.label} predictor needs")
     return value
 
 
@@ -500,8 +579,8 @@ def plugin_excess_constant(model: ArModel, h: int, k: int,
     The n-step-scaled gap between the plug-in predictor's MSPE and the
     irreducible variance converges to this constant, valid for
     ``k >= p`` only (below the true order the plug-in predictor does not
-    even converge to the optimal one).  It is :func:`_excess_constants`
-    on lags ``1..k`` of window k.
+    even converge to the optimal one).  It is order k's entry of
+    :func:`_order_constants`.
     """
     return _order_constant(model, h, k, table, Method.PLUGIN)
 
@@ -510,8 +589,8 @@ def direct_excess_constant(model: ArModel, h: int, k: int,
                            table: AutocovarianceTable | None = None) -> float:
     """Asymptotic excess MSPE of the order-k direct predictor at horizon h.
 
-    Valid for ``k >= h_step_order(model, h)``.  ``V`` of
-    :func:`_excess_constants` is the covariance of
+    Valid for ``k >= h_step_order(model, h)``.  It is order k's entry of
+    :func:`_order_constants`, where ``V`` is the covariance of
     ``sum_{j<h} b_j (x_j, ..., x_{j-k+1})'``, the double sum expanded.
     """
     return _order_constant(model, h, k, table, Method.DIRECT)
@@ -549,8 +628,10 @@ class LossTable:
     (:func:`subset_loss_table`, where ``max_order`` is the window).  An
     entry whose candidate misses a lag the method requires is
     ``math.inf``: that predictor does not converge to the optimum, so no
-    finite asymptotic loss exists.  ``horizon_order`` is
-    :func:`h_step_order` of the model, read from the same inputs.
+    finite asymptotic loss exists.  An order's entries, and the all-ones
+    mask's, come from the nested pass :func:`_order_constants`; every other
+    mask's from its own solve (:func:`_mask_constants`).  ``horizon_order``
+    is :func:`h_step_order` of the model, read from the same inputs.
     """
 
     horizon: int
@@ -576,17 +657,18 @@ def _all_masks(window: int) -> list[tuple[int, ...]]:
 def loss_table(model: ArModel, h: int, max_order: int) -> LossTable:
     """Tabulate both predictors' asymptotic losses for orders ``1..max_order``.
 
-    Order k is the mask of k ones on window k; one autocovariance table
-    serves every order, and each entry equals the standalone
-    ``plugin_excess_constant`` or ``direct_excess_constant`` value bit for
-    bit.
+    Order k is the mask of k ones on window k.  One condition number of
+    ``Gamma(max_order)`` guards the table, and one nested pass
+    (:func:`_order_constants`) forms every order: each entry equals the
+    standalone ``plugin_excess_constant`` or ``direct_excess_constant`` value,
+    and the same order of any larger table, bit for bit.
     """
     inputs = _inputs(model, h, max_order)
-    plugin, direct = {}, {}
-    for k in range(1, max_order + 1):
-        got = _excess_constants(model, inputs, [(1,) * k])
-        plugin[k], direct[k] = got[Method.PLUGIN][(1,) * k], got[Method.DIRECT][(1,) * k]
-    return LossTable(horizon=h, max_order=max_order, plugin=plugin, direct=direct,
+    got = _order_constants(model, inputs, max_order)
+    orders = range(1, max_order + 1)
+    return LossTable(horizon=h, max_order=max_order,
+                     plugin=dict(zip(orders, got[Method.PLUGIN])),
+                     direct=dict(zip(orders, got[Method.DIRECT])),
                      horizon_order=_horizon_order(inputs))
 
 
@@ -595,11 +677,15 @@ def subset_loss_table(model: ArModel, h: int, window: int) -> LossTable:
     the window, keyed by mask bits (newest lag first).
 
     The window is capped at ``SUBSET_ORDER_CAP`` and must reach the model
-    order; the all-ones mask's entries are ``loss_table``'s at that order
-    bit for bit.
+    order.  The all-ones mask reads the nested pass at that order, so its
+    entries are ``loss_table``'s bit for bit; every other mask solves on
+    its own lags.
     """
     masks, inputs = _all_masks(window), _inputs(model, h, window)
-    got = _excess_constants(model, inputs, masks)
+    got = _mask_constants(model, inputs, window, masks[:-1])  # the last mask is all ones
+    full = _order_constants(model, inputs, window)
+    for method in Method:
+        got[method][masks[-1]] = full[method][-1]
     return LossTable(horizon=h, max_order=window, plugin=got[Method.PLUGIN],
                      direct=got[Method.DIRECT], horizon_order=_horizon_order(inputs))
 

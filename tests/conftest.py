@@ -16,6 +16,10 @@ ILL_CONDITIONED = ArModel((-3.3859141708765614, -4.424497166562761, -2.769481123
                            -0.865439984125271, -0.1595322532707696, -0.02677398486313993),
                           0.5668842495369915)
 
+# A double root at 0.99973: the model is accepted, and Gamma(k) fails its
+# guard from k = 6 on (exit 3).
+SINGULAR_GAMMA = (1.999464406779661, -0.9994644784946853)
+
 
 def _coeffs_from_roots(rng, p, modulus):
     """Coefficients of an order-p model whose characteristic roots have

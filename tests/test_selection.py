@@ -317,8 +317,12 @@ class TestBic:
 
 
 class TestFootprint:
-    """A selection leaves no reference cycles and peaks below the memory of
-    the per-candidate batched-LU engine that the bordered solver replaced."""
+    """A selection leaves no reference cycles.  Two calls peak below the
+    memory of the per-candidate batched-LU engine that the bordered solver
+    replaced: ``subset_select`` at window 8 (n 1000, h 3) and
+    ``select_predictor`` at max order 8 (n 4000, h 5).  That bound is not a
+    rule for every size: at window 6 (n 1000, h 3) the walk peaks above the
+    engine."""
 
     def test_no_reference_cycles(self):
         series = simulate(ArModel((0.9, -0.81), 1.0), 1000, seed=1).series

@@ -6,6 +6,7 @@ sums) that never goes through the code path under test.
 """
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -44,6 +45,7 @@ from arselect.theory import _all_masks, _check_condition, _toeplitz
 
 from conftest import (
     ILL_CONDITIONED,
+    SINGULAR_GAMMA,
     TEST_MODELS,
     curve_model,
     exact_autocovariances,
@@ -348,15 +350,23 @@ class TestLossTable:
             assert table.direct[k] == direct_excess_constant(model, 3, k)
 
     def test_constants_match_a_cholesky_reference(self, rng):
-        # The constants solve Gamma(k) with numpy's LU; the reference builds
-        # J from companion powers and V from a double sum over the moving-
-        # average weights, and solves with SciPy's Cholesky factor.
+        # The constants come from the model's Levinson factor; the reference
+        # builds J from companion powers and V from a double sum over the
+        # moving-average weights, and solves Gamma(k) with SciPy's Cholesky
+        # factor.  Random models run to K = 10, four more to K = 40, and the
+        # double root at 0.95, (1.9, -0.9025), to K = 40 at three horizons.
         from scipy.linalg import cho_factor, cho_solve
 
+        cases = []
         for _ in range(80):
             model = random_stationary_model(rng, max_order=5)
-            p, h = model.order, int(rng.integers(1, 7))
-            max_order = int(rng.integers(p, 11))
+            h = int(rng.integers(1, 7))
+            cases.append((model, h, int(rng.integers(model.order, 11))))
+        cases += [(random_stationary_model(rng, max_order=5), int(rng.integers(1, 7)), 40)
+                  for _ in range(4)]
+        cases += [(ArModel((1.9, -0.9025), 1.0), h, 40) for h in (1, 3, 6)]
+        for model, h, max_order in cases:
+            p = model.order
             table = loss_table(model, h, max_order)
             gamma = autocovariances(model, h + max_order).gamma
             b = ma_coefficients(model, h - 1).b
@@ -377,6 +387,50 @@ class TestLossTable:
                     shift[:, :, None, None] - shift[None, None, :, :])])
                 direct = model.sigma2 * np.trace(cho_solve(factor, v))
                 assert table.direct[k] == pytest.approx(direct, rel=1e-10, abs=0.0)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_every_order_is_the_same_bits_in_a_longer_table(self, seed):
+        # Each order adds one row's term to a sum taken in order, so a table's
+        # first k entries are the order-k table's, bit for bit, whatever its
+        # --max-order.
+        rng = np.random.default_rng(seed)
+        cases = [(ArModel((0.9, -0.81), 1.0), 2 * seed + 1, 60)]
+        for _ in range(3):
+            model = random_stationary_model(rng, max_order=5,
+                                            sigma2=float(10.0 ** rng.uniform(-3, 3)))
+            cases.append((model, int(rng.integers(1, 7)), int(rng.integers(model.order, 61))))
+        for model, h, max_order in cases:
+            big = loss_table(model, h, max_order)
+            for k in range(model.order, max_order):
+                small = loss_table(model, h, k)
+                for method in Method:
+                    assert [small.value(j, method).hex() for j in range(1, k + 1)] == \
+                        [big.value(j, method).hex() for j in range(1, k + 1)]
+
+    @pytest.mark.parametrize("h", [1, 3])
+    def test_guard_takes_one_condition_number_per_table(self, h, capsys):
+        # The double root at 0.99973: Gamma(k) passes the guard up to k = 5
+        # and fails it from k = 6 on.  A table of K orders checks Gamma(K)
+        # alone, which bounds every smaller order's condition number, and
+        # names it when it fails.
+        model = ArModel(SINGULAR_GAMMA, 1.0)
+        gamma = autocovariances(model, h + 8).gamma
+        table = loss_table(model, h, 5)
+        assert all(math.isfinite(table.value(k, method))
+                   for k in range(2, 6) for method in Method)
+        for max_order in (6, 7):
+            cond = np.linalg.cond(_toeplitz(gamma[:max_order]))
+            with pytest.raises(SingularGammaError, match=re.escape(f"{cond:.3e}")):
+                loss_table(model, h, max_order)
+        # required_masks reads the same guarded inputs as the window's table.
+        assert required_masks(model, h, 5) == ((1, 1, 0, 0, 0),) * 2
+        with pytest.raises(SingularGammaError):
+            required_masks(model, h, 6)
+        argv = ["theory", f"--coeffs={','.join(map(repr, SINGULAR_GAMMA))}",
+                "--horizon", str(h), "--max-order"]
+        assert main([*argv, "5"]) == 0
+        assert main([*argv, "6"]) == 3
+        assert "condition number 1.052e+12 exceeds guard" in capsys.readouterr().err
 
 
 class TestSubsetLossTable:
@@ -468,6 +522,19 @@ class TestExtremeVariance:
                 loss_table(model, 1, 6)
             with pytest.raises(OutOfDomainError, match="excess constant is not finite"):
                 plugin_excess_constant(model, 1, 4)
+
+    def test_guard_condition_number_is_scale_free(self, capsys):
+        # Gamma(2) of (0.5,) at sigma2 = 1e308 has a singular value above the
+        # float maximum.  Its condition number is taken at unit scale, so the
+        # table passes the guard and its order-2 constants overflow: exit 2,
+        # where an SVD of Gamma itself read "condition number inf" (exit 3).
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OutOfDomainError, match="excess constant is not finite"):
+                loss_table(ArModel((0.5,), 1e308), 1, 4)
+        assert main(["theory", "--coeffs", "0.5", "--sigma2", "1e308", "--horizon", "1",
+                     "--max-order", "4"]) == 2
+        assert "excess constant is not finite" in capsys.readouterr().err
 
     def test_smallest_normal_autocovariance_is_accepted(self):
         tiny = np.finfo(float).tiny
