@@ -18,10 +18,14 @@ seeds below 2**64, ``(seed, r, 0)`` is the stream of ``(seed, r)``, as
 numpy's ``SeedSequence`` pads its entropy with zeros.
 
 A substream is the stream of ``np.random.default_rng`` of its key, bit for
-bit, but no generator is built per replication: a block's keys are hashed
-at once, by numpy's ``SeedSequence`` algorithm run over arrays, into PCG64
-states, and one generator draws every row from its row's state.  A single
-path (:func:`simulate`) is a block of one row.
+bit, but no ``SeedSequence`` is built per replication: a block's keys are
+hashed at once, by numpy's ``SeedSequence`` algorithm run over arrays, and
+each row's PCG64 generator seeds itself from its row of the hash.  The
+driver forms a block's entropy from the key's words and columns for the
+replication and the attempt; any other seeds (a single path,
+:func:`simulate`, is a block of one row) are split into words one by one.
+Both feed the one hash.  A block is scored as arrays: each squared error is
+``np.float_power(error, 2.0)``, which rounds as a scalar ``error ** 2``.
 """
 
 from __future__ import annotations
@@ -29,13 +33,19 @@ from __future__ import annotations
 import functools
 import math
 from collections import Counter
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import OutOfDomainError, SingularMomentError
-from .estimation import Series, _check_forecast, _forecast_rows, _resolve_candidate
+from .estimation import (
+    Series,
+    _check_forecast,
+    _forecast_rows,
+    _lag_sum,
+    _resolve_candidate,
+)
 from .methods import Method
 from .selection import select_predictor, subset_select
 from .theory import (
@@ -89,13 +99,11 @@ class SimPath:
     burn_in: int
 
 
-# numpy's SeedSequence (a pool of four 32-bit words) and PCG64 seeding constants
+# numpy's SeedSequence (a pool of four 32-bit words) hashing constants
 _MASK32 = 0xFFFF_FFFF
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
 
 
 def _entropy_words(seed) -> list[int]:
@@ -115,6 +123,54 @@ def _entropy_words(seed) -> list[int]:
         else:
             words += _entropy_words(part)
     return words
+
+
+class _BlockKeys(Sequence):
+    """The keys ``(*key, rep, attempt)`` of one draw of a block's rows.
+
+    To a reader it is the sequence of those tuples.  Its :meth:`entropy`
+    is formed as arrays: the key's ``words`` (validated once, by
+    :func:`_entropy_words`) in every row, then the word or two of the
+    row's ``rep`` (below 2**64) and the one word of ``attempt``.
+    """
+
+    def __init__(self, key: tuple, words: Sequence[int], reps: np.ndarray,
+                 attempt: int) -> None:
+        self.key, self.words, self.reps, self.attempt = key, words, reps, attempt
+
+    def __len__(self) -> int:
+        return len(self.reps)
+
+    def __getitem__(self, row: int) -> tuple:
+        return (*self.key, int(self.reps[row]), self.attempt)
+
+    def entropy(self) -> tuple[np.ndarray, np.ndarray]:
+        """:func:`_entropy` of the keys: a ``rep`` of 2**32 or more takes two
+        words, which moves its row's ``attempt`` one word on."""
+        k, reps = len(self.words), np.asarray(self.reps, dtype=np.uint64)
+        wide = reps > _MASK32
+        lengths = k + 2 + wide
+        entropy = np.zeros((max(4, k + 2 + bool(wide.any())), reps.size), dtype=np.uint32)
+        entropy[:k] = np.array(self.words, dtype=np.uint32)[:, None]
+        entropy[k] = reps & _MASK32
+        entropy[k + 1] = np.where(wide, reps >> np.uint64(32), self.attempt)
+        if wide.any():
+            entropy[k + 2] = np.where(wide, self.attempt, 0)
+        return entropy, lengths
+
+
+def _entropy(seeds: Sequence) -> tuple[np.ndarray, np.ndarray]:
+    """(width, seeds) 32-bit entropy words, each seed's zero-padded to the
+    widest (four at least: ``SeedSequence``'s pool), and each seed's word
+    count.  A ``None`` seed takes fresh entropy."""
+    if isinstance(seeds, _BlockKeys):
+        return seeds.entropy()
+    words = [_entropy_words(np.random.SeedSequence().entropy if seed is None else seed)
+             for seed in seeds]
+    width = max([4, *map(len, words)])
+    entropy = np.array([row + [0] * (width - len(row)) for row in words],
+                       dtype=np.uint32).reshape(len(words), width).T
+    return entropy, np.array([len(row) for row in words])
 
 
 @functools.cache
@@ -145,40 +201,86 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return value
 
 
-def _pcg64_states(seeds: Sequence) -> list[dict]:
-    """The ``bit_generator.state`` of ``np.random.default_rng(seed)`` for each
-    seed, hashed as one block (a ``None`` seed takes fresh entropy).
+@functools.cache
+def _cascade_constants() -> np.ndarray:
+    """(4, 2, 4, 1) read-only: for each source pool word, the xor and the
+    multiply constant of its ``hashmix`` into each other pool word, in
+    SeedSequence's order (zero at the source itself, which is kept)."""
+    consts = _hash_constants(_INIT_A, _MULT_A, 16)[:, 0]
+    out = np.zeros((4, 2, 4, 1), dtype=np.uint32)
+    for src in range(4):
+        dst = [i for i in range(4) if i != src]
+        out[src, 0, dst, 0] = consts[4 + 3 * src: 7 + 3 * src]
+        out[src, 1, dst, 0] = consts[5 + 3 * src: 8 + 3 * src]
+    out.flags.writeable = False
+    return out
+
+
+def _seed_words(seeds: Sequence) -> np.ndarray:
+    """(seeds, 4) C-contiguous: the 64-bit words
+    ``SeedSequence(seed).generate_state(4, np.uint64)`` of each seed, which
+    PCG64 seeds itself from, hashed as one block.
 
     This is numpy's documented ``SeedSequence`` mix run over every seed at
     once: the hash multipliers depend only on a word's position, so each
-    step is one array operation over the seeds, and the three pool words a
-    source word updates are updated together.  PCG64's seeding step then
-    runs on Python integers.
+    step is one array operation over the seeds.  A pool word is mixed into
+    the three others in one step over the whole pool, which then keeps the
+    source word.  Words past the pool are mixed only into the seeds that
+    have them (a zero word past a seed's own is not padding).
     """
-    words = [_entropy_words(np.random.SeedSequence().entropy if seed is None else seed)
-             for seed in seeds]
-    width = max([4, *map(len, words)])
-    entropy = np.array([row + [0] * (width - len(row)) for row in words],
-                       dtype=np.uint32).reshape(len(words), width).T
+    entropy, lengths = _entropy(seeds)
+    width = len(entropy)
     consts = _hash_constants(_INIT_A, _MULT_A, 4 * width)
     pool = _hashmix(entropy[:4], consts[:5])
-    for src in range(4):  # every pool word into every other one
-        dst = [i for i in range(4) if i != src]
-        pool[dst] = _mix(pool[dst], _hashmix(pool[src], consts[4 + 3 * src: 8 + 3 * src]))
-    lengths = np.array([len(row) for row in words])
+    for src, (xor, mult) in enumerate(_cascade_constants()):  # each pool word into the others
+        value = (pool[src] ^ xor) * mult
+        value ^= value >> 16
+        mixed = _mix(pool, value)
+        mixed[src] = pool[src]
+        pool = mixed
     for src in range(4, width):  # words past the pool into every pool word
         mixed = _mix(pool, _hashmix(entropy[src], consts[4 * src: 4 * src + 5]))
         pool = np.where(lengths > src, mixed, pool)
     state = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _hash_constants(_INIT_B, _MULT_B, 8))
-    state = state.astype(np.uint64)
-    out = []
-    for hi, lo, inc_hi, inc_lo in (state[::2] | state[1::2] << 32).T.tolist():
-        inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
-        out.append({"bit_generator": "PCG64",
-                    "state": {"state": (inc + (hi << 64 | lo)) * _PCG64_MULT + inc & _MASK128,
-                              "inc": inc},
-                    "has_uint32": 0, "uinteger": 0})
-    return out
+    # Pairs of 32-bit words, little-endian first, as SeedSequence forms them.
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64, copy=False)
+
+
+@functools.cache
+def _hashed_seed() -> type:
+    """The seed sequence of one row of :func:`_seed_words`: it hands PCG64
+    the four words it asks for, so the generator seeds itself (in C) as it
+    would from ``SeedSequence(seed)``.  Built on first use, since importing
+    ``numpy.random`` takes about 9 ms that a run drawing nothing should not
+    pay."""
+    from numpy.random.bit_generator import ISeedSequence
+
+    class HashedSeed(ISeedSequence):
+        __slots__ = ("words",)
+
+        def __init__(self, words: np.ndarray) -> None:
+            self.words = words
+
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            if n_words != 4 or dtype is not np.uint64:
+                raise ValueError("a hashed seed holds the four 64-bit words of a PCG64 seed")
+            return self.words
+
+    return HashedSeed
+
+
+def _bit_generators(seeds: Sequence) -> list:
+    """One ``np.random.PCG64`` per seed, in the state of
+    ``np.random.default_rng(seed)``'s, seeded from its row of
+    :func:`_seed_words`."""
+    hashed_seed = _hashed_seed()
+    return [np.random.PCG64(hashed_seed(words)) for words in _seed_words(seeds)]
+
+
+def _pcg64_states(seeds: Sequence) -> list[dict]:
+    """The ``bit_generator.state`` of ``np.random.default_rng(seed)`` for each
+    seed: the state :func:`_draw_innovations` draws that seed's row from."""
+    return [bit_generator.state for bit_generator in _bit_generators(seeds)]
 
 
 def _draw_innovations(seeds: Sequence, size: int, start: int, sigma2: float, dist: str,
@@ -187,21 +289,22 @@ def _draw_innovations(seeds: Sequence, size: int, start: int, sigma2: float, dis
     ``size`` innovations, then ``start`` standard normals for the pre-sample
     state.
 
-    The innovations come first, so they do not depend on ``start``.  Every
-    row draws from one generator whose state is set to its substream's, so
-    the rows are those of ``np.random.default_rng(seed)``.  A zero ``sigma2``
-    draws nothing and returns zeros.
+    The innovations come first, so they do not depend on ``start``.  Each
+    row draws from its own generator, seeded from the block's one hash
+    (:func:`_bit_generators`), so the rows are those of
+    ``np.random.default_rng(seed)``.  A zero ``sigma2`` draws nothing and
+    returns zeros.
     """
     if sigma2 == 0.0:
         return np.zeros((len(seeds), size + start))
-    states = _pcg64_states(seeds)
+    bit_generators = _bit_generators(seeds)
     scale = math.sqrt(sigma2)
     if dist == "uniform":
         # sqrt(3 sigma2), which 3 sigma2 would overflow near the float maximum;
         # the two forms agree bit for bit wherever 0.75 sigma2 is normal.
         half_width = (2.0 * math.sqrt(0.75 * sigma2) if sigma2 > 1.0
                       else math.sqrt(3.0 * sigma2))
-        scale = 1.0  # the draws are at scale already; a product by 1 changes no bit
+        scale = 1.0  # the draws are at scale already
     elif dist == "student-t":
         dof = 12.0 if df is None else float(df)
         if not 8.0 < dof < math.inf:
@@ -211,9 +314,8 @@ def _draw_innovations(seeds: Sequence, size: int, start: int, sigma2: float, dis
     elif dist != "normal":
         raise ValueError(f"unknown innovation distribution {dist!r}")
     draws = np.empty((len(seeds), size + start))
-    rng = np.random.Generator(np.random.PCG64(0))  # its state is set row by row
-    for row, state in zip(draws, states):
-        rng.bit_generator.state = state
+    for row, bit_generator in zip(draws, bit_generators):
+        rng = np.random.Generator(bit_generator)
         if dist == "normal":
             # One call: numpy's normals do not depend on how a run is split.
             rng.standard_normal(out=row)
@@ -221,7 +323,8 @@ def _draw_innovations(seeds: Sequence, size: int, start: int, sigma2: float, dis
         row[:size] = (rng.uniform(-half_width, half_width, size) if dist == "uniform"
                       else rng.standard_t(dof, size))
         rng.standard_normal(out=row[size:])
-    draws[:, :size] *= scale
+    if scale != 1.0:  # a product by 1 changes no bit
+        draws[:, :size] *= scale
     return draws
 
 
@@ -335,39 +438,44 @@ _BLOCK_ELEMENTS = 1 << 16
 
 def _replicate(model: ArModel, length: int, reps: int, key: tuple, score,
                burn_in: int = DEFAULT_BURN_IN, dist: str = "normal",
-               df: float | None = None) -> Iterator[tuple[list, int]]:
+               df: float | None = None) -> Iterator[tuple[np.ndarray, int]]:
     """Yield ``(scores, redraws)`` of each block of the ``reps`` paths of
     ``length``, in replication order.
 
-    ``score`` takes a (rows, length) block of paths and returns one score
-    per row, or a :class:`SingularMomentError` for a row whose fit was
-    singular.  Replication r draws from ``(*key, r, attempt)``.  Only the
-    singular rows are redrawn, each from its next attempt, at most three
-    times; any other error propagates at once.  Only one block is held at
-    a time, so memory does not grow with ``reps``.  The start factor is
-    computed once for all blocks.
+    ``score`` takes a (rows, length) block of paths and returns its scores,
+    an array with one entry per row along its first axis, and the
+    :class:`SingularMomentError` of each row (by position in the block)
+    whose fit was singular.  Replication r draws from ``(*key, r,
+    attempt)``; ``key`` is checked once, and each draw's keys are formed as
+    arrays (:class:`_BlockKeys`).  Only the singular rows are redrawn, each
+    from its next attempt, at most three times; any other error propagates
+    at once.  Only one block is held at a time, so memory does not grow
+    with ``reps``.  The start factor is computed once for all blocks.
     """
     if burn_in < 0:
         raise ValueError("burn_in must be >= 0")
     rows = max(1, _BLOCK_ELEMENTS // (burn_in + length))
     factor = _start_factor(model, model.sigma2)
+    words = _entropy_words(key)
     for lo in range(0, reps, rows):
-        block = range(lo, min(lo + rows, reps))
-        got, todo, redraws = {}, list(block), 0
+        todo, redraws = np.arange(lo, min(lo + rows, reps)), 0
         for attempt in range(4):
-            if attempt:
-                redraws += len(todo)
             # No reference outlives the scoring, so one block's arrays are
             # freed before the next block is drawn.
-            got.update(zip(todo, score(_draw_rows(
-                model, length, [(*key, rep, attempt) for rep in todo], burn_in, dist, df,
-                factor=factor)[0])))
-            todo = [rep for rep in todo if isinstance(got[rep], SingularMomentError)]
-            if not todo:
+            got, faults = score(_draw_rows(model, length, _BlockKeys(key, words, todo, attempt),
+                                           burn_in, dist, df, factor=factor)[0])
+            if attempt:
+                redraws += len(todo)
+                scores[todo - lo] = got
+            else:
+                scores = got
+            if not faults:
                 break
+            failed = sorted(faults)
+            todo = todo[failed]
         else:
-            raise got[todo[0]]
-        yield [got[rep] for rep in block], redraws
+            raise faults[failed[0]]
+        yield scores, redraws
 
 
 def _squared_errors(model: ArModel, h: int, n: int, reps: int, key: tuple,
@@ -376,9 +484,11 @@ def _squared_errors(model: ArModel, h: int, n: int, reps: int, key: tuple,
                     ) -> tuple[np.ndarray, int]:
     """(reps, len(pairs)) squared errors of each (candidate, method) forecast
     of ``x_{n+h}``, fitted on the first ``n`` observations of a path, from
-    ``target(path)``, and the redraw count.  A path fails on its first
-    failed pair.  Each square is a scalar power in the type of its error,
-    which can round differently from numpy's array ``x * x``.
+    ``target(block)``, one target per row of a block of paths, and the
+    redraw count.  A path fails on its first failed pair.  Each square is
+    ``np.float_power(error, 2.0)``: libm's ``pow``, the rounding of a
+    scalar ``error ** 2``, which differs from numpy's ``x * x`` (and
+    ``np.power(x, 2.0)``) on about one error in 1,200.
 
     A configuration that no path could score (too few observations for a
     pair) raises before anything is drawn.
@@ -388,25 +498,20 @@ def _squared_errors(model: ArModel, h: int, n: int, reps: int, key: tuple,
     for candidate, method in pairs:
         _check_forecast(n, h, candidate, method)
 
-    def score(block: np.ndarray) -> list:
-        forecasts, faults = [], {}
-        for candidate, method in pairs:
-            got, failed = _forecast_rows(block[:, :n], h, candidate, method)
-            forecasts.append(got.tolist())
+    def score(block: np.ndarray) -> tuple[np.ndarray, dict]:
+        errors, faults = np.empty((len(pairs), len(block))), {}
+        for row, (candidate, method) in zip(errors, pairs):
+            forecasts, failed = _forecast_rows(block[:, :n], h, candidate, method)
+            row[...] = forecasts
             faults = {**failed, **faults}
-        out = []
-        for r, path in enumerate(block):
-            if r in faults:
-                out.append(SingularMomentError(faults[r]))
-            else:
-                ref = target(path)
-                out.append([(got[r] - ref) ** 2 for got in forecasts])
-        return out
+        errors -= target(block)
+        return (np.float_power(errors.T, 2.0),
+                {row: SingularMomentError(message) for row, message in faults.items()})
 
     squares, redraws = [], 0
     for block, block_redraws in _replicate(model, n + h, reps, key, score, burn_in,
                                            dist, df):
-        squares.append(np.array(block))
+        squares.append(block)
         redraws += block_redraws
     return np.concatenate(squares), redraws
 
@@ -415,14 +520,15 @@ def _excess_deviations(model: ArModel, h: int, n: int, reps: int, key: tuple,
                        pairs: Sequence, burn_in: int = DEFAULT_BURN_IN,
                        ) -> tuple[np.ndarray, int]:
     """:func:`_squared_errors` from ``E[x_{n+h} | x_1..x_n]``; their mean is
-    the excess MSPE over the floor.  The conditional mean is a Python
-    float, so the squares are Python-float powers.
+    the excess MSPE over the floor.  The conditional mean is the sequential
+    lag sum of :func:`~arselect.estimation._lag_sum`, the rounding of a
+    dot product of the coefficients with the path's last ``p`` values,
+    newest first.
     """
-    p = model.order
-    cond_coeffs = np.linalg.matrix_power(companion_matrix(model.coeffs), h)[0, :]
+    cond_coeffs = np.linalg.matrix_power(companion_matrix(model.coeffs), h)[:1, :]
+    lags = range(1, model.order + 1)
     return _squared_errors(model, h, n, reps, key, pairs,
-                           lambda path: float(cond_coeffs @ path[n - p: n][::-1]),
-                           burn_in)
+                           lambda block: _lag_sum(block[:, :n], lags, cond_coeffs), burn_in)
 
 
 # ---------------------------------------------------------------------------
@@ -458,7 +564,7 @@ def mc_mspe(model: ArModel, h: int, candidate, method: Method, n: int,
         raise ValueError("reps must be >= 2")
     method = Method(method)
     squares, redraws = _squared_errors(model, h, n, reps, (seed,), [(candidate, method)],
-                                       lambda path: path[n + h - 1], burn_in, dist, df)
+                                       lambda block: block[:, n + h - 1], burn_in, dist, df)
     # The moments of the squares in units of the power of two 2^e <= sigma2,
     # scaled back: the spread of squares near the float maximum overflows,
     # and a power of two divides and multiplies every rounding step exactly.
@@ -598,17 +704,17 @@ def selection_frequency(model: ArModel, h: int, max_order: int, n: int,
     if reps < 1:
         raise ValueError("reps must be >= 1")
 
-    def score(block: np.ndarray) -> list:
-        out = []
-        for values in block:
+    def score(block: np.ndarray) -> tuple[np.ndarray, dict]:
+        choices, faults = np.empty(len(block), dtype=object), {}
+        for row, values in enumerate(block):
             try:
                 result = (subset_select if subset else select_predictor)(
                     Series(values), h, max_order)
             except SingularMomentError as exc:
-                out.append(exc)
+                faults[row] = exc
             else:
-                out.append((result.candidate, result.method))
-        return out
+                choices[row] = (result.candidate, result.method)
+        return choices, faults
 
     counts, redraws = Counter(), 0
     for choices, block_redraws in _replicate(model, n, reps, (seed,), score, burn_in):

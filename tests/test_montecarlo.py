@@ -99,7 +99,7 @@ class TestStationaryStart:
         # burn-in gives Var(x_1) = 500.25 (1 - 0.999^1002), about 317.
         model, reps = ArModel((0.999,), 1.0), 20000
         blocks = [block for block, _ in arselect.montecarlo._replicate(
-            model, 1, reps, (11,), lambda paths: list(paths[:, 0]))]
+            model, 1, reps, (11,), lambda paths: (paths[:, 0], {}))]
         squares = np.concatenate(blocks) ** 2
         gamma0 = autocovariances(model, 0).value(0)
         std_error = squares.std(ddof=1) / math.sqrt(reps)
@@ -490,6 +490,59 @@ class TestBlockSeeding:
             assert (a.mean.hex(), a.std_error.hex(), a.redraws) == (
                 b.mean.hex(), b.std_error.hex(), b.redraws)
         assert got[2:] == want[2:]
+
+
+class TestBlockKeys:
+    """A block's keys ``(*key, rep, attempt)`` hash from the key's words and
+    columns for the replication and the attempt, formed as arrays."""
+
+    @pytest.mark.parametrize("seed", WIDE_SEEDS)
+    def test_states_are_the_default_rng_states(self, seed):
+        # reps of one and two words share each block, so the attempt sits at
+        # two positions and rows past the pool are masked apart.
+        reps = [0, 5, 2**32 - 1, 2**32, 2**40 + 3]
+        for key, attempt in product([(seed,), (seed, 1)], range(4)):
+            block = arselect.montecarlo._BlockKeys(
+                key, arselect.montecarlo._entropy_words(key), np.array(reps), attempt)
+            assert list(block) == [(*key, rep, attempt) for rep in reps]
+            for rep, state in zip(reps, arselect.montecarlo._pcg64_states(block)):
+                assert state == np.random.default_rng((*key, rep, attempt)).bit_generator.state
+
+
+class TestSquares:
+    """A squared error is ``np.float_power(error, 2.0)``, which rounds as
+    Python's scalar ``error ** 2`` (libm's ``pow``), not as ``x * x``."""
+
+    def test_float_power_is_the_scalar_square(self):
+        rng = np.random.default_rng(20261020)
+        normals = rng.standard_normal(200_000)
+        scaled = rng.standard_normal(60_000) * 10.0 ** rng.uniform(-150.0, 150.0, 60_000)
+        # |x| from 1e-162 to 1.5e-154: squares from zero through the subnormals
+        tiny = rng.choice([-1.0, 1.0], 20_000) * 10.0 ** rng.uniform(-162.0, -153.8, 20_000)
+        values = np.concatenate((normals, scaled, tiny, [0.0, -0.0]))
+        assert (values ** 2 < np.finfo(float).tiny).sum() > 10_000
+        want = np.array([value ** 2 for value in values.tolist()])
+        assert np.float_power(values, 2.0).tobytes() == want.tobytes()
+        # The array square rounds differently, so the choice is pinned.
+        assert (values * values != want).any()
+
+    def test_block_with_a_singular_row_is_the_scalar_loop(self, monkeypatch):
+        n, h, reps, seed = 50, 3, 1200, 6
+        pairs = [(2, Method.PLUGIN), ((1, 0, 1), Method.DIRECT), (4, Method.PLUGIN)]
+        assert block_rows(n, h) > reps
+        zero_first_draw(monkeypatch, seed, 5)
+        got, redraws = arselect.montecarlo._squared_errors(
+            MODEL, h, n, reps, (seed,), pairs, lambda block: block[:, n + h - 1])
+        monkeypatch.undo()
+        assert redraws == 1
+        errors = []
+        for rep in range(reps):
+            values = draw(MODEL, n + h, (seed, rep, 1) if rep == 5 else (seed, rep))
+            target = float(values[n + h - 1])
+            errors.append([forecast(Series(values[:n]), h, c, m) - target for c, m in pairs])
+        want = np.array([[error ** 2 for error in row] for row in errors])
+        assert got.tobytes() == want.tobytes()
+        assert (np.array(errors) ** 2 != want).any()  # x * x would show here
 
 
 class TestExactSubsetLosses:
