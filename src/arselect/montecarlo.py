@@ -20,9 +20,9 @@ numpy's ``SeedSequence`` pads its entropy with zeros.
 A substream is the stream of ``np.random.default_rng`` of its key, bit for
 bit, but no ``SeedSequence`` is built per replication: a block's keys are
 hashed at once, by numpy's ``SeedSequence`` algorithm run over arrays, and
-each row's PCG64 generator seeds itself from its row of the hash.  The
-driver forms a block's entropy from the key's words and columns for the
-replication and the attempt; any other seeds (a single path,
+each row's PCG64 generator seeds itself from its row of the hash.
+:func:`_replicate` forms a block's entropy from the key's words and columns
+for the replication and the attempt; any other seeds (a single path,
 :func:`simulate`, is a block of one row) are split into words one by one.
 Both feed the one hash.  A block is scored as arrays: each squared error is
 ``np.float_power(error, 2.0)``, which rounds as a scalar ``error ** 2``.
