@@ -112,17 +112,12 @@ def _probe(table: _CrossProducts, h: int, max_order: int) -> int:
         f"no time in [{first}, {last}] passes the well-definedness probe")
 
 
-def _ape(errors: np.ndarray) -> float:
-    """Sum of squared errors; one that overflows is an error, not an APE."""
-    return _apes(errors[None], np.empty((1, errors.size)))[0]
-
-
 def _apes(errors: np.ndarray, squares: np.ndarray) -> list[float]:
-    """:func:`_ape` of each row of ``errors`` (each the pairwise sum of a
-    1-D row), checked in row order; ``squares`` (``errors`` itself, say)
-    takes the squares."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        apes = np.add.reduce(np.square(errors, out=squares), axis=1).tolist()
+    """Sum of squared errors of each row of ``errors`` (each the pairwise sum
+    of a 1-D row), checked in row order: one that overflows is an error, not
+    an APE.  ``squares`` (``errors`` itself, say) takes the squares; the
+    caller ignores the overflow of a square in its error scope."""
+    apes = np.add.reduce(np.square(errors, out=squares), axis=1).tolist()
     for ape in apes:
         if not math.isfinite(ape):
             raise SeriesOverflowError(
@@ -136,26 +131,35 @@ def _slices(values: np.ndarray, count: int) -> np.ndarray:
     return np.ndarray((values.size - count + 1, count), buffer=values, strides=(step, step))
 
 
-def _forecast(values: np.ndarray, coeffs: np.ndarray, lags: Sequence[int], steps: int,
-              first: int, lead: np.ndarray | None = None) -> np.ndarray:
+def _lag_rows(values: np.ndarray, lags: Sequence[int], lo: int) -> np.ndarray:
+    """(k, n - lo) stack of a candidate's lag rows, gathered once: column c
+    of row j is ``x_{i+1-lags[j]}``, lag ``lags[j]`` of the prefix
+    ``x_1..x_i``, i = lo + c.  Every forecast of the candidate from prefix
+    ``lo`` on reads a window of its columns (see :func:`_forecast`)."""
+    return _slices(values, values.size - lo)[np.subtract(lo, lags)]
+
+
+def _forecast(rows: np.ndarray, coeffs: np.ndarray, lags: Sequence[int], steps: int,
+              offset: int, lead: np.ndarray | None = None) -> np.ndarray:
     """Forecasts of per-prefix coefficients on ``lags`` (one row each), column t
-    applied to the newest lags of the prefix ``first + t`` and then to its own
-    forecasts, ``steps`` times in all: one step for a direct fit, h for a
-    plug-in one-step fit (its companion matrix, with zeros for the lags it
-    leaves out, applied h-1 times).  Each step gathers its lag rows from the
-    series in one index and then puts its own earlier forecasts in the rows of
-    lags that reach them.  ``lead``, if given, is the first step's forecasts:
-    the one-step forecasts of the same coefficients."""
-    slices = _slices(values, coeffs.shape[1])
+    applied to column ``offset + t`` of the candidate's :func:`_lag_rows` and
+    then to its own forecasts, ``steps`` times in all: one step for a direct
+    fit, h for a plug-in one-step fit (its companion matrix, with zeros for
+    the lags it leaves out, applied h-1 times).  Step s writes its earlier
+    forecasts into the rows of lags up to s of the window of ``rows`` at
+    ``offset + s`` and then reads that window.  A later step writes each
+    such row again before it reads it, so every step reads the series where
+    its lags reach the series; afterwards the rows of lags below ``steps`` no
+    longer hold the series.  ``lead``, if given, is the first step's
+    forecasts: the one-step forecasts of the same coefficients."""
+    width = coeffs.shape[1]
     forecasts = [] if lead is None else [lead]  # forecasts[s] is of x_{i+h-steps+s+1}
     for step in range(len(forecasts), steps):
-        # Row j holds x_{i+1+step-lags[j]}, for lags[j] > step.
-        known = slices[np.subtract(first + step, lags)]
+        known = rows[:, offset + step: offset + step + width]
         for j, lag in enumerate(lags):
             if lag <= step:
                 known[j] = forecasts[step - lag]
         forecasts.append(np.einsum("jt,jt->t", coeffs, known))
-        del known  # before the next step's rows
     return forecasts[-1]
 
 
@@ -170,14 +174,16 @@ def _accumulate(series: Series, h: int, candidate, start: int,
     if start > n - h:
         raise ValueError(f"start {start} leaves no targets in a series of length {n}")
     direct = method is Method.DIRECT
-    solver = _BorderedSolver(_CrossProducts(series.values, h, lags[-1]), lags[-1],
-                             [(h if direct else 1, start, n - h)])
-    for _ in solver.visit([lags]):
-        coeffs = solver.solve(0)
-    errors = series.values[start + h - 1:] - _forecast(series.values, coeffs, solver.lags,
-                                                         1 if direct else h, start)
-    return ApeResult(horizon=h, candidate=label, method=method, start=start,
-                     ape=_ape(errors), n=n,
+    values = series.values
+    with np.errstate(all="ignore"):
+        solver = _BorderedSolver(_CrossProducts(values, h, lags[-1]), lags[-1],
+                                 [(h if direct else 1, start, n - h)])
+        for _ in solver.visit([lags]):
+            coeffs = solver.solve(0)
+        errors = values[start + h - 1:] - _forecast(_lag_rows(values, solver.lags, start),
+                                                    coeffs, solver.lags, 1 if direct else h, 0)
+        ape = _apes(errors[None], np.empty((1, errors.size)))[0]
+    return ApeResult(horizon=h, candidate=label, method=method, start=start, ape=ape, n=n,
                      step_errors=errors if keep_steps else None)
 
 
@@ -206,26 +212,38 @@ def _candidate_apes(values: np.ndarray, solver: _BorderedSolver, candidate, h: i
     """(one-step, direct, plug-in) APE of the candidate the walk of
     ``solver`` has just descended to.
 
-    The one-step rows, solved from the earlier start, give the one-step
-    APE and, sliced at ``start_h``, the plug-in APE, whose first step is
-    the one-step forecast; at h=1 they give all three.  The direct rows are
-    solved after both, and the direct and plug-in sums are one reduction.
-    Errors are raised in the order of the per-candidate calls: the one-step
-    fit and APE, then the direct fit and APE, then the plug-in APE.
+    Every forecast reads the candidate's lag rows from
+    ``min(start_one, start_h)`` on, gathered once (:func:`_lag_rows`).  The
+    one-step rows, solved from that time, give the one-step forecasts and,
+    sliced at ``start_h``, the plug-in forecasts, whose first step is the
+    one-step forecast; the one-step errors then overwrite their forecasts,
+    and the rows the plug-in's steps wrote into are gathered again.  At h=1
+    the one-step APE is all three.  The direct rows are solved last, and the
+    direct and plug-in sums are one reduction.  Errors are raised in the
+    order of the per-candidate calls: the one-step fit and APE, then the
+    direct fit and APE, then the plug-in APE.
     """
     lags, n = solver.lags, values.size
     lo = min(start_one, start_h)
     one = solver.solve(0)
-    ahead = _forecast(values, one, lags, 1, lo)  # of x_{i+1}, i = lo..n-1
-    one_step = _ape(values[start_one:] - ahead[start_one - lo:])
+    rows = _lag_rows(values, lags, lo)
+    ahead = np.einsum("jt,jt->t", one, rows)  # of x_{i+1}, i = lo..n-1
+    if h > 1:
+        cut = slice(start_h - lo, n - h + 1 - lo)
+        targets = values[start_h + h - 1:]
+        errors = np.empty((2, targets.size))  # direct, plug-in
+        np.subtract(targets, _forecast(rows, one[:, cut], lags, h, cut.start, ahead[cut]),
+                    out=errors[1])
+        for j, lag in enumerate(lags):
+            if lag < h:
+                rows[j] = values[lo - lag: n - lag]
+    one_step = ahead[None, start_one - lo:]
+    np.subtract(values[start_one:], one_step, out=one_step)
+    one_step = _apes(one_step, one_step)[0]
     if h == 1:
         return one_step, one_step, one_step
-    cut = slice(start_h - lo, n - h + 1 - lo)
-    targets = values[start_h + h - 1:]
-    errors = np.empty((2, targets.size))  # direct, plug-in
-    np.subtract(targets, _forecast(values, one[:, cut], lags, h, start_h, ahead[cut]),
-                out=errors[1])
-    np.subtract(targets, _forecast(values, solver.solve(1), lags, 1, start_h), out=errors[0])
+    direct = np.einsum("jt,jt->t", solver.solve(1), rows[:, cut], out=errors[0])
+    np.subtract(targets, direct, out=direct)
     return (one_step, *_apes(errors, errors))
 
 
@@ -239,7 +257,8 @@ def _walk_family(table: _CrossProducts, candidates: Sequence, lags: Sequence, h:
     fits or sums fail; the solver's columns serve the one-step fits on
     prefixes ``min(start_one, start_h)..n-1`` and, at h > 1, the direct fits
     on ``start_h..n-h``.  The walk holds the state of the current path only
-    (see ``estimation._Bordering``).
+    (see ``estimation._Bordering``), and runs in one error scope: every
+    non-finite value it makes is checked where it matters.
     """
     n = table.values.size
     spans = [(1, min(start_one, start_h), n - 1)]
@@ -247,9 +266,10 @@ def _walk_family(table: _CrossProducts, candidates: Sequence, lags: Sequence, h:
         spans.append((h, start_h, n - h))
     solver = _BorderedSolver(table, max(top[-1] for top in lags), spans)
     apes: list = [None] * len(candidates)
-    for index in solver.visit(lags):
-        apes[index] = _candidate_apes(table.values, solver, candidates[index], h,
-                                      start_one, start_h)
+    with np.errstate(all="ignore"):
+        for index in solver.visit(lags):
+            apes[index] = _candidate_apes(table.values, solver, candidates[index], h,
+                                          start_one, start_h)
     return apes
 
 

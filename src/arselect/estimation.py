@@ -229,19 +229,19 @@ def _fit_rows(block: np.ndarray, h: int, lags: tuple[int, ...], width: int,
     # target's: their products are W'W, then a row W'y (y'y is not formed).
     count, starts = n - h - j0 + 1, [j0 - lag for lag in lags[-1:] + lags[:-1]] + [j0 + h - 1]
     products = np.empty((k + 1, k, block.shape[0]))
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(all="ignore"):
         for a in range(k + 1):
             for b in range(min(a + 1, k)):
                 np.einsum("rt,rt->r", block[:, starts[a]: starts[a] + count],
                           block[:, starts[b]: starts[b] + count], out=products[a, b])
                 if b < a < k:
                     products[b, a] = products[a, b]
-    if not np.isfinite(products).all():
-        raise _overflow_error(block, "cross products")
-    solver = _Bordering(products[:k], products[None, k],
-                        [(f"direct fit h={h} lags={lags}", None, slice(0, rows))], _FLOOR)
-    solver.walk_to(tuple(range(k)))
-    beta, faults = solver.fit(0)
+        if not np.isfinite(products).all():
+            raise _overflow_error(block, "cross products")
+        solver = _Bordering(products[:k], products[None, k],
+                            [(f"direct fit h={h} lags={lags}", None, slice(0, rows))], _FLOOR)
+        solver.walk_to(tuple(range(k)))
+        beta, faults = solver.fit(0)
     sol = _lags_ascending(beta)
     sol[list(faults)] = np.nan
     return sol, faults
@@ -536,37 +536,36 @@ class _Bordering:
         pivot, least = self.pivot, self.least
         # The new lag's cross moments with its parent's lags, then its own.
         cross = self._gather(self.path[-1], self.path)
-        with np.errstate(all="ignore"):
-            if not k:
-                np.copyto(self.trace[0], cross[0])
-                np.sqrt(cross[0], out=inv)
-                np.copyto(pivot, cross[0])
-                if least is not None:
-                    np.divide(pivot, cross[0], out=least[0])  # nan for a zero moment
-                np.divide(1.0, inv, out=inv)
-                np.multiply(inv, inv, out=self.trace_inv[0])
-                np.multiply(self.rhs[:, path[0]], inv, out=self.z[:, 0])
-                return
-            np.add(cross[k], self.trace[k - 1], out=self.trace[k])
-            proj = np.einsum("ajt,jt->at", factor, cross[:k], out=self.beta[:k])  # c = U b
-            sums = np.einsum("jt,hjt->ht", proj, self.stack[:, :k], out=self.sums)
-            np.subtract(cross[k], pivot, out=pivot)  # pivot is sums[0] = c.c
-            np.sqrt(pivot, out=inv)
+        if not k:
+            np.copyto(self.trace[0], cross[0])
+            np.sqrt(cross[0], out=inv)
+            np.copyto(pivot, cross[0])
             if least is not None:
-                np.divide(pivot, cross[k], out=least[k])
-                np.minimum(least[k - 1], least[k], out=least[k])
-            del cross
+                np.divide(pivot, cross[0], out=least[0])  # nan for a zero moment
             np.divide(1.0, inv, out=inv)
-            row = self.factor[k, :k]  # g = U' c, stored as -g/d
-            np.einsum("ajt,at->jt", factor, proj, out=row)
-            row *= inv
-            np.negative(row, out=row)
-            row = self.factor[k, :k + 1]  # with its diagonal 1/d
-            np.einsum("jt,jt->t", row, row, out=self.trace_inv[k])
-            self.trace_inv[k] += self.trace_inv[k - 1]
-            z = self.z[:, k]
-            np.subtract(self.rhs[:, path[-1]], sums[1:], out=z)
-            z *= inv
+            np.multiply(inv, inv, out=self.trace_inv[0])
+            np.multiply(self.rhs[:, path[0]], inv, out=self.z[:, 0])
+            return
+        np.add(cross[k], self.trace[k - 1], out=self.trace[k])
+        proj = np.einsum("ajt,jt->at", factor, cross[:k], out=self.beta[:k])  # c = U b
+        sums = np.einsum("jt,hjt->ht", proj, self.stack[:, :k], out=self.sums)
+        np.subtract(cross[k], pivot, out=pivot)  # pivot is sums[0] = c.c
+        np.sqrt(pivot, out=inv)
+        if least is not None:
+            np.divide(pivot, cross[k], out=least[k])
+            np.minimum(least[k - 1], least[k], out=least[k])
+        del cross
+        np.divide(1.0, inv, out=inv)
+        row = self.factor[k, :k]  # g = U' c, stored as -g/d
+        np.einsum("ajt,at->jt", factor, proj, out=row)
+        row *= inv
+        np.negative(row, out=row)
+        row = self.factor[k, :k + 1]  # with its diagonal 1/d
+        np.einsum("jt,jt->t", row, row, out=self.trace_inv[k])
+        self.trace_inv[k] += self.trace_inv[k - 1]
+        z = self.z[:, k]
+        np.subtract(self.rhs[:, path[-1]], sums[1:], out=z)
+        z *= inv
 
     def fit(self, horizon: int) -> tuple[np.ndarray, dict[int, str]]:
         """(depth, columns) coefficients of the path just descended to, at one
@@ -588,44 +587,43 @@ class _Bordering:
         name, first, rows = self.horizons[horizon]
         faults: dict[int, str] = {}
         rhs = self.rhs[horizon]
-        with np.errstate(all="ignore"):
-            if not self._verdict(k)[0]:
-                pivot = self.pivot[rows]
-                least = None if self.least is None else self.least[k, rows]
-                if not (pivot.min() > 0.0 and pivot.max() < np.inf
-                        and (least is None or least.min() >= self.floor)):
-                    for t in np.flatnonzero(~((pivot > 0.0) & (pivot < np.inf))):
-                        faults[int(t)] = f"{name}: singular moment matrix{_at(first, t)}"
-                    for t in ([] if least is None else np.flatnonzero(~(least >= self.floor))):
-                        faults.setdefault(int(t), f"{name}: ill-conditioned moment matrix"
-                                                  f"{_at(first, t)} (least relative pivot "
-                                                  f"{least[t]:.3e})")
-            beta = np.einsum("ijt,it->jt", self.factor[:k + 1, :k + 1], self.z[horizon, :k + 1],
-                             out=self.beta[:k + 1])
-            if not faults and self._cleared(k, rows):
-                return beta[:, rows], faults
-            work = np.abs(beta)
-            work.max(axis=0, out=self.scale)
-            rhs.take(path, axis=0, out=work, mode="clip")
-            np.abs(work, out=work).max(axis=0, out=self.bound)
-            span = np.zeros_like(self.scale)  # the largest |moment entry| of the path
-            for a in range(k + 1):  # the residual, one row of the path's moments at a time
-                row = self._gather(path[a], path)
-                np.einsum("jt,jt->t", row, beta, out=work[a])
-                work[a] -= rhs[path[a]]
-                np.maximum(span, np.abs(row, out=row).max(axis=0), out=span)
-            scale = self.scale
-            scale *= span
-            scale += self.bound
-            residual = np.abs(work, out=work).max(axis=0)[rows]
-            scale = scale[rows]
-            if not ((residual <= TOL_LIN * scale).all() and residual.max() < np.inf):
-                # A solve that overflowed leaves a non-finite residual: that fails too.
-                for t in np.flatnonzero(~np.isfinite(residual)
-                                        | ((scale > 0.0) & (residual > TOL_LIN * scale))):
-                    faults.setdefault(int(t), (
-                        f"{name}: unreliable solve{_at(first, t)} "
-                        f"(relative residual {residual[t] / scale[t]:.3e})"))
+        if not self._verdict(k)[0]:
+            pivot = self.pivot[rows]
+            least = None if self.least is None else self.least[k, rows]
+            if not (pivot.min() > 0.0 and pivot.max() < np.inf
+                    and (least is None or least.min() >= self.floor)):
+                for t in np.flatnonzero(~((pivot > 0.0) & (pivot < np.inf))):
+                    faults[int(t)] = f"{name}: singular moment matrix{_at(first, t)}"
+                for t in ([] if least is None else np.flatnonzero(~(least >= self.floor))):
+                    faults.setdefault(int(t), f"{name}: ill-conditioned moment matrix"
+                                              f"{_at(first, t)} (least relative pivot "
+                                              f"{least[t]:.3e})")
+        beta = np.einsum("ijt,it->jt", self.factor[:k + 1, :k + 1], self.z[horizon, :k + 1],
+                         out=self.beta[:k + 1])
+        if not faults and self._cleared(k, rows):
+            return beta[:, rows], faults
+        work = np.abs(beta)
+        work.max(axis=0, out=self.scale)
+        rhs.take(path, axis=0, out=work, mode="clip")
+        np.abs(work, out=work).max(axis=0, out=self.bound)
+        span = np.zeros_like(self.scale)  # the largest |moment entry| of the path
+        for a in range(k + 1):  # the residual, one row of the path's moments at a time
+            row = self._gather(path[a], path)
+            np.einsum("jt,jt->t", row, beta, out=work[a])
+            work[a] -= rhs[path[a]]
+            np.maximum(span, np.abs(row, out=row).max(axis=0), out=span)
+        scale = self.scale
+        scale *= span
+        scale += self.bound
+        residual = np.abs(work, out=work).max(axis=0)[rows]
+        scale = scale[rows]
+        if not ((residual <= TOL_LIN * scale).all() and residual.max() < np.inf):
+            # A solve that overflowed leaves a non-finite residual: that fails too.
+            for t in np.flatnonzero(~np.isfinite(residual)
+                                    | ((scale > 0.0) & (residual > TOL_LIN * scale))):
+                faults.setdefault(int(t), (
+                    f"{name}: unreliable solve{_at(first, t)} "
+                    f"(relative residual {residual[t] / scale[t]:.3e})"))
         return beta[:, rows], faults
 
     def _verdict(self, k: int) -> tuple[bool, bool]:
@@ -773,7 +771,8 @@ def sequential_fitter(series: Series, h: int, max_order: int,
     for lo in range(first, last + 1, _STREAM_CHUNK):
         hi = min(lo + _STREAM_CHUNK - 1, last)
         solver = _BorderedSolver(cp, max_order, [(1, lo, hi), (h, lo, hi)], _FLOOR)
-        orders = [_prefix_fits(solver, h, lo, hi) for _ in solver.visit(dense)]
+        with np.errstate(all="ignore"):
+            orders = [_prefix_fits(solver, h, lo, hi) for _ in solver.visit(dense)]
         for t, i in enumerate(range(lo, hi + 1)):
             fits: dict[int, LsFit] = {}
             try:
