@@ -13,9 +13,12 @@ Every candidate's prefix fits come from the walk of the bordered solver of
 ``estimation``: :func:`family_apes` visits a whole family and
 :func:`ape_direct` and :func:`ape_plugin` visit one candidate with the same
 operations, so the two agree bit for bit.  One former makes every error
-from lag slices of the series, each step's lag rows one gather: a direct
-forecast is one step of it, and a plug-in forecast iterates the one-step
-fit on its own forecasts, its first step the one-step forecast itself.
+from one stack of the candidate's lag rows, gathered once per candidate:
+the one-step forecasts read all of its columns, a direct forecast one
+window of them, and a plug-in forecast iterates the one-step fit on its
+own forecasts, its first step the one-step forecast itself and step s the
+window s columns on.  Each walk runs in one floating-point error scope,
+and every non-finite fit or sum it makes is checked where it counts.
 """
 
 from __future__ import annotations
@@ -69,8 +72,10 @@ def start_index(series: Series, h: int, max_order: int) -> int:
     ``min(10, n - h - i)`` subsequent times.  The forward probe keeps a
     single accidentally well-posed prefix from starting the sum early.
     Each probe step takes the condition numbers of the windows it inspects,
-    those up to ``i - h .. i + 9`` (10 + h matrices), and keeps none for the
-    next step or the other horizon.
+    those up to ``i - h .. i + 9`` (10 + h matrices) at the first step, and
+    keeps none for the next step or the other horizon.  After a failed step
+    the next inspects twice as many times, so a run of r failing times
+    takes about log2(r / 10) steps (see :func:`_probe`).
     """
     if h < 1 or max_order < 1:
         raise ValueError("horizon and max_order must be >= 1")
@@ -90,14 +95,20 @@ def _probe_range(n: int, h: int, max_order: int) -> tuple[int, int]:
 def _probe(table: _CrossProducts, h: int, max_order: int) -> int:
     """:func:`start_index` on a table of order at least ``max_order``.
 
-    A step at i checks the times i..end: the order-``max_order`` moment
-    matrices of the windows up to ``i - 1 .. end - 1`` (one step ahead) and
-    ``i - h .. end - h`` (h steps ahead) must pass the conditioning guard.
+    Time t passes if the order-``max_order`` moment matrices of the windows
+    up to t - 1 (one step ahead) and t - h (h steps ahead) pass the
+    conditioning guard, and the start is the first time that passes with
+    its next ten times (those up to ``last``).  A step inspects the times
+    i..end, the windows up to i - h .. end - 1, and returns the first time
+    whose eleven times (up to ``last``) lie in the step and pass; no earlier
+    time can start, since each has a failing time among its own.  Otherwise
+    the next step starts past the last failing time and inspects twice as
+    many times: i..i + 10 at first, then 21, 41, ... times.
     """
     first, last = _probe_range(table.values.size, h, max_order)
-    i = first
+    i, span = first, 10
     while i <= last:
-        end = min(i + 10, last)
+        end = min(i + span, last)
         # ok[u - i + h] is the verdict of the windows up to u, for u = i - h .. end - 1.
         with np.errstate(divide="ignore", invalid="ignore"):
             cond = np.linalg.cond(table.moments(range(max_order), max_order,
@@ -105,9 +116,17 @@ def _probe(table: _CrossProducts, h: int, max_order: int) -> int:
         ok = np.isfinite(cond) & (cond <= COND_GUARD)
         steps = np.arange(end - i + 1)
         bad = np.flatnonzero(~(ok[steps + h - 1] & ok[steps]))
-        if not bad.size:
+        if not bad.size or bad[0] >= 11:
             return i
+        # The passing times after each failing one, up to the next or past end.
+        runs = np.diff(bad, append=end - i + 1) - 1
+        clean = np.flatnonzero(runs >= 11)
+        if clean.size:
+            return i + int(bad[clean[0]]) + 1
         i += int(bad[-1]) + 1
+        if end == last and runs[-1]:
+            return i
+        span *= 2
     raise NoValidStartError(
         f"no time in [{first}, {last}] passes the well-definedness probe")
 

@@ -479,10 +479,15 @@ class _Bordering:
     stack.
 
     The unit of the walk is one path: :meth:`descend` borders the factor
-    with one lag in about twenty array calls over every column (the new
-    lag's cross moments are one gather; ``c.c`` and each horizon's ``c.z``
-    are one contraction), and the guards' column-wide verdicts are taken
-    once per path, for every horizon (:meth:`_verdict`).  The walk holds the
+    with one lag in eighteen array calls over every column, twenty under a
+    floor (the new lag's cross moments are one gather of four calls; ``c.c``
+    and each horizon's ``c.z`` are one contraction), and the guards'
+    column-wide verdicts are taken once per path, for every horizon
+    (:meth:`_verdict`).  :meth:`descend` and :meth:`fit` run in their
+    caller's floating-point error scope: each walk (the APE family, one
+    candidate's APE, the whole-series fits and the sequential fitter) opens
+    one scope that ignores every error, since the guards check every pivot,
+    coefficient and residual the walk makes.  The walk holds the
     factor, ``z``, the traces and one row stack of scratch, and no state of
     paths other than the current one: stacking a node's children would hold
     each child's factor row, ``z`` and traces until the walk reached it,
@@ -771,6 +776,7 @@ def sequential_fitter(series: Series, h: int, max_order: int,
     for lo in range(first, last + 1, _STREAM_CHUNK):
         hi = min(lo + _STREAM_CHUNK - 1, last)
         solver = _BorderedSolver(cp, max_order, [(1, lo, hi), (h, lo, hi)], _FLOOR)
+        # One error scope per run, closed before the run's fits are yielded.
         with np.errstate(all="ignore"):
             orders = [_prefix_fits(solver, h, lo, hi) for _ in solver.visit(dense)]
         for t, i in enumerate(range(lo, hi + 1)):

@@ -350,17 +350,31 @@ def _stationary_root(coeffs: np.ndarray) -> np.ndarray:
     return root[:, ::-1]
 
 
+@functools.lru_cache(maxsize=64)
+def _unit_start_factor(coeffs: bytes) -> np.ndarray:
+    """:func:`_start_factor` at unit variance of the coefficients whose bytes
+    are ``coeffs``, read-only: it is formed once per coefficient vector,
+    whatever the variance."""
+    coeffs = np.frombuffer(coeffs)
+    p = coeffs.size
+    hankel = np.concatenate((coeffs, np.zeros(p)))[np.add.outer(np.arange(p), np.arange(p))]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # checked by the caller
+        factor = _stationary_root(coeffs) @ hankel
+    factor.flags.writeable = False
+    return factor
+
+
 def _start_factor(model: ArModel, sigma2: float) -> np.ndarray:
     """(p, p) F such that ``z @ F``, for p standard normals z, is the
     ``lfilter`` state of a pre-sample drawn from N(0, Gamma_p): the
     pre-sample :func:`_stationary_root` draws, scaled by ``sqrt(sigma2)``,
-    times the Hankel matrix ``H[m, i] = a_{i+m+1}`` (zero past a_p).
+    times the Hankel matrix ``H[m, i] = a_{i+m+1}`` (zero past a_p).  The
+    product of the last two is cached by the coefficients' bytes
+    (:func:`_unit_start_factor`), and each call scales it by
+    ``sqrt(sigma2)``, the last operation of forming it anew.
     """
-    coeffs = model.coeffs
-    p = coeffs.size
-    hankel = np.concatenate((coeffs, np.zeros(p)))[np.add.outer(np.arange(p), np.arange(p))]
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # checked below
-        factor = math.sqrt(sigma2) * (_stationary_root(coeffs) @ hankel)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        factor = math.sqrt(sigma2) * _unit_start_factor(model.coeffs.tobytes())
     if not np.isfinite(factor).all():
         raise OutOfDomainError("the stationary law of the model is out of "
                                f"floating-point range at sigma2 = {sigma2!r}")

@@ -105,6 +105,24 @@ class TestStartIndex:
         assert (result.audit.start_one_step, result.audit.start) == (8, 10)
         assert sum(taken) == 24
 
+    def test_a_run_of_zeros_takes_few_probe_steps(self, monkeypatch):
+        # 200 zeros leave the windows up to time 200 singular.  After a failed
+        # step the next inspects twice as many times, so each horizon's probe
+        # takes five steps (11, 21, 41, 81 and 161 times) where steps of
+        # eleven times took 38 calls over 456 matrices.
+        taken = []
+        cond = np.linalg.cond
+
+        def spy(matrices, *args):
+            taken.append(len(matrices))
+            return cond(matrices, *args)
+
+        monkeypatch.setattr(np.linalg, "cond", spy)
+        values = np.concatenate([np.zeros(200), np.random.default_rng(0).standard_normal(1000)])
+        result = select_predictor(Series(values), 3, 4)
+        assert (result.audit.start_one_step, result.audit.start) == (205, 207)
+        assert taken == [11, 21, 41, 81, 161, 13, 23, 43, 83, 163]
+
     def test_horizon_start_is_raised_before_any_fit(self):
         # The order-4 one-step fits of these values, whose cross products are
         # subnormal, fail the residual guard; a selection checks both starts

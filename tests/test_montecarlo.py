@@ -1,6 +1,7 @@
 """Simulation harness: determinism, distributions, the ratio table, the
 substreams every experiment draws its replications from, and the block
 driver that draws, filters and fits them a block at a time."""
+import hashlib
 import math
 import tracemalloc
 from itertools import product
@@ -152,6 +153,25 @@ class TestStationaryStart:
         monkeypatch.setattr(arselect.montecarlo, "_draw_innovations", spy)
         mc_mspe(MODEL, 3, 2, Method.PLUGIN, 500, 40, 1)
         assert sizes == [500 + 3 + 2] * 40
+
+    def test_start_factor_is_formed_once_per_coefficient_vector(self):
+        # The unit-variance factor is cached by the coefficients' bytes, and
+        # each call scales it by sqrt(sigma2), the last step of forming it
+        # anew: two models with equal coefficients share one factor, and these
+        # paths hash as they did before the cache.
+        first, second = ArModel((0.9, -0.81), 1.0), ArModel((0.9, -0.81), 2.5)
+        unit = arselect.montecarlo._unit_start_factor
+        assert unit(first.coeffs.tobytes()) is unit(second.coeffs.tobytes())
+        root = arselect.montecarlo._stationary_root(first.coeffs)
+        hankel = np.array([[0.9, -0.81], [-0.81, 0.0]])
+        assert np.array_equal(arselect.montecarlo._start_factor(second, 2.5),
+                              math.sqrt(2.5) * (root @ hankel))
+        digests = [hashlib.sha256(simulate(model, 200, seed=3, sigma2=sigma2)
+                                  .series.values.tobytes()).hexdigest()[:16]
+                   for model, sigma2 in ((first, None), (second, None), (first, 2.5),
+                                         (first, 1e-300))]
+        assert digests == ["b8ff4b71b6fbf49a", "69aa565983a091df", "69aa565983a091df",
+                           "e0a6e3ee4e3cf8d7"]
 
     def test_zero_variance_keeps_a_zero_start(self):
         assert not simulate(ArModel((0.999,)), 30, seed=1, sigma2=0.0).series.values.any()
