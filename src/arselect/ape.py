@@ -194,9 +194,9 @@ def _accumulate(series: Series, h: int, candidate, start: int,
         raise ValueError(f"start {start} leaves no targets in a series of length {n}")
     direct = method is Method.DIRECT
     values = series.values
+    solver = _BorderedSolver(_CrossProducts(values, h, lags[-1]), lags[-1],
+                             [(h if direct else 1, start, n - h)])
     with np.errstate(all="ignore"):
-        solver = _BorderedSolver(_CrossProducts(values, h, lags[-1]), lags[-1],
-                                 [(h if direct else 1, start, n - h)])
         for _ in solver.visit([lags]):
             coeffs = solver.solve(0)
         errors = values[start + h - 1:] - _forecast(_lag_rows(values, solver.lags, start),

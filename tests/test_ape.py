@@ -108,8 +108,7 @@ class TestStartIndex:
     def test_a_run_of_zeros_takes_few_probe_steps(self, monkeypatch):
         # 200 zeros leave the windows up to time 200 singular.  After a failed
         # step the next inspects twice as many times, so each horizon's probe
-        # takes five steps (11, 21, 41, 81 and 161 times) where steps of
-        # eleven times took 38 calls over 456 matrices.
+        # takes five steps (11, 21, 41, 81 and 161 times), not one per eleven.
         taken = []
         cond = np.linalg.cond
 

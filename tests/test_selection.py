@@ -359,8 +359,7 @@ class TestFootprint:
     # bytes.  lu_walk_family, whose moment matrices are written in place,
     # peaks at 1,364,764 and 5,160,692, and the bordered solver, whose dense
     # factor reads its moments from the table and whose candidates each
-    # gather their lag rows once, at 1,292,232 and 5,013,856 (1,268,303 and
-    # 4,886,193 when each forecast step gathered its own rows).
+    # gather their lag rows once, at 1,292,232 and 5,013,856.
     @pytest.mark.parametrize("select, n, h, width", [
         (subset_select, 1000, 3, 8), (select_predictor, 4000, 5, 8)])
     def test_peak_memory_is_within_the_lu_engine(self, monkeypatch, select, n, h, width):
