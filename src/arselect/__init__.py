@@ -34,7 +34,6 @@ from .errors import (
     ZeroLeadCoefficientError,
 )
 from .estimation import (
-    LsFit,
     Series,
     fit_direct,
     fit_one_step,
@@ -43,8 +42,6 @@ from .estimation import (
     masked_fit_direct,
     masked_fit_plugin,
     predict_with,
-    sample_moment,
-    sequential_fitter,
 )
 from .methods import Method
 from .montecarlo import (

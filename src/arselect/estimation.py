@@ -13,8 +13,8 @@ system, order-recursively: a candidate's inverse Cholesky factor is its
 parent's bordered by one row, and the factor is held dense, so each
 product of a step is one contraction.  Its guards are a pivot test and a
 normal-equation residual test, which a condition bound kept by the walk
-skips where it cannot fire, and whole-series and streamed fits add a
-floor on the least relative pivot in place of a condition-number ceiling.
+skips where it cannot fire, and whole-series fits add a floor on the
+least relative pivot in place of a condition-number ceiling.
 The public batch fits (:func:`fit_one_step`, :func:`fit_direct`,
 :func:`fit_plugin` and their lag-subset variants) work on a whole series,
 and :func:`forecast` applies them as one sequential sum over the lags; each
@@ -28,9 +28,7 @@ less their values at the window start (:func:`_window_sums`).
 :class:`_BorderedSolver` reads the entries each step needs from it on
 demand, so one depth-first walk per top lag serves every mask and both
 horizons without a moment stack, and a dense order k is the single path
-(k, 1, ..., k-1).
-:func:`sequential_fitter` exposes the prefix fits as a
-per-time stream.
+(k, 1, ..., k-1).  The APE functions of ``ape`` are its only drivers.
 """
 
 from __future__ import annotations
@@ -52,8 +50,6 @@ from .tolerances import COND_GUARD, TOL_LIN
 
 __all__ = [
     "Series",
-    "LsFit",
-    "sample_moment",
     "fit_one_step",
     "fit_direct",
     "fit_plugin",
@@ -61,7 +57,6 @@ __all__ = [
     "forecast",
     "masked_fit_direct",
     "masked_fit_plugin",
-    "sequential_fitter",
 ]
 
 
@@ -89,29 +84,11 @@ class Series:
         return int(self.values.size)
 
 
-@dataclass(frozen=True)
-class LsFit:
-    """All least-squares quantities for one (horizon, order) pair.
-
-    ``n_used`` counts the outer products entering the horizon-h moment
-    matrix.  For horizon one the plug-in and direct coefficient vectors
-    are the same object.
-    """
-
-    horizon: int
-    order: int
-    gamma_hat: np.ndarray
-    a_one_step: np.ndarray
-    a_plugin: np.ndarray
-    a_direct: np.ndarray
-    n_used: int
-
-
 # ---------------------------------------------------------------------------
 # batch (whole-series) fits
 
-#: Least relative pivot ``d^2 / m_vv`` along its path that a whole-series or
-#: streamed fit accepts.  ``m_vv / d^2`` is at most the condition number of
+#: Least relative pivot ``d^2 / m_vv`` along its path that a whole-series fit
+#: accepts.  ``m_vv / d^2`` is at most the condition number of
 #: the moment matrix, so the floor rejects only fits that the ceiling
 #: ``COND_GUARD`` on that condition number rejects.
 _FLOOR = 1.0 / COND_GUARD
@@ -183,15 +160,6 @@ def _lag_windows(block: np.ndarray, h: int, lags: tuple[int, ...]) -> np.ndarray
     j0 = lags[-1]
     _require_windows(n, h, j0)
     return np.stack([block[:, j0 - lag: n - h - lag + 1] for lag in lags], axis=2)
-
-
-def sample_moment(series: Series, h: int, k: int) -> np.ndarray:
-    """Average of ``x_j(k) x_j(k)'`` over j = k..n-h.
-
-    Exactly ``n - h - k + 1`` outer products enter the average.
-    """
-    window = _lag_windows(series.values[None], h, _order_lags(k))[0]
-    return window.T @ window / window.shape[0]
 
 
 def _overflow_error(values: np.ndarray, what: str) -> SeriesOverflowError:
@@ -456,7 +424,9 @@ class _Bordering:
     right-hand sums of each horizon.  ``horizons`` names each horizon's fits
     as ``(name, first, columns)``: a fit reads the slice ``columns``, and its
     guard messages give column t as time ``first + t`` unless ``first`` is
-    ``None``.  A positive ``floor`` is a conditioning test on every fit.
+    ``None``.  A positive ``floor`` is a conditioning test on every fit; the
+    whole-series fits pass one, and the prefix fits of
+    :class:`_BorderedSolver` none.
 
     A candidate is a path of positions ``(0, a_1 < a_2 < ...)``, and its
     parent is the path without its last position.  The inverse Cholesky
@@ -485,11 +455,11 @@ class _Bordering:
     column-wide verdicts are taken once per path, for every horizon
     (:meth:`_verdict`).  :meth:`descend` and :meth:`fit` run in their
     caller's floating-point error scope: each walk (the APE family, one
-    candidate's APE, the whole-series fits and the sequential fitter) opens
-    one scope that ignores every error, since the guards check every pivot,
-    coefficient and residual the walk makes.  The walk holds the
-    factor, ``z``, the traces and one row stack of scratch, and no state of
-    paths other than the current one: stacking a node's children would hold
+    candidate's APE and the whole-series fits) opens one scope that ignores
+    every error, since the guards check every pivot, coefficient and
+    residual the walk makes.  The walk holds the factor, ``z``, the traces
+    and one row stack of scratch, and no state of paths other than the
+    current one: stacking a node's children would hold
     each child's factor row, ``z`` and traces until the walk reached it,
     about 1.7 MB at a window of 8 lags and 1000 observations, where the
     walk's own arrays take about 1 MB.
@@ -694,7 +664,7 @@ class _BorderedSolver(_Bordering):
     """
 
     def __init__(self, table: _CrossProducts, capacity: int,
-                 spans: Sequence[tuple[int, int, int]], floor: float = 0.0) -> None:
+                 spans: Sequence[tuple[int, int, int]]) -> None:
         low = min(first - hh for hh, first, _ in spans)
         high = max(last - hh for hh, _, last in spans)
         low -= low == high
@@ -705,8 +675,7 @@ class _BorderedSolver(_Bordering):
         super().__init__(
             None, np.zeros((len(spans), capacity, len(self.uppers))),
             [(f"sequential direct fit h={hh}", first,
-              slice(first - hh - low, last - hh - low + 1)) for hh, first, last in spans],
-            floor)
+              slice(first - hh - low, last - hh - low + 1)) for hh, first, last in spans])
 
     def _gather(self, left: np.ndarray, right: np.ndarray,
                 out: np.ndarray | None = None) -> np.ndarray:
@@ -742,75 +711,3 @@ class _BorderedSolver(_Bordering):
             self.walk_to(paths[index])
             self.lags = lags[-1:] + lags[:-1]
             yield index
-
-
-# ---------------------------------------------------------------------------
-# streaming interface
-
-#: Prefixes whose fits :func:`sequential_fitter` solves at a time.
-_STREAM_CHUNK = 256
-
-
-def sequential_fitter(series: Series, h: int, max_order: int,
-                      well_defined_from: int | None = None,
-                      ) -> Iterator[tuple[int, dict[int, LsFit] | None]]:
-    """Yield ``(i, fits)`` with one :class:`LsFit` per order for each prefix.
-
-    The stream starts at the smallest i where all orders up to
-    ``max_order`` have at least as many usable windows as parameters and
-    runs through ``n - h``.  A prefix whose moment matrix is singular or
-    ill-conditioned is yielded as ``(i, None)`` while ``i`` is still below
-    ``well_defined_from``; at or past that point singularity is an
-    error, because the caller has certified the stream usable from there.
-
-    Every order's fits on a run of prefixes come from one bordered solver
-    visiting the dense paths, under the conditioning floor of the
-    whole-series fits, so every yielded coefficient vector is the one the
-    APE functions use on the same prefix.
-    """
-    if h < 1 or max_order < 1:
-        raise ValueError("horizon and max_order must be >= 1")
-    first, last = 2 * max_order + h - 1, series.n - h
-    cp = _CrossProducts(series.values, h, max_order)
-    dense = [_order_lags(k) for k in range(1, max_order + 1)]
-    for lo in range(first, last + 1, _STREAM_CHUNK):
-        hi = min(lo + _STREAM_CHUNK - 1, last)
-        solver = _BorderedSolver(cp, max_order, [(1, lo, hi), (h, lo, hi)], _FLOOR)
-        # One error scope per run, closed before the run's fits are yielded.
-        with np.errstate(all="ignore"):
-            orders = [_prefix_fits(solver, h, lo, hi) for _ in solver.visit(dense)]
-        for t, i in enumerate(range(lo, hi + 1)):
-            fits: dict[int, LsFit] = {}
-            try:
-                for k, counts, gammas, one, plugin, direct, faults in orders:
-                    fault = faults[0].get(t) or faults[1].get(t)
-                    if fault:
-                        raise SingularMomentError(fault)
-                    fits[k] = LsFit(horizon=h, order=k, gamma_hat=gammas[t],
-                                    a_one_step=one[t], a_plugin=plugin[t],
-                                    a_direct=direct[t], n_used=int(counts[t]))
-            except SingularMomentError:
-                if well_defined_from is not None and i >= well_defined_from:
-                    raise
-                yield i, None
-                continue
-            yield i, fits
-
-
-def _prefix_fits(solver: _BorderedSolver, h: int, lo: int, hi: int) -> tuple:
-    """The fits of the dense order ``solver`` has just visited, on prefixes
-    ``lo..hi``, for :func:`sequential_fitter`: (k, window counts, sample
-    moments, one-step, plug-in and direct coefficient rows, and each
-    horizon's guard messages by row).  The plug-in rows are one stacked
-    iteration of the one-step rows, those that failed as nan."""
-    k = len(solver.lags)
-    counts = np.arange(lo, hi + 1) - h - k + 1
-    gammas = solver.table.moments(range(k), k, range(lo - h, hi - h + 1))
-    gammas /= counts[:, None, None]
-    one, one_faults = solver.fit(0)
-    one = _lags_ascending(one)
-    one[list(one_faults)] = np.nan
-    direct, direct_faults = solver.fit(1)
-    direct = _lags_ascending(direct)
-    return (k, counts, gammas, one, iterate_plugin_coeffs(one, h), direct,
-            (one_faults, direct_faults))

@@ -36,8 +36,7 @@ from arselect import (
     check_ratios,
     companion_matrix,
     direct_excess_constant,
-    fit_direct,
-    fit_plugin,
+    forecast,
     h_step_order,
     horizon_variance,
     loss_table,
@@ -48,7 +47,6 @@ from arselect import (
     replicate_table1,
     select_predictor,
     selection_frequency,
-    sequential_fitter,
     simulate,
     start_index,
     three_step_excess_ratio,
@@ -363,21 +361,20 @@ def test_criterion_8_oracle_equivalences(capsys):
     naive refit oracles; exact where exactness is promised."""
     path = simulate(BENCH, 260, seed=8)
     values = path.series.values
-    yields = [(i, fits) for i, fits in sequential_fitter(path.series, 3, 4)
-              if fits is not None]
+    # The forecasts the APE engine makes from each prefix fit: the step's
+    # target less its error, prefix x_1..x_i forecasting x_{i+3}.
+    start = start_index(path.series, 3, 4)
+    engine = {(k, method): values[start + 2:] - func(path.series, 3, k, start,
+                                                     keep_steps=True).step_errors
+              for k in range(1, 5)
+              for method, func in ((Method.DIRECT, ape_direct), (Method.PLUGIN, ape_plugin))}
     rng = np.random.default_rng(88)
     worst_seq = 0.0
-    for pos in rng.choice(len(yields), size=100, replace=False):
-        i, fits = yields[pos]
-        prefix = Series(values[:i])
-        for k, fit in fits.items():
-            ref_d = fit_direct(prefix, 3, k)
-            ref_p = fit_plugin(prefix, 3, k)
-            scale = max(1.0, float(np.max(np.abs(ref_d))))
-            worst_seq = max(
-                worst_seq,
-                float(np.max(np.abs(fit.a_direct - ref_d))) / scale,
-                float(np.max(np.abs(fit.a_plugin - ref_p))) / scale)
+    for pos in rng.choice(values.size - 2 - start, size=100, replace=False):
+        prefix = Series(values[:start + pos])
+        for (k, method), forecasts in engine.items():
+            want = forecast(prefix, 3, k, method)
+            worst_seq = max(worst_seq, abs(forecasts[pos] - want) / max(1.0, abs(want)))
 
     small = simulate(BENCH, 200, seed=15)
     worst_ape = 0.0

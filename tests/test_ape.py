@@ -64,6 +64,19 @@ class TestStartIndex:
         start = start_index(Series(values), 1, 2)
         assert start > 20
 
+    def test_a_fit_inside_a_zero_run_is_singular_at_its_time(self):
+        # Twenty zeros lead the series: a prefix fit whose windows hold only
+        # zeros raises at its own time, and the probe starts past the run.
+        values = np.concatenate((np.zeros(20), np.random.default_rng(1).normal(size=200)))
+        series = Series(values)
+        for func, name in ((ape_direct, "h=3"), (ape_plugin, "h=1")):
+            with pytest.raises(SingularMomentError,
+                               match=f"{name}: singular moment matrix at time 15$"):
+                func(series, 3, 4, 15)
+        start = start_index(series, 3, 4)
+        assert start > 20
+        assert ape_direct(series, 3, 4, start).ape > 0.0
+
     def test_too_short_series_raises(self):
         values = simulate(ArModel((0.5,), 1.0), 11, seed=1).series.values
         with pytest.raises(NoValidStartError):
@@ -106,9 +119,10 @@ class TestStartIndex:
         assert sum(taken) == 24
 
     def test_a_run_of_zeros_takes_few_probe_steps(self, monkeypatch):
-        # 200 zeros leave the windows up to time 200 singular.  After a failed
-        # step the next inspects twice as many times, so each horizon's probe
-        # takes five steps (11, 21, 41, 81 and 161 times), not one per eleven.
+        # 200 zeros leave the windows up to time 200 singular.  After a step
+        # that ends on a failing time, the next reaches twice the failing run
+        # so far past its start and takes only windows no step took, so each
+        # horizon's probe takes four steps, not one per eleven times.
         taken = []
         cond = np.linalg.cond
 
@@ -120,7 +134,23 @@ class TestStartIndex:
         values = np.concatenate([np.zeros(200), np.random.default_rng(0).standard_normal(1000)])
         result = select_predictor(Series(values), 3, 4)
         assert (result.audit.start_one_step, result.audit.start) == (205, 207)
-        assert taken == [11, 21, 41, 81, 161, 13, 23, 43, 83, 163]
+        assert taken == [11, 23, 69, 207, 13, 23, 69, 207]
+
+    def test_a_step_takes_only_windows_no_earlier_step_took(self, monkeypatch):
+        # Ten zeros: at h=3 the first step (times 10..20, windows up to 7..19)
+        # ends on four passing times, 17..20.  The next keeps the verdicts of
+        # their windows and takes only those that complete time 17's eleven.
+        taken = []
+        moments = _CrossProducts.moments
+
+        def spy(self, offsets, j0, uppers):
+            taken.append((uppers.start, uppers.stop))
+            return moments(self, offsets, j0, uppers)
+
+        monkeypatch.setattr(_CrossProducts, "moments", spy)
+        values = np.concatenate((np.zeros(10), np.random.default_rng(0).standard_normal(300)))
+        assert start_index(Series(values), 3, 4) == 17
+        assert taken == [(7, 20), (20, 27)]
 
     def test_horizon_start_is_raised_before_any_fit(self):
         # The order-4 one-step fits of these values, whose cross products are

@@ -18,11 +18,10 @@ from arselect import (
     masked_fit_direct,
     masked_fit_plugin,
     predict_with,
-    sample_moment,
-    sequential_fitter,
     simulate,
 )
 from arselect.errors import SingularMomentError, TooFewObservationsError
+from arselect.estimation import _CrossProducts
 from arselect.methods import Method
 
 
@@ -65,10 +64,14 @@ def path():
 
 class TestBatchFits:
     def test_moments_match_loops(self, path):
+        # The moment source of every prefix fit and of the start probe, read
+        # at the whole-series upper n - h: windows j = k..n-h.
         values = path.series.values
+        n = values.size
         for h in (1, 3):
             for k in (1, 2, 4):
-                got = sample_moment(path.series, h, k)
+                table = _CrossProducts(values, h, k)
+                got = table.moments(range(k), k, range(n - h, n - h + 1))[0] / (n - h - k + 1)
                 assert np.max(np.abs(got - naive_moment(values, h, k))) < 1e-12
 
     def test_direct_fits_match_loops(self, path):
@@ -151,39 +154,6 @@ class TestMaskedFits:
         dense = masked_fit_plugin(path.series, 2, (1, 2, 3), 3)
         full = fit_plugin(path.series, 2, 3)
         assert np.max(np.abs(dense - full)) < 1e-10
-
-
-class TestSequentialFitter:
-    def test_matches_batch_refits(self, path):
-        values = path.series.values
-        checked = 0
-        for i, fits in sequential_fitter(path.series, 3, 4,
-                                         well_defined_from=10):
-            if fits is None or (i % 37 and i != 10):
-                continue
-            prefix = Series(values[:i])
-            for k, fit in fits.items():
-                ref_d = fit_direct(prefix, 3, k)
-                ref_p = fit_plugin(prefix, 3, k)
-                scale = max(1.0, float(np.max(np.abs(ref_d))))
-                assert np.max(np.abs(fit.a_direct - ref_d)) / scale < 1e-8
-                assert np.max(np.abs(fit.a_plugin - ref_p)) / scale < 1e-8
-                assert np.max(np.abs(fit.gamma_hat
-                                     - sample_moment(prefix, 3, k))) < 1e-8
-                checked += 1
-        assert checked >= 20
-
-    def test_singular_prefixes_yield_none_until_certified(self):
-        # Twenty zeros lead the series, so the first prefixes have singular
-        # moment matrices: they are yielded as None, and a stream certified
-        # well defined from inside that run raises at the certified time.
-        values = np.concatenate((np.zeros(20), np.random.default_rng(1).normal(size=200)))
-        stream = list(sequential_fitter(Series(values), 3, 4))
-        assert [i for i, _ in stream] == list(range(10, 218))
-        assert [i for i, fits in stream if fits is None] == list(range(10, 27))
-        assert all(sorted(fits) == [1, 2, 3, 4] for _, fits in stream[17:])
-        with pytest.raises(SingularMomentError, match="singular moment matrix at time 15$"):
-            list(sequential_fitter(Series(values), 3, 4, well_defined_from=15))
 
 
 class TestConditioningFloor:

@@ -13,7 +13,8 @@ APEs and its whole-series forecast.  A series built from a strided or
 reversed view is its contiguous copy, and rewriting the values after a
 step's target leaves that step's error.  The theory report, the loss table
 and the subset table's all-ones mask, which share one constants core, are
-held to the standalone excess constants bit for bit.  Fuzzes of ``arselect mspe``, ``theory``, ``simulate``,
+held to the standalone excess constants bit for bit, and each standalone
+constant is its entry of every loss table that holds it.  Fuzzes of ``arselect mspe``, ``theory``, ``simulate``,
 ``replicate-table1``, ``select`` and ``bic`` hold every accepted or rejected
 request to a documented exit code (and the ``mspe``, ``theory``,
 ``simulate`` and ``replicate-table1`` reports to strict JSON), and the ``np.loadtxt`` series
@@ -41,6 +42,7 @@ from arselect import (
     ape_direct,
     ape_plugin,
     direct_excess_constant,
+    h_step_order,
     loss_table,
     plugin_excess_constant,
     select_predictor,
@@ -686,6 +688,45 @@ def test_theory_constants_are_the_standalone_constants(seed, h, data, capsys):
     ones = (1,) * max_order
     assert subsets.plugin[ones].hex() == table.plugin[max_order].hex()
     assert subsets.direct[ones].hex() == table.direct[max_order].hex()
+
+
+@SETTINGS
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       sparse=st.sampled_from([None, (0.0, 0.5), (0.5, 1e-12), (0.9, 0.0, -0.3),
+                               (0.0, 0.0, -0.6), SINGULAR_GAMMA]),
+       h=st.integers(1, 6), k=st.integers(0, 8))
+def test_excess_constants_are_loss_table_entries(seed, sparse, h, k):
+    # Each standalone constant is order k's entry of every loss table that
+    # holds it, bit for bit; below the order its method needs it raises
+    # UnderspecifiedOrderError naming the lag the window misses.
+    rng = np.random.default_rng(seed)
+    model = (random_stationary_model(rng, max_order=5) if sparse is None
+             else ArModel(sparse, float(rng.uniform(0.3, 3.0))))
+    p = model.order
+    for method, func in ((Method.PLUGIN, plugin_excess_constant),
+                         (Method.DIRECT, direct_excess_constant)):
+        if k < 1:
+            with pytest.raises(ValueError, match="^order must be >= 1$"):
+                func(model, h, k)
+            continue
+        got = package_outcome(lambda: func(model, h, k))
+        tables = [package_outcome(lambda: loss_table(model, h, K))
+                  for K in range(max(k, p), max(k, p) + 7)]
+        # Gamma(K)'s guard fails from some K on (the double root's from 6).
+        passed = [table for table in tables if not isinstance(table, tuple)]
+        assert all(table[0] == "SingularGammaError" for table in tables[len(passed):])
+        if not passed:
+            assert got == tables[0]
+            continue
+        entries = {table.value(k, method) for table in passed}
+        needed = p if method is Method.PLUGIN else h_step_order(model, h)
+        if k < needed:
+            assert entries == {math.inf}
+            assert got == ("UnderspecifiedOrderError",
+                           f"{method.label} constant undefined at order {k}: the window "
+                           f"misses lag {needed}, which the {method.label} predictor needs")
+        else:
+            assert len(entries) == 1 and got.hex() == entries.pop().hex()
 
 
 @settings(max_examples=150, deadline=None, derandomize=True, database=None,
