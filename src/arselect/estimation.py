@@ -88,9 +88,9 @@ class Series:
 # batch (whole-series) fits
 
 #: Least relative pivot ``d^2 / m_vv`` along its path that a whole-series fit
-#: accepts.  ``m_vv / d^2`` is at most the condition number of
-#: the moment matrix, so the floor rejects only fits that the ceiling
-#: ``COND_GUARD`` on that condition number rejects.
+#: accepts.  ``m_vv / d^2`` is at most the condition number of the moment
+#: matrix, so the floor rejects only fits that the ceiling ``COND_GUARD`` on
+#: that condition number rejects.
 _FLOOR = 1.0 / COND_GUARD
 
 #: The residual screen of :meth:`_Bordering.fit` clears a fit on m lags
@@ -459,10 +459,10 @@ class _Bordering:
     every error, since the guards check every pivot, coefficient and
     residual the walk makes.  The walk holds the factor, ``z``, the traces
     and one row stack of scratch, and no state of paths other than the
-    current one: stacking a node's children would hold
-    each child's factor row, ``z`` and traces until the walk reached it,
-    about 1.7 MB at a window of 8 lags and 1000 observations, where the
-    walk's own arrays take about 1 MB.
+    current one: stacking a node's children would hold each child's factor
+    row, ``z`` and traces until the walk reached it, about 1.7 MB at a
+    window of 8 lags and 1000 observations, where the walk's own arrays
+    take about 1 MB.
     """
 
     def __init__(self, moment: np.ndarray | None, rhs: np.ndarray,
