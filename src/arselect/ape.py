@@ -71,10 +71,11 @@ def start_index(series: Series, h: int, max_order: int) -> int:
     matrices must pass the conditioning guard at i and at
     ``min(10, n - h - i)`` subsequent times.  The forward probe keeps a
     single accidentally well-posed prefix from starting the sum early.
-    The first probe step takes the condition numbers of the windows up to
-    ``i - h .. i + 9`` (10 + h matrices), and no window's is taken twice in
-    one horizon's probe; none is kept for the other horizon.  A run of r
-    failing times takes about log3(r / 10) steps (see :func:`_probe`).
+    Each probe step takes the condition numbers of the windows it inspects,
+    those up to ``i - h .. i + 9`` (10 + h matrices) at the first step, and
+    keeps none for the next step or the other horizon.  After a failed step
+    the next inspects twice as many times, so a run of r failing times
+    takes about log2(r / 10) steps (see :func:`_probe`).
     """
     if h < 1 or max_order < 1:
         raise ValueError("horizon and max_order must be >= 1")
@@ -101,20 +102,18 @@ def _probe(table: _CrossProducts, h: int, max_order: int) -> int:
     i..end, the windows up to i - h .. end - 1, and returns the first time
     whose eleven times (up to ``last``) lie in the step and pass; no earlier
     time can start, since each has a failing time among its own.  Otherwise
-    the next step starts past the last failing time and keeps the verdicts
-    of the windows from there on, so it takes only new windows.  If the
-    step ended on passing times, the next inspects just the rest of their
-    eleven; if it ended on a failing time, it reaches twice the failing run
-    so far (the times ``first`` .. i - 1) past its start i.
+    the next step starts past the last failing time and inspects twice as
+    many times: i..i + 10 at first, then 21, 41, ... times.
     """
     first, last = _probe_range(table.values.size, h, max_order)
-    i, end = first, min(first + 10, last)
-    ok = np.empty(0, dtype=bool)  # ok[u - i + h] is the verdict of the windows up to u
-    while True:
+    i, span = first, 10
+    while i <= last:
+        end = min(i + span, last)
+        # ok[u - i + h] is the verdict of the windows up to u, for u = i - h .. end - 1.
         with np.errstate(divide="ignore", invalid="ignore"):
             cond = np.linalg.cond(table.moments(range(max_order), max_order,
-                                                range(i - h + ok.size, end)))
-        ok = np.concatenate((ok, np.isfinite(cond) & (cond <= COND_GUARD)))
+                                                range(i - h, end)))
+        ok = np.isfinite(cond) & (cond <= COND_GUARD)
         steps = np.arange(end - i + 1)
         bad = np.flatnonzero(~(ok[steps + h - 1] & ok[steps]))
         if not bad.size or bad[0] >= 11:
@@ -125,13 +124,11 @@ def _probe(table: _CrossProducts, h: int, max_order: int) -> int:
         if clean.size:
             return i + int(bad[clean[0]]) + 1
         i += int(bad[-1]) + 1
-        ok = ok[int(bad[-1]) + 1:]
-        if end == last:
-            if runs[-1]:
-                return i
-            raise NoValidStartError(
-                f"no time in [{first}, {last}] passes the well-definedness probe")
-        end = min(i + (10 if runs[-1] else max(10, 2 * (i - first))), last)
+        if end == last and runs[-1]:
+            return i
+        span *= 2
+    raise NoValidStartError(
+        f"no time in [{first}, {last}] passes the well-definedness probe")
 
 
 def _apes(errors: np.ndarray, squares: np.ndarray) -> list[float]:

@@ -558,18 +558,16 @@ def _mask_constants(model: ArModel, inputs: tuple, window: int,
     return out
 
 
-def _loss_entry(model: ArModel, h: int, k: int, method: Method) -> float:
-    """The ``method`` entry of order k in :func:`loss_table` on the window
-    ``max(k, p)``, which must be finite."""
+def _order_constant(model: ArModel, h: int, k: int, method: Method) -> float:
+    """The ``method`` constant of order k, which must be finite."""
     if k < 1:
         raise ValueError("order must be >= 1")
-    table = loss_table(model, h, max(k, model.order))
-    value = table.value(k, method)
+    inputs = _inputs(model, h, max(k, model.order))
+    value = _order_constants(model, inputs, k)[method][k - 1]
     if value == math.inf:
-        needed = model.order if method is Method.PLUGIN else table.horizon_order
         raise UnderspecifiedOrderError(
             f"{method.label} constant undefined at order {k}: the window misses "
-            f"lag {needed}, which the {method.label} predictor needs")
+            f"lag {inputs[2][method][-1] + 1}, which the {method.label} predictor needs")
     return value
 
 
@@ -580,20 +578,19 @@ def plugin_excess_constant(model: ArModel, h: int, k: int) -> float:
     irreducible variance converges to this constant, valid for
     ``k >= p`` only (below the true order the plug-in predictor does not
     even converge to the optimal one).  It is order k's entry of
-    :func:`loss_table`.
+    :func:`_order_constants`.
     """
-    return _loss_entry(model, h, k, Method.PLUGIN)
+    return _order_constant(model, h, k, Method.PLUGIN)
 
 
 def direct_excess_constant(model: ArModel, h: int, k: int) -> float:
     """Asymptotic excess MSPE of the order-k direct predictor at horizon h.
 
     Valid for ``k >= h_step_order(model, h)``.  It is order k's entry of
-    :func:`loss_table`, where ``V`` is the covariance of
-    ``sum_{j<h} b_j (x_j, ..., x_{j-k+1})'``, the double sum expanded
-    (:func:`_order_constants`).
+    :func:`_order_constants`, where ``V`` is the covariance of
+    ``sum_{j<h} b_j (x_j, ..., x_{j-k+1})'``, the double sum expanded.
     """
-    return _loss_entry(model, h, k, Method.DIRECT)
+    return _order_constant(model, h, k, Method.DIRECT)
 
 
 def three_step_excess_ratio(a2: float) -> float:
@@ -660,9 +657,8 @@ def loss_table(model: ArModel, h: int, max_order: int) -> LossTable:
     Order k is the mask of k ones on window k.  One condition number of
     ``Gamma(max_order)`` guards the table, and one nested pass
     (:func:`_order_constants`) forms every order: each entry equals the
-    same order of any larger table bit for bit, and
-    :func:`plugin_excess_constant` and :func:`direct_excess_constant` read
-    their entries.
+    standalone ``plugin_excess_constant`` or ``direct_excess_constant`` value,
+    and the same order of any larger table, bit for bit.
     """
     inputs = _inputs(model, h, max_order)
     got = _order_constants(model, inputs, max_order)

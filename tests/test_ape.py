@@ -119,10 +119,9 @@ class TestStartIndex:
         assert sum(taken) == 24
 
     def test_a_run_of_zeros_takes_few_probe_steps(self, monkeypatch):
-        # 200 zeros leave the windows up to time 200 singular.  After a step
-        # that ends on a failing time, the next reaches twice the failing run
-        # so far past its start and takes only windows no step took, so each
-        # horizon's probe takes four steps, not one per eleven times.
+        # 200 zeros leave the windows up to time 200 singular.  After a failed
+        # step the next inspects twice as many times, so each horizon's probe
+        # takes five steps (11, 21, 41, 81 and 161 times), not one per eleven.
         taken = []
         cond = np.linalg.cond
 
@@ -134,23 +133,7 @@ class TestStartIndex:
         values = np.concatenate([np.zeros(200), np.random.default_rng(0).standard_normal(1000)])
         result = select_predictor(Series(values), 3, 4)
         assert (result.audit.start_one_step, result.audit.start) == (205, 207)
-        assert taken == [11, 23, 69, 207, 13, 23, 69, 207]
-
-    def test_a_step_takes_only_windows_no_earlier_step_took(self, monkeypatch):
-        # Ten zeros: at h=3 the first step (times 10..20, windows up to 7..19)
-        # ends on four passing times, 17..20.  The next keeps the verdicts of
-        # their windows and takes only those that complete time 17's eleven.
-        taken = []
-        moments = _CrossProducts.moments
-
-        def spy(self, offsets, j0, uppers):
-            taken.append((uppers.start, uppers.stop))
-            return moments(self, offsets, j0, uppers)
-
-        monkeypatch.setattr(_CrossProducts, "moments", spy)
-        values = np.concatenate((np.zeros(10), np.random.default_rng(0).standard_normal(300)))
-        assert start_index(Series(values), 3, 4) == 17
-        assert taken == [(7, 20), (20, 27)]
+        assert taken == [11, 21, 41, 81, 161, 13, 23, 43, 83, 163]
 
     def test_horizon_start_is_raised_before_any_fit(self):
         # The order-4 one-step fits of these values, whose cross products are

@@ -712,10 +712,12 @@ def test_excess_constants_are_loss_table_entries(seed, sparse, h, k):
         got = package_outcome(lambda: func(model, h, k))
         tables = [package_outcome(lambda: loss_table(model, h, K))
                   for K in range(max(k, p), max(k, p) + 7)]
-        # Gamma(K)'s guard fails from some K on (the double root's from 6).
+        # Gamma(K)'s guard fails from some K on (the double root's from 6);
+        # only the tables that pass hold entries.
         passed = [table for table in tables if not isinstance(table, tuple)]
         assert all(table[0] == "SingularGammaError" for table in tables[len(passed):])
         if not passed:
+            # The constant takes Gamma(max(k, p))'s guard too.
             assert got == tables[0]
             continue
         entries = {table.value(k, method) for table in passed}

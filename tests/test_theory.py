@@ -523,19 +523,22 @@ class TestExtremeVariance:
             with pytest.raises(OutOfDomainError, match="excess constant is not finite"):
                 plugin_excess_constant(model, 1, 4)
 
-    def test_a_constant_below_the_model_order_raises_as_its_table(self):
-        # A standalone constant is order k's entry of loss_table on the window
-        # max(k, p), so it raises where that table does.  At sigma2 = 1e308
-        # the order-2 constants of (0, 0.5) overflow: the order-1 direct
-        # constant at h=2 (finite, about 1.1 * 2^1023) raises with the table.
+    def test_a_constant_below_the_model_order_forms_only_its_order(self):
+        # At sigma2 = 1e308 the order-2 constants of (0, 0.5) overflow, so
+        # loss_table on window 2 is out of domain.  An order-1 constant takes
+        # that window's guard but forms orders up to 1 only: the direct one
+        # at h=2 is finite, and the plug-in one is underspecified, as at any
+        # sigma2.
         model = ArModel((0.0, 0.5), 1e308)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for call in (lambda: loss_table(model, 2, 2),
-                         lambda: direct_excess_constant(model, 2, 1),
-                         lambda: plugin_excess_constant(model, 2, 1)):
-                with pytest.raises(OutOfDomainError, match="excess constant is not finite"):
-                    call()
+            with pytest.raises(OutOfDomainError, match="excess constant is not finite"):
+                loss_table(model, 2, 2)
+            assert direct_excess_constant(model, 2, 1).hex() == "0x1.1ccf385ebc8a0p+1023"
+            with pytest.raises(UnderspecifiedOrderError,
+                               match="^plugin constant undefined at order 1: the window "
+                                     "misses lag 2, which the plugin predictor needs$"):
+                plugin_excess_constant(model, 2, 1)
 
     def test_guard_condition_number_is_scale_free(self, capsys):
         # Gamma(2) of (0.5,) at sigma2 = 1e308 has a singular value above the
