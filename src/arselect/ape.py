@@ -35,6 +35,7 @@ from .estimation import (
     _BorderedSolver,
     _CrossProducts,
     _resolve_candidate,
+    _slices,
 )
 from .methods import Method
 from .theory import MaCoefficients
@@ -142,12 +143,6 @@ def _apes(errors: np.ndarray, squares: np.ndarray) -> list[float]:
             raise SeriesOverflowError(
                 f"series overflows: an accumulated prediction error is {ape}")
     return apes
-
-
-def _slices(values: np.ndarray, count: int) -> np.ndarray:
-    """(n - count + 1, count) view: row e is ``values[e: e + count]``."""
-    step = values.itemsize
-    return np.ndarray((values.size - count + 1, count), buffer=values, strides=(step, step))
 
 
 def _lag_rows(values: np.ndarray, lags: Sequence[int], lo: int) -> np.ndarray:

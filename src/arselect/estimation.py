@@ -329,6 +329,13 @@ def forecast(series: Series, h: int, candidate, method: Method) -> float:
 # prefix machinery
 
 
+def _slices(values: np.ndarray, count: int) -> np.ndarray:
+    """(n - count + 1, count) view of a contiguous 1-D array: row e is
+    ``values[e: e + count]``."""
+    step = values.itemsize
+    return np.ndarray((values.size - count + 1, count), buffer=values, strides=(step, step))
+
+
 class _CrossProducts:
     """Cumulative lagged cross products of one series, one row per lag difference.
 
@@ -344,8 +351,7 @@ class _CrossProducts:
         rows = max_offset + horizon
         self.values = values
         # lagged[d, i] is values[i - d], and zero before the series starts.
-        lagged = np.lib.stride_tricks.sliding_window_view(
-            np.concatenate((np.zeros(rows - 1), values)), n)[::-1]
+        lagged = _slices(np.concatenate((np.zeros(rows - 1), values)), n)[::-1]
         self._table = np.zeros((rows, n + 1))
         with np.errstate(over="ignore", invalid="ignore"):
             np.multiply(values, lagged, out=self._table[:, 1:])
@@ -390,9 +396,7 @@ class _CrossProducts:
 
     def slices(self, size: int) -> np.ndarray:
         """View of the flat table whose row e is its entries e..e + size - 1."""
-        flat = self._table.reshape(-1)
-        step = flat.itemsize
-        return np.ndarray((flat.size - size + 1, size), buffer=flat, strides=(step, step))
+        return _slices(self._table.reshape(-1), size)
 
 
 def _window_sums(slices: np.ndarray, starts: np.ndarray, bases: np.ndarray,

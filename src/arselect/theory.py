@@ -12,8 +12,9 @@ Levinson factor (:func:`_order_constants`): each order adds one row's
 term, so a table of K orders costs one condition number of ``Gamma(K)``
 and ``O((p + h)^3 + K)`` further work, and order k's constants are the
 same bits in every table.  Every other lag mask solves on its own
-``Gamma_S`` (:func:`_mask_constants`).  Both run after the window's one
-condition guard in :func:`_inputs`.
+``Gamma_S`` (:func:`_mask_constants`).  Both, and an underfitted order's
+drift (:func:`underfit_ape_drift`), read the one :func:`_inputs` of their
+window (autocovariances, MA weights, required lags), after its one guard.
 
 Conventions
 -----------
@@ -49,6 +50,7 @@ from .errors import (
 from .methods import Method
 from .tolerances import (
     COND_GUARD,
+    HORIZON_ROWS_CAP,
     STATIONARITY_MARGIN,
     SUBSET_ORDER_CAP,
     TOL_TIE,
@@ -222,16 +224,17 @@ def ma_coefficients(model: ArModel, n_terms: int) -> MaCoefficients:
     return MaCoefficients(b)
 
 
+@np.errstate(over="ignore")
 def horizon_variance(model: ArModel, h: int) -> float:
     """Irreducible variance of an h-step-ahead forecast.
 
-    This is ``sigma2 * (b_0^2 + ... + b_{h-1}^2)``, the error variance
-    of the best possible predictor given the infinite past.
+    This is ``sigma2 * (b_0^2 + ... + b_{h-1}^2)``, the error variance of
+    the best predictor given the infinite past; it must not overflow.
     """
     if h < 1:
         raise ValueError("horizon must be >= 1")
     b = ma_coefficients(model, n_terms=h - 1).b
-    return float(model.sigma2 * np.dot(b, b))
+    return float(_scaled(model, np.dot(b, b), "horizon variance"))
 
 
 @dataclass(frozen=True)
@@ -357,8 +360,7 @@ def iterate_plugin_coeffs(one_step: np.ndarray, h: int) -> np.ndarray:
     return out
 
 
-def h_step_order(model: ArModel, h: int,
-                 table: AutocovarianceTable | None = None) -> int:
+def h_step_order(model: ArModel, h: int) -> int:
     """Order of the h-step projection on the model's own lag window.
 
     The order-p direct coefficient vector at horizon h can have exactly
@@ -367,23 +369,16 @@ def h_step_order(model: ArModel, h: int,
     every coefficient vanished (the best h-step predictor is the mean),
     which callers should treat as degenerate.
     """
-    return _horizon_order(_inputs(model, h, model.order, table))
+    return _horizon_order(_inputs(model, h, model.order))
 
 
-def _horizon_order(inputs: tuple) -> int:
-    """:func:`h_step_order` from the :func:`_inputs` of any window."""
-    return max(inputs[2][Method.DIRECT], default=-1) + 1
+def _horizon_order(inputs: tuple, method: Method = Method.DIRECT) -> int:
+    """The least order holding every lag ``method`` requires in any window's :func:`_inputs`."""
+    return max(inputs[2][method], default=-1) + 1
 
 
 # ---------------------------------------------------------------------------
 # asymptotic excess-MSPE constants
-
-
-def _require_table(model: ArModel, table: AutocovarianceTable | None,
-                   max_lag: int) -> AutocovarianceTable:
-    if table is None or table.max_lag < max_lag:
-        return autocovariances(model, max_lag)
-    return table
 
 
 def required_masks(model: ArModel, h: int, window: int
@@ -395,22 +390,22 @@ def required_masks(model: ArModel, h: int, window: int
                  for method in Method)
 
 
-def _scaled(model: ArModel, trace):
-    """Excess constants ``sigma2 * trace``, which must be finite: the
-    constants are formed with overflow warnings off."""
+def _scaled(model: ArModel, trace, quantity: str = "excess constant"):
+    """``sigma2 * trace``, which must be finite: excess constants and the
+    horizon variance are formed with overflow warnings off."""
     value = model.sigma2 * trace
     if not np.isfinite(value).all():
-        raise OutOfDomainError(f"excess constant is not finite at sigma2 = {model.sigma2!r}")
+        raise OutOfDomainError(f"{quantity} is not finite at sigma2 = {model.sigma2!r}")
     return value
 
 
-def _inputs(model: ArModel, h: int, window: int, table: AutocovarianceTable | None = None
+def _inputs(model: ArModel, h: int, window: int
             ) -> tuple[np.ndarray, AutocovarianceTable, dict]:
     """``(b, table, required)`` for the constants of every candidate on
     windows up to ``window``, which must reach the model order.
 
     ``b = (b_0..b_{h-1})`` are the MA weights, and the table reaches lag
-    ``h + window - 1`` (``table`` where it does).
+    ``h + window - 1``.
     ``required`` maps each method to the zero-based lags a candidate must
     hold for its constant to be finite: every lag with a nonzero model
     coefficient (the rule that fixes the model's order) for the plug-in
@@ -421,13 +416,18 @@ def _inputs(model: ArModel, h: int, window: int, table: AutocovarianceTable | No
     ``Gamma(window)``'s condition guard runs here, once per table: a
     principal submatrix's condition number is no larger, so it covers
     every order and mask on the window and the order-p projection solve.
+    First, a horizon with ``p + h - 1`` past ``HORIZON_ROWS_CAP`` is out of domain.
     """
     if h < 1:
         raise ValueError("horizon must be >= 1")
     if window < model.order:
         raise UnderspecifiedOrderError(
             f"window {window} cannot carry the order-{model.order} model")
-    table = _require_table(model, table, h + window - 1)
+    if model.order + h - 1 > HORIZON_ROWS_CAP:
+        raise OutOfDomainError(
+            f"horizon {h} needs p + h - 1 = {model.order + h - 1} rows, past the "
+            f"bound HORIZON_ROWS_CAP = {HORIZON_ROWS_CAP}")
+    table = autocovariances(model, h + window - 1)
     _checked_gamma(table, window)
     b = ma_coefficients(model, n_terms=h - 1).b
     p = model.order
@@ -706,62 +706,37 @@ def optimal_candidates(table: LossTable) -> set[tuple[object, Method]]:
 
 @dataclass(frozen=True)
 class DriftResult:
-    """Per-step drift of an APE statistic for an underfitted candidate.
-
-    ``value`` is the asymptotic per-observation excess; ``underfit`` is
-    False when the order is already large enough, in which case the
-    drift is zero by definition.
-    """
+    """Per-step drift of an APE statistic: ``value`` is the asymptotic
+    per-observation excess, zero by definition when ``underfit`` is False
+    (the order is already large enough)."""
 
     value: float
     underfit: bool
 
 
-def _padded_gap(table: AutocovarianceTable, h: int, k: int, order: int
-                ) -> tuple[float, np.ndarray]:
-    """``(gap' Gamma(order) gap, a_low)`` for the gap between the order-``order``
-    and zero-padded order-k direct coefficients ``a_low`` at horizon h."""
-    a_full = optimal_direct_coeffs(table, h, order)
-    a_low = optimal_direct_coeffs(table, h, k)
-    padded = np.zeros(order)
-    padded[:k] = a_low
-    gap = a_full - padded
-    return float(gap @ table.gamma_matrix(order) @ gap), a_low
-
-
 def underfit_ape_drift(model: ArModel, h: int, k: int, method: Method) -> DriftResult:
-    """Asymptotic per-step APE excess of an underfitted candidate.
+    """Asymptotic per-step APE excess of an underfitted candidate, read from
+    the model's own :func:`_inputs`.
 
-    For the plug-in predictor with ``k < p`` the drift is the sum of two
-    quadratic forms: the gap between the order-p and zero-padded order-k
-    direct coefficients under ``Gamma(p)``, plus the gap between the
-    iterated one-step projection and the order-k direct coefficients
-    under ``Gamma(k)``.  For the direct predictor with
-    ``k < h_step_order`` it is a single quadratic form under
-    ``Gamma(p_h)``.  At or above the respective order the drift is zero
-    and the result is flagged as not underfitted.
+    Let ``m`` be the order the method needs (p for the plug-in predictor,
+    :func:`h_step_order` for the direct one) and ``c`` the order-m h-step
+    projection.  Below m the drift is ``(c - c_k)' Gamma(m) (c - c_k)``, with
+    ``c_k`` the order-k predictor's limit zero-padded to m: the order-k
+    one-step projection iterated h steps (plug-in; the padding stays zero),
+    or the order-k h-step projection (direct), iterated one step, which
+    returns it unchanged.  At or above m the drift is zero, not underfit.
     """
-    if h < 1:
-        raise ValueError("horizon must be >= 1")
-    if k < 1:
+    if k < 1 <= h:  # _inputs raises for a bad horizon first
         raise ValueError("order must be >= 1")
-    p = model.order
-    table = autocovariances(model, h + max(k, p) - 1)
-
-    if method is Method.PLUGIN:
-        if k >= p:
-            return DriftResult(0.0, underfit=False)
-        q1, a_low = _padded_gap(table, h, k, p)
-        iterated = iterate_plugin_coeffs(optimal_direct_coeffs(table, 1, k), h)
-        gap_low = iterated - a_low
-        q2 = float(gap_low @ table.gamma_matrix(k) @ gap_low)
-        return DriftResult(q1 + q2, underfit=True)
-
-    p_h = h_step_order(model, h, table)
-    if p_h == 0:
-        raise DegenerateHorizonError(
-            "every projection coefficient vanishes at this horizon; "
-            "no direct candidate is underfitted")
-    if k >= p_h:
+    inputs = _inputs(model, h, model.order)
+    table, m = inputs[1], _horizon_order(inputs, method)
+    if m == 0:
+        raise DegenerateHorizonError("every projection coefficient vanishes at this "
+                                     "horizon; no direct candidate is underfitted")
+    if k >= m:
         return DriftResult(0.0, underfit=False)
-    return DriftResult(_padded_gap(table, h, k, p_h)[0], underfit=True)
+    fit_h, steps = (1, h) if method is Method.PLUGIN else (h, 1)
+    limit = np.zeros(m)
+    limit[:k] = optimal_direct_coeffs(table, fit_h, k)
+    gap = optimal_direct_coeffs(table, h, m) - iterate_plugin_coeffs(limit, steps)
+    return DriftResult(float(gap @ table.gamma_matrix(m) @ gap), underfit=True)

@@ -41,7 +41,9 @@ from arselect.errors import (
     ZeroLeadCoefficientError,
 )
 from arselect.methods import Method
+from arselect.montecarlo import _excess_deviations
 from arselect.theory import _all_masks, _check_condition, _toeplitz
+from arselect.tolerances import HORIZON_ROWS_CAP
 
 from conftest import (
     ILL_CONDITIONED,
@@ -588,3 +590,92 @@ class TestUnderfitDrift:
         res = underfit_ape_drift(model, h, k, Method.DIRECT)
         assert res.underfit
         assert res.value == pytest.approx(expect, rel=1e-9)
+
+    @pytest.mark.parametrize("model", [ArModel(c, 1.0) for c in TEST_MODELS + (
+        (0.3, 0.1, 0.25), (0.5, -0.3, 0.2), (0.9, 0.0, -0.3), (0.6, 0.0, 0.0, -0.3))])
+    def test_plugin_drift_is_the_sum_of_two_orthogonal_gaps(self, model):
+        # The plug-in limit's gap to the h-step projection splits into the
+        # gap of the order-k h-step projection under Gamma(p) and the
+        # iterate's gap to that projection under Gamma(k); the two are
+        # Gamma-orthogonal, so their quadratic forms sum to the drift.
+        p = model.order
+        for h in (1, 2, 3, 5):
+            table = autocovariances(model, h + p - 1)
+            for k in range(1, p):
+                low = optimal_direct_coeffs(table, h, k)
+                gap_high = optimal_direct_coeffs(table, h, p) - np.pad(low, (0, p - k))
+                gap_low = iterate_plugin_coeffs(optimal_direct_coeffs(table, 1, k), h) - low
+                expect = (gap_high @ table.gamma_matrix(p) @ gap_high
+                          + gap_low @ table.gamma_matrix(k) @ gap_low)
+                res = underfit_ape_drift(model, h, k, Method.PLUGIN)
+                assert res.underfit
+                assert res.value == pytest.approx(expect, rel=1e-12)
+
+    @pytest.mark.parametrize("coeffs, h, pairs", [
+        ((0.9, -0.81), 1, [(1, Method.PLUGIN)]),
+        ((0.9, -0.81), 3, [(1, Method.PLUGIN)]),
+        ((0.3, 0.1, 0.25), 2, [(1, Method.DIRECT), (2, Method.PLUGIN)]),
+        ((0.5, -0.3, 0.2), 3, [(1, Method.DIRECT)])])
+    def test_drift_tracks_simulation(self, coeffs, h, pairs):
+        # The squared deviation of an underfitted forecast from the
+        # conditional mean has mean drift + B / n.  B was measured as
+        # n * (mean - drift) with 20,000 replications at n = 100, 400 and
+        # 1000: at most about 9 for (0.9, -0.81) and 2 for the others, and
+        # 1.5 for (0.5, -0.3, 0.2), the largest against its spread.  At
+        # n = 8000 and 400 replications, B / n is below a fifth of the
+        # standard error in every case (0.15 of it for (0.5, -0.3, 0.2)),
+        # so z tests the drift itself.
+        model, n, reps = ArModel(coeffs, 1.0), 8000, 400
+        squares, _ = _excess_deviations(model, h, n, reps, (2828,), pairs)
+        for (k, method), sq in zip(pairs, squares.T):
+            res = underfit_ape_drift(model, h, k, method)
+            assert res.underfit
+            z = (sq.mean() - res.value) / (sq.std(ddof=1) / math.sqrt(reps))
+            assert abs(z) <= 4.0, (k, method, z)
+
+    def test_plugin_drift_at_the_model_order_takes_the_guard(self):
+        # The drift reads the model's own guarded inputs, so a model whose
+        # Gamma(p) fails the guard has no drift at any order; a plug-in
+        # order at or above p returned zero unguarded before.
+        model = ArModel((2.6828628518264908, -1.9111598512892196, -1.1376759410513977,
+                         2.276125497207642, -0.9101525566935177), 1.0)
+        for k in (5, 6):
+            with pytest.raises(SingularGammaError, match="condition number 1.073e[+]17"):
+                underfit_ape_drift(model, 1, k, Method.PLUGIN)
+        with pytest.raises(SingularGammaError, match="condition number 1.073e[+]17"):
+            loss_table(model, 1, 5)
+
+
+class TestHorizonBound:
+    """The constants take (p + h - 1)-square matrices, so a horizon whose
+    p + h - 1 passes ``HORIZON_ROWS_CAP`` is out of domain before any is
+    formed."""
+
+    def test_both_sides_of_the_bound(self):
+        assert HORIZON_ROWS_CAP == 256
+        model = ArModel((0.9, -0.81), 1.0)
+        table = loss_table(model, HORIZON_ROWS_CAP - 1, 2)  # p + h - 1 = 256
+        assert math.isfinite(table.plugin[2]) and math.isfinite(table.direct[2])
+        for call in (lambda: loss_table(model, HORIZON_ROWS_CAP, 2),
+                     lambda: subset_loss_table(model, HORIZON_ROWS_CAP, 2),
+                     lambda: h_step_order(model, HORIZON_ROWS_CAP),
+                     lambda: underfit_ape_drift(ArModel((0.5,), 1.0), HORIZON_ROWS_CAP + 1,
+                                                1, Method.DIRECT)):
+            with pytest.raises(OutOfDomainError, match="past the bound HORIZON_ROWS_CAP = 256"):
+                call()
+
+    def test_command_line_exits_two(self, capsys):
+        assert main(["theory", "--coeffs=0.5", "--horizon", "100000", "--max-order", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err == ("error: OutOfDomainError: horizon 100000 needs p + h - 1 = 100000 rows, "
+                       "past the bound HORIZON_ROWS_CAP = 256\n")
+
+
+class TestHorizonVariance:
+    def test_overflow_is_out_of_domain(self):
+        # sigma2 * (1 + 0.99^2 + 0.99^4) passes the float maximum; one weight
+        # does not.
+        model = ArModel((0.99,), 1.7e308)
+        assert horizon_variance(model, 1) == 1.7e308
+        with pytest.raises(OutOfDomainError, match="horizon variance is not finite"):
+            horizon_variance(model, 3)
