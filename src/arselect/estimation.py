@@ -8,27 +8,27 @@ observations, which is what makes the accumulated-prediction-error
 statistics honest out-of-sample quantities.
 
 One guarded solver serves every fit.  :class:`_Bordering` solves the
-normal equations of any lag path of a moment stack with one column per
-system, order-recursively: a candidate's inverse Cholesky factor is its
-parent's bordered by one row, and the factor is held dense, so each
-product of a step is one contraction.  Its guards are a pivot test and a
-normal-equation residual test, which a condition bound kept by the walk
-skips where it cannot fire, and whole-series fits add a floor on the
-least relative pivot in place of a condition-number ceiling.
-The public batch fits (:func:`fit_one_step`, :func:`fit_direct`,
-:func:`fit_plugin` and their lag-subset variants) work on a whole series,
-and :func:`forecast` applies them as one sequential sum over the lags; each
-is the one-row case of :func:`_fit_rows`, which stacks each row of a block
-of series as one column and which the Monte Carlo driver runs a block at a
-time.  The prefix fits
-read :class:`_CrossProducts`, one table of cumulative cross products with a
-row per lag difference (K + h rows for max lag K at horizon h): the window
-sums of any set of entries are one gather of their slices of the flat table
-less their values at the window start (:func:`_window_sums`).
-:class:`_BorderedSolver` reads the entries each step needs from it on
-demand, so one depth-first walk per top lag serves every mask and both
-horizons without a moment stack, and a dense order k is the single path
-(k, 1, ..., k-1).  The APE functions of ``ape`` are its only drivers.
+normal equations of any lag path with one column per system, reading
+every moment entry by one gather (:func:`_window_sums`), order-recursively:
+a candidate's inverse Cholesky factor is its parent's bordered by one row,
+and the factor is held dense, so each product of a step is one
+contraction.  Its guards are a pivot test and a normal-equation residual
+test, which a condition bound kept by the walk skips where it cannot fire,
+and whole-series fits add a floor on the least relative pivot in place of
+a condition-number ceiling.  The public batch fits (:func:`fit_one_step`,
+:func:`fit_direct`, :func:`fit_plugin` and their lag-subset variants) work
+on a whole series, and :func:`forecast` applies them as one sequential sum
+over the lags; each is the one-row case of :func:`_fit_rows`, which stacks
+each row of a block of series as one column and which the Monte Carlo
+driver runs a block at a time.  The prefix fits read
+:class:`_CrossProducts`, one table of cumulative cross products with a row
+per lag difference (K + h rows for max lag K at horizon h): the window
+sums of any set of entries are one gather of their slices of the flat
+table less their values at the window start.  :class:`_BorderedSolver`
+reads the entries each step needs from it on demand, so one depth-first
+walk per top lag serves every mask and both horizons without a moment
+stack, and a dense order k is the single path (k, 1, ..., k-1).  The APE
+functions of ``ape`` are its only drivers.
 """
 
 from __future__ import annotations
@@ -189,14 +189,10 @@ def _fit_rows(block: np.ndarray, h: int, lags: tuple[int, ...], width: int,
         return iterate_plugin_coeffs(one, h), faults
     (rows, n), k, j0 = block.shape, len(lags), lags[-1]
     _require_windows(n, h, j0)
-    if rows == 1:
-        # The bordering sums over lags in one loop over two columns or more,
-        # so a lone series is fit next to a copy of itself.
-        block = np.repeat(block, 2, axis=0)
     # The window columns of the lags in path order (top lag first), then the
     # target's: their products are W'W, then a row W'y (y'y is not formed).
     count, starts = n - h - j0 + 1, [j0 - lag for lag in lags[-1:] + lags[:-1]] + [j0 + h - 1]
-    products = np.empty((k + 1, k, block.shape[0]))
+    products = np.empty((k + 1, k, rows))
     with np.errstate(all="ignore"):
         for a in range(k + 1):
             for b in range(min(a + 1, k)):
@@ -206,7 +202,13 @@ def _fit_rows(block: np.ndarray, h: int, lags: tuple[int, ...], width: int,
                     products[b, a] = products[a, b]
         if not np.isfinite(products).all():
             raise _overflow_error(block, "cross products")
-        solver = _Bordering(products[:k], products[None, k],
+        if rows == 1:
+            # The bordering sums over lags in one loop over two columns or
+            # more, so a lone series is fit next to a copy of its products.
+            products = np.repeat(products, 2, axis=2)
+        # W'W's k * k entries are the solver's slices, read at no offset.
+        solver = _Bordering(products[:k].reshape(k * k, -1), np.arange(k * k).reshape(k, k),
+                            np.zeros((k, k, 1)), products[None, k],
                             [(f"direct fit h={h} lags={lags}", None, slice(0, rows))], _FLOOR)
         solver.walk_to(tuple(range(k)))
         beta, faults = solver.fit(0)
@@ -419,18 +421,20 @@ def _lags_ascending(beta: np.ndarray) -> np.ndarray:
 
 
 class _Bordering:
-    """Least squares for every path of lag positions of a moment stack, by
-    bordering.
+    """Least squares for every path of lag positions of one symmetric moment
+    matrix per column, by bordering.
 
-    ``moment`` (positions, positions, columns) holds one symmetric moment
-    matrix per column (``None`` where a subclass's :meth:`_gather` reads the
-    entries elsewhere), and ``rhs`` (horizons, positions, columns) the
-    right-hand sums of each horizon.  ``horizons`` names each horizon's fits
-    as ``(name, first, columns)``: a fit reads the slice ``columns``, and its
-    guard messages give column t as time ``first + t`` unless ``first`` is
-    ``None``.  A positive ``floor`` is a conditioning test on every fit; the
-    whole-series fits pass one, and the prefix fits of
-    :class:`_BorderedSolver` none.
+    The entries of positions (l, r), one per column, are row ``starts[l,
+    r]`` of ``slices`` less ``bases[l, r]``, so any set of them is one
+    gather of :func:`_window_sums`: a whole-series fit passes its products,
+    an index grid and zero bases, and :class:`_BorderedSolver` its table's
+    slices and each top lag's bounds.  ``rhs`` (horizons, positions,
+    columns) holds each horizon's right-hand sums, and ``horizons`` names
+    its fits as ``(name, first, columns)``: a fit reads the slice
+    ``columns``, and its guard messages give column t as time ``first +
+    t`` unless ``first`` is ``None``.  A positive ``floor`` is a
+    conditioning test on every fit; the whole-series fits pass one, and
+    the prefix fits of :class:`_BorderedSolver` none.
 
     A candidate is a path of positions ``(0, a_1 < a_2 < ...)``, and its
     parent is the path without its last position.  The inverse Cholesky
@@ -454,7 +458,8 @@ class _Bordering:
 
     The unit of the walk is one path: :meth:`descend` borders the factor
     with one lag in eighteen array calls over every column, twenty under a
-    floor (the new lag's cross moments are one gather of four calls; ``c.c``
+    floor (the new lag's cross moments are one gather of four calls: the
+    pairs' starts and bases, their slices and one subtraction; ``c.c``
     and each horizon's ``c.z`` are one contraction), and the guards'
     column-wide verdicts are taken once per path, for every horizon
     (:meth:`_verdict`).  :meth:`descend` and :meth:`fit` run in their
@@ -469,11 +474,12 @@ class _Bordering:
     take about 1 MB.
     """
 
-    def __init__(self, moment: np.ndarray | None, rhs: np.ndarray,
-                 horizons: Sequence[tuple[str, int | None, slice]],
+    def __init__(self, slices: np.ndarray, starts: np.ndarray, bases: np.ndarray,
+                 rhs: np.ndarray, horizons: Sequence[tuple[str, int | None, slice]],
                  floor: float = 0.0) -> None:
         capacity, count = rhs.shape[1:]
-        self.moment, self.rhs, self.horizons = moment, rhs, list(horizons)
+        self.slices, self.starts, self.bases = slices, starts, bases
+        self.rhs, self.horizons = rhs, list(horizons)
         self.factor = np.zeros((capacity, capacity, count))
         # Row 0 is scratch, descend's projection c = U b and then fit's beta;
         # rows 1.. hold z, one per horizon.  descend takes c.c and every c.z
@@ -492,11 +498,9 @@ class _Bordering:
 
     def _gather(self, left: np.ndarray, right: np.ndarray,
                 out: np.ndarray | None = None) -> np.ndarray:
-        """Moment entries of the position pairs ``(left[i], right[i])``, one row
-        per pair, into ``out`` or a new array."""
-        capacity, count = self.rhs.shape[1:]
-        return self.moment.reshape(-1, count).take(left * capacity + right, axis=0, out=out,
-                                                   mode="clip")
+        """Moment entries of the (broadcast) position pairs ``(left, right)``,
+        one row per pair, into ``out`` or a new array (:func:`_window_sums`)."""
+        return _window_sums(self.slices, self.starts[left, right], self.bases[left, right], out)
 
     def walk_to(self, path: tuple[int, ...]) -> None:
         """Descend to ``path`` from the path it shares most with the current
@@ -583,8 +587,7 @@ class _Bordering:
             return beta[:, rows], faults
         work = np.abs(beta)
         work.max(axis=0, out=self.scale)
-        rhs.take(path, axis=0, out=work, mode="clip")
-        np.abs(work, out=work).max(axis=0, out=self.bound)
+        np.abs(rhs[path], out=work).max(axis=0, out=self.bound)
         span = np.zeros_like(self.scale)  # the largest |moment entry| of the path
         for a in range(k + 1):  # the residual, one row of the path's moments at a time
             row = self._gather(path[a], path)
@@ -674,16 +677,12 @@ class _BorderedSolver(_Bordering):
         low -= low == high
         self.table, self.spans, self.uppers = table, list(spans), range(low, high + 1)
         self.lags: tuple[int, ...] = ()
-        self.offsets = self.starts = self.bases = np.empty(0, dtype=np.intp)
-        self.slices = table.slices(len(self.uppers))
+        self.offsets = np.empty(0, dtype=np.intp)
         super().__init__(
-            None, np.zeros((len(spans), capacity, len(self.uppers))),
+            table.slices(len(self.uppers)), self.offsets, self.offsets,
+            np.zeros((len(spans), capacity, len(self.uppers))),
             [(f"sequential direct fit h={hh}", first,
               slice(first - hh - low, last - hh - low + 1)) for hh, first, last in spans])
-
-    def _gather(self, left: np.ndarray, right: np.ndarray,
-                out: np.ndarray | None = None) -> np.ndarray:
-        return _window_sums(self.slices, self.starts[left, right], self.bases[left, right], out)
 
     def load(self, top: int) -> None:
         """Gather the right-hand sums of top lag ``top`` and the table bounds of

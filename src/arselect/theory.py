@@ -53,6 +53,7 @@ from .tolerances import (
     HORIZON_ROWS_CAP,
     STATIONARITY_MARGIN,
     SUBSET_ORDER_CAP,
+    THEORY_WINDOW_CAP,
     TOL_TIE,
     TOL_ZERO,
 )
@@ -354,9 +355,16 @@ def iterate_plugin_coeffs(one_step: np.ndarray, h: int) -> np.ndarray:
     coeffs = np.atleast_1d(np.asarray(one_step, dtype=float))
     out = coeffs
     for _ in range(h - 1):
-        prev = out
-        out = coeffs * prev[..., :1]
-        out[..., :-1] += prev[..., 1:]
+        out = _companion_step(coeffs, out)
+    return out
+
+
+def _companion_step(coeffs: np.ndarray, prev: np.ndarray) -> np.ndarray:
+    """``prev @ A`` for the companion matrix ``A`` of ``coeffs``, each row
+    ``v`` as ``coeffs * v_1`` plus ``v`` shifted one lag down: one product
+    and at most one sum per entry, the nonzero terms of the matrix product."""
+    out = coeffs * prev[..., :1]
+    out[..., :-1] += prev[..., 1:]
     return out
 
 
@@ -416,7 +424,8 @@ def _inputs(model: ArModel, h: int, window: int
     ``Gamma(window)``'s condition guard runs here, once per table: a
     principal submatrix's condition number is no larger, so it covers
     every order and mask on the window and the order-p projection solve.
-    First, a horizon with ``p + h - 1`` past ``HORIZON_ROWS_CAP`` is out of domain.
+    First, a horizon with ``p + h - 1`` past ``HORIZON_ROWS_CAP``, or a
+    window past ``THEORY_WINDOW_CAP``, is out of domain.
     """
     if h < 1:
         raise ValueError("horizon must be >= 1")
@@ -427,6 +436,9 @@ def _inputs(model: ArModel, h: int, window: int
         raise OutOfDomainError(
             f"horizon {h} needs p + h - 1 = {model.order + h - 1} rows, past the "
             f"bound HORIZON_ROWS_CAP = {HORIZON_ROWS_CAP}")
+    if window > THEORY_WINDOW_CAP:
+        raise OutOfDomainError(
+            f"window {window} is past the bound THEORY_WINDOW_CAP = {THEORY_WINDOW_CAP}")
     table = autocovariances(model, h + window - 1)
     _checked_gamma(table, window)
     b = ma_coefficients(model, n_terms=h - 1).b
@@ -448,17 +460,18 @@ def _lagged_covariances(b: np.ndarray, table: AutocovarianceTable, count: int) -
 def _sensitivity(model: ArModel, b: np.ndarray, window: int) -> np.ndarray:
     """``S = sum_{e<h} b_{h-1-e} A^e``, with ``A`` the companion matrix of
     the model's coefficients zero-padded to the window: the transposed
-    Jacobian of the h-step plug-in coefficients in the one-step ones."""
+    Jacobian of the h-step plug-in coefficients in the one-step ones.  Each
+    power is the last one stepped by :func:`_companion_step`, so the sum
+    takes O(h window**2) work."""
     h = b.size
     one_step = np.zeros(window)
     one_step[: model.order] = model.coeffs
-    comp = companion_matrix(one_step)
     power = np.eye(window)
     sensitivity = np.zeros((window, window))
     for exponent in range(h):
         sensitivity += b[h - 1 - exponent] * power
         if exponent < h - 1:
-            power = power @ comp
+            power = _companion_step(one_step, power)
     return sensitivity
 
 

@@ -30,10 +30,18 @@ COND_GUARD = 1e12
 SUBSET_ORDER_CAP = 12
 
 #: Largest ``p + h - 1`` for which the theory constants are formed: their
-#: nested pass takes (p + h - 1)-square matrices and h products of them, so
-#: its time grows as about h**4.  ``loss_table((0.9, -0.81), 255, 4)`` takes
-#: 0.26 s on one 2-core Xeon with one BLAS thread; at h = 1024, 51 s.
+#: nested pass takes (p + h - 1)-square matrices and h companion steps of
+#: them, so its time grows as about h**3.  ``loss_table((0.9, -0.81), 255,
+#: 4)`` takes 0.07 s on one 2-core Xeon with one BLAS thread; at h = 511,
+#: 0.8 s.
 HORIZON_ROWS_CAP = 256
+
+#: Largest lag window for which the theory constants are formed: its
+#: autocovariance matrix takes one condition number (an SVD) and its
+#: Toeplitz index a window-square array.  ``loss_table((0.9, -0.81), 3,
+#: K)`` takes 0.02 s at K = 400, 0.43 s at 1024 and 3.4 s at 2000 (125 MB)
+#: on the same machine.
+THEORY_WINDOW_CAP = 1024
 
 #: Steps drawn and discarded by default after a simulated path's stationary
 #: start; none are needed, since the start already has the stationary law.

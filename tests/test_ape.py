@@ -33,6 +33,15 @@ from conftest import random_stationary_model
 from test_estimation import naive_direct, naive_plugin
 
 
+def dense_bordering(moment, rhs, horizons):
+    """A :class:`_Bordering` over a (positions, positions, columns) moment
+    stack, read as whole-series fits read their products: its k * k entry
+    rows, an index grid and zero bases."""
+    k = moment.shape[0]
+    return _Bordering(moment.reshape(k * k, -1), np.arange(k * k).reshape(k, k),
+                      np.zeros((k, k, 1)), rhs, horizons)
+
+
 def naive_ape(values, h, k, m, method):
     """Full refit from scratch at every step."""
     n = values.size
@@ -392,8 +401,8 @@ class TestOverflow:
         # One lag at two uppers, the first of them prefix time 7, with moment
         # 1e-300 and right-hand sum 1e300: the coefficient 1e600 overflows.
         # The bordering leaves the error scope to its caller, as the walks do.
-        solver = _Bordering(np.full((1, 1, 2), 1e-300), np.full((1, 1, 2), 1e300),
-                            [("sequential direct fit h=1", 7, slice(0, 2))])
+        solver = dense_bordering(np.full((1, 1, 2), 1e-300), np.full((1, 1, 2), 1e300),
+                                 [("sequential direct fit h=1", 7, slice(0, 2))])
         with np.errstate(all="ignore"):
             solver.descend((0,))
             with pytest.raises(SingularMomentError, match="unreliable solve at time 7"):
@@ -410,7 +419,7 @@ class TestOverflow:
         moment = np.repeat(np.array([[[1.0], [1.0 - 2e-11]], [[1.0 - 2e-11], [1.0]]]) * scale,
                            2, axis=2)
         rhs = np.repeat(np.array([[[1.0], [-1.0]]]) * scale, 2, axis=2)
-        solver = _Bordering(moment, rhs, [("sequential direct fit h=1", 7, slice(0, 2))])
+        solver = dense_bordering(moment, rhs, [("sequential direct fit h=1", 7, slice(0, 2))])
         with np.errstate(all="ignore"):
             solver.walk_to((0, 1))
         assert np.isfinite(solver.pivot).all() and (solver.pivot > 0.0).all()

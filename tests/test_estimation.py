@@ -21,7 +21,7 @@ from arselect import (
     simulate,
 )
 from arselect.errors import SingularMomentError, TooFewObservationsError
-from arselect.estimation import _CrossProducts
+from arselect.estimation import _CrossProducts, _fit_rows, _forecast_rows, _order_lags
 from arselect.methods import Method
 
 
@@ -102,6 +102,37 @@ class TestBatchFits:
     def test_too_short_series_rejected(self):
         with pytest.raises(TooFewObservationsError):
             fit_direct(Series(np.arange(5.0) + 1.0), 3, 4)
+
+
+class TestLoneSeries:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_a_series_alone_is_its_row_of_a_block(self, seed):
+        # A lone series is fit next to a copy of its cross products, and a
+        # block (the Monte Carlo loop) fits its rows side by side: every fit
+        # and forecast of the series alone is its row of a block with two
+        # other series, bit for bit.
+        rng = np.random.default_rng(seed)
+        block = np.stack([simulate(ArModel((0.9, -0.81)), 120, seed=seed).series.values,
+                          rng.standard_normal(120) * 10.0 ** rng.integers(-3, 4),
+                          rng.standard_normal(120)])
+        series = Series(block[1])
+        for h in (1, 2, 3):
+            for k in (1, 2, 4):
+                assert fit_direct(series, h, k).tobytes() == \
+                    _fit_rows(block, h, _order_lags(k), k, False)[0][1].tobytes()
+                assert fit_plugin(series, h, k).tobytes() == \
+                    _fit_rows(block, h, _order_lags(k), k, True)[0][1].tobytes()
+            for lags, width in (((1, 3), 3), ((2, 3, 5), 6), ((4,), 4)):
+                assert masked_fit_direct(series, h, lags).tobytes() == \
+                    _fit_rows(block, h, lags, lags[-1], False)[0][1].tobytes()
+                assert masked_fit_plugin(series, h, lags, width).tobytes() == \
+                    _fit_rows(block, h, lags, width, True)[0][1].tobytes()
+            for candidate in (1, 3, (1, 0, 1), (0, 1, 1, 0, 1)):
+                for method in Method:
+                    forecasts, faults = _forecast_rows(block, h, candidate, method)
+                    assert faults == {}
+                    assert np.float64(forecast(series, h, candidate, method)).tobytes() == \
+                        forecasts[1].tobytes()
 
 
 class TestPrediction:

@@ -42,8 +42,9 @@ from arselect.errors import (
 )
 from arselect.methods import Method
 from arselect.montecarlo import _excess_deviations
-from arselect.theory import _all_masks, _check_condition, _toeplitz
-from arselect.tolerances import HORIZON_ROWS_CAP
+from arselect import theory
+from arselect.theory import _all_masks, _check_condition, _sensitivity, _toeplitz
+from arselect.tolerances import HORIZON_ROWS_CAP, THEORY_WINDOW_CAP
 
 from conftest import (
     ILL_CONDITIONED,
@@ -669,6 +670,68 @@ class TestHorizonBound:
         err = capsys.readouterr().err
         assert err == ("error: OutOfDomainError: horizon 100000 needs p + h - 1 = 100000 rows, "
                        "past the bound HORIZON_ROWS_CAP = 256\n")
+
+
+class TestWindowBound:
+    """Gamma(window) takes one condition number and a window-square index, so
+    a window past ``THEORY_WINDOW_CAP`` is out of domain before the
+    autocovariances are formed."""
+
+    def test_both_sides_of_the_bound(self, monkeypatch):
+        assert THEORY_WINDOW_CAP == 1024
+        model = ArModel((0.9, -0.81), 1.0)
+        table = loss_table(model, 3, THEORY_WINDOW_CAP)
+        assert math.isfinite(table.plugin[THEORY_WINDOW_CAP])
+        assert math.isfinite(table.direct[THEORY_WINDOW_CAP])
+
+        def unreachable(*args):
+            raise AssertionError("autocovariances formed past the window bound")
+
+        monkeypatch.setattr(theory, "autocovariances", unreachable)
+        for call in (lambda: loss_table(model, 3, THEORY_WINDOW_CAP + 1),
+                     lambda: loss_table(model, 1, 100000),
+                     lambda: plugin_excess_constant(model, 3, THEORY_WINDOW_CAP + 1),
+                     lambda: direct_excess_constant(model, 3, THEORY_WINDOW_CAP + 1),
+                     lambda: required_masks(model, 3, THEORY_WINDOW_CAP + 1)):
+            with pytest.raises(OutOfDomainError,
+                               match="past the bound THEORY_WINDOW_CAP = 1024$"):
+                call()
+
+    def test_command_line_exits_two(self, capsys):
+        assert main(["theory", "--coeffs=0.5", "--horizon", "1", "--max-order", "100000"]) == 2
+        assert capsys.readouterr().err == (
+            "error: OutOfDomainError: window 100000 is past the bound "
+            "THEORY_WINDOW_CAP = 1024\n")
+
+
+class TestSensitivity:
+    @staticmethod
+    def dense_sum(model, b, window):
+        """``sum_{e<h} b_{h-1-e} A^e`` by dense companion-matrix products,
+        summed in the same order."""
+        h, one_step = b.size, np.zeros(window)
+        one_step[: model.order] = model.coeffs
+        comp, power = companion_matrix(one_step), np.eye(window)
+        total = np.zeros((window, window))
+        for exponent in range(h):
+            total += b[h - 1 - exponent] * power
+            power = power @ comp
+        return total
+
+    def test_companion_steps_are_the_dense_products(self):
+        # Each power of the companion matrix is the last one stepped by one
+        # product and at most one sum per entry, the nonzero terms of the
+        # matrix product, so the sum is the dense one bit for bit, on the
+        # windows the constants take (p + h - 1 rows, and a mask's window).
+        rng = np.random.default_rng(2902)
+        cases = [(random_stationary_model(rng, max_order=5), h) for h in range(1, 9)
+                 for _ in range(6)]
+        cases.append((ArModel((0.9, -0.81)), HORIZON_ROWS_CAP - 1))
+        for model, h in cases:
+            b = ma_coefficients(model, h - 1).b
+            for window in {model.order, model.order + h - 1, model.order + 2}:
+                assert _sensitivity(model, b, window).tobytes() == \
+                    self.dense_sum(model, b, window).tobytes()
 
 
 class TestHorizonVariance:
