@@ -22,9 +22,10 @@ bit, but no ``SeedSequence`` is built per replication: a block's keys are
 hashed at once, by numpy's ``SeedSequence`` algorithm run over arrays, and
 each row's PCG64 generator seeds itself from its row of the hash.
 :func:`_replicate` forms a block's entropy from the key's words and columns
-for the replication and the attempt; any other seeds (a single path,
-:func:`simulate`, is a block of one row) are split into words one by one.
-Both feed the one hash.  A block is scored as arrays: each squared error is
+for the replication and the attempt (:class:`_BlockKeys`); the hash serves
+only those blocks.  A single path, :func:`simulate`, seeds numpy's own
+``np.random.PCG64(seed)``, the generator of ``np.random.default_rng(seed)``.
+A block is scored as arrays: each squared error is
 ``np.float_power(error, 2.0)``, which rounds as a scalar ``error ** 2``.
 """
 
@@ -145,7 +146,9 @@ class _BlockKeys(Sequence):
         return (*self.key, int(self.reps[row]), self.attempt)
 
     def entropy(self) -> tuple[np.ndarray, np.ndarray]:
-        """:func:`_entropy` of the keys: a ``rep`` of 2**32 or more takes two
+        """(width, rows) 32-bit entropy words of the keys, each row's
+        zero-padded to the widest (four at least: ``SeedSequence``'s pool),
+        and each row's word count.  A ``rep`` of 2**32 or more takes two
         words, which moves its row's ``attempt`` one word on."""
         k, reps = len(self.words), np.asarray(self.reps, dtype=np.uint64)
         wide = reps > _MASK32
@@ -157,20 +160,6 @@ class _BlockKeys(Sequence):
         if wide.any():
             entropy[k + 2] = np.where(wide, self.attempt, 0)
         return entropy, lengths
-
-
-def _entropy(seeds: Sequence) -> tuple[np.ndarray, np.ndarray]:
-    """(width, seeds) 32-bit entropy words, each seed's zero-padded to the
-    widest (four at least: ``SeedSequence``'s pool), and each seed's word
-    count.  A ``None`` seed takes fresh entropy."""
-    if isinstance(seeds, _BlockKeys):
-        return seeds.entropy()
-    words = [_entropy_words(np.random.SeedSequence().entropy if seed is None else seed)
-             for seed in seeds]
-    width = max([4, *map(len, words)])
-    entropy = np.array([row + [0] * (width - len(row)) for row in words],
-                       dtype=np.uint32).reshape(len(words), width).T
-    return entropy, np.array([len(row) for row in words])
 
 
 @functools.cache
@@ -216,19 +205,19 @@ def _cascade_constants() -> np.ndarray:
     return out
 
 
-def _seed_words(seeds: Sequence) -> np.ndarray:
-    """(seeds, 4) C-contiguous: the 64-bit words
-    ``SeedSequence(seed).generate_state(4, np.uint64)`` of each seed, which
-    PCG64 seeds itself from, hashed as one block.
+def _seed_words(keys: _BlockKeys) -> np.ndarray:
+    """(keys, 4) C-contiguous: the 64-bit words
+    ``SeedSequence(key).generate_state(4, np.uint64)`` of each key of a
+    block, which PCG64 seeds itself from, hashed as one block.
 
-    This is numpy's documented ``SeedSequence`` mix run over every seed at
+    This is numpy's documented ``SeedSequence`` mix run over every key at
     once: the hash multipliers depend only on a word's position, so each
-    step is one array operation over the seeds.  A pool word is mixed into
+    step is one array operation over the keys.  A pool word is mixed into
     the three others in one step over the whole pool, which then keeps the
-    source word.  Words past the pool are mixed only into the seeds that
-    have them (a zero word past a seed's own is not padding).
+    source word.  Words past the pool are mixed only into the keys that
+    have them (a zero word past a key's own is not padding).
     """
-    entropy, lengths = _entropy(seeds)
+    entropy, lengths = keys.entropy()
     width = len(entropy)
     consts = _hash_constants(_INIT_A, _MULT_A, 4 * width)
     pool = _hashmix(entropy[:4], consts[:5])
@@ -271,32 +260,26 @@ def _hashed_seed() -> type:
 
 def _bit_generators(seeds: Sequence) -> list:
     """One ``np.random.PCG64`` per seed, in the state of
-    ``np.random.default_rng(seed)``'s, seeded from its row of
-    :func:`_seed_words`."""
+    ``np.random.default_rng(seed)``'s: a block's keys (:class:`_BlockKeys`)
+    seed theirs from their rows of :func:`_seed_words`, and any other seed
+    (a lone path's) is numpy's own ``np.random.PCG64(seed)``."""
+    if not isinstance(seeds, _BlockKeys):
+        return [np.random.PCG64(seed) for seed in seeds]
     hashed_seed = _hashed_seed()
     return [np.random.PCG64(hashed_seed(words)) for words in _seed_words(seeds)]
-
-
-def _pcg64_states(seeds: Sequence) -> list[dict]:
-    """The ``bit_generator.state`` of ``np.random.default_rng(seed)`` for each
-    seed: the state :func:`_draw_innovations` draws that seed's row from."""
-    return [bit_generator.state for bit_generator in _bit_generators(seeds)]
 
 
 def _draw_innovations(seeds: Sequence, size: int, start: int, sigma2: float, dist: str,
                       df: float | None) -> np.ndarray:
     """(len(seeds), size + start) draws, row r from the substream ``seeds[r]``:
-    ``size`` innovations, then ``start`` standard normals for the pre-sample
-    state.
+    ``size`` innovations of variance ``sigma2``, then ``start`` standard
+    normals for the pre-sample state.
 
     The innovations come first, so they do not depend on ``start``.  Each
-    row draws from its own generator, seeded from the block's one hash
-    (:func:`_bit_generators`), so the rows are those of
-    ``np.random.default_rng(seed)``.  A zero ``sigma2`` draws nothing and
-    returns zeros.
+    row draws from its own generator (:func:`_bit_generators`), so the rows
+    are those of ``np.random.default_rng(seed)``.  ``df`` is the student-t
+    degrees of freedom, which no other law takes.
     """
-    if sigma2 == 0.0:
-        return np.zeros((len(seeds), size + start))
     bit_generators = _bit_generators(seeds)
     scale = math.sqrt(sigma2)
     if dist == "uniform":
@@ -313,6 +296,8 @@ def _draw_innovations(seeds: Sequence, size: int, start: int, sigma2: float, dis
         scale *= math.sqrt((dof - 2.0) / dof)
     elif dist != "normal":
         raise ValueError(f"unknown innovation distribution {dist!r}")
+    if df is not None and dist != "student-t":
+        raise OutOfDomainError(f"{dist} innovations take no degrees of freedom, got df = {df}")
     draws = np.empty((len(seeds), size + start))
     for row, bit_generator in zip(draws, bit_generators):
         rng = np.random.Generator(bit_generator)
@@ -364,46 +349,44 @@ def _unit_start_factor(coeffs: bytes) -> np.ndarray:
     return factor
 
 
-def _start_factor(model: ArModel, sigma2: float) -> np.ndarray:
+def _start_factor(model: ArModel) -> np.ndarray:
     """(p, p) F such that ``z @ F``, for p standard normals z, is the
     ``lfilter`` state of a pre-sample drawn from N(0, Gamma_p): the
-    pre-sample :func:`_stationary_root` draws, scaled by ``sqrt(sigma2)``,
-    times the Hankel matrix ``H[m, i] = a_{i+m+1}`` (zero past a_p).  The
-    product of the last two is cached by the coefficients' bytes
-    (:func:`_unit_start_factor`), and each call scales it by
+    pre-sample :func:`_stationary_root` draws, scaled by the model's
+    ``sqrt(sigma2)``, times the Hankel matrix ``H[m, i] = a_{i+m+1}`` (zero
+    past a_p).  The product of the last two is cached by the coefficients'
+    bytes (:func:`_unit_start_factor`), and each call scales it by
     ``sqrt(sigma2)``, the last operation of forming it anew.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        factor = math.sqrt(sigma2) * _unit_start_factor(model.coeffs.tobytes())
+        factor = math.sqrt(model.sigma2) * _unit_start_factor(model.coeffs.tobytes())
     if not np.isfinite(factor).all():
         raise OutOfDomainError("the stationary law of the model is out of "
-                               f"floating-point range at sigma2 = {sigma2!r}")
+                               f"floating-point range at sigma2 = {model.sigma2!r}")
     return factor
 
 
 def _draw_rows(model: ArModel, n: int, seeds: Sequence, burn_in: int,
-               dist: str, df: float | None, sigma2: float | None = None,
+               dist: str, df: float | None,
                factor: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """(paths, innovations), each (len(seeds), n): one path per seed, from a
     stationary start, filtered as one block, with the burn-in dropped.
 
-    Seed ``s`` draws ``burn_in + n`` innovations, then ``p`` standard normals
-    for its start (see :func:`_draw_innovations`).  ``factor`` is
-    :func:`_start_factor` of the model and variance, if already known.
+    Seed ``s`` draws ``burn_in + n`` innovations of the model's variance,
+    then ``p`` standard normals for its start, from its own generator (see
+    :func:`_draw_innovations`).  ``factor`` is :func:`_start_factor` of the
+    model, if already known.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if burn_in < 0:
         raise ValueError("burn_in must be >= 0")
-    variance = model.sigma2 if sigma2 is None else float(sigma2)
-    if variance < 0.0:
-        raise ValueError("sigma2 override must be >= 0")
     if factor is None:
-        factor = _start_factor(model, variance)
+        factor = _start_factor(model)
     from scipy.signal import lfilter  # deferred: loads SciPy on first use
 
     size, p = burn_in + n, model.order
-    draws = _draw_innovations(seeds, size, p, variance, dist, df)
+    draws = _draw_innovations(seeds, size, p, model.sigma2, dist, df)
     eps, start = draws[:, :size], draws[:, size:]
     denom = np.concatenate(([1.0], -model.coeffs))
     # zi = start @ factor, one term at a time: a matrix product could round
@@ -420,18 +403,18 @@ def _draw_rows(model: ArModel, n: int, seeds: Sequence, burn_in: int,
 
 
 def simulate(model: ArModel, n: int, seed, burn_in: int = DEFAULT_BURN_IN,
-             dist: str = "normal", df: float | None = None,
-             sigma2: float | None = None) -> SimPath:
+             dist: str = "normal", df: float | None = None) -> SimPath:
     """Simulate ``n`` observations of the stationary model.
 
     The pre-sample state ``(x_0, ..., x_{1-p})`` is drawn from N(0, Gamma_p),
     so the path is stationary from its first value: exactly for Gaussian
     innovations, to second order for uniform and t ones.  ``burn_in``
-    further steps are drawn and dropped (none by default).  ``sigma2``
-    overrides the model's innovation variance (zero gives the zero path).
-    Identical arguments give identical paths.
+    further steps are drawn and dropped (none by default).  The draws are
+    those of ``np.random.default_rng(seed)``, so ``seed`` is any seed numpy
+    takes, and identical arguments give identical paths; ``df`` is for
+    ``dist="student-t"`` only.
     """
-    paths, eps = _draw_rows(model, n, [seed], burn_in, dist, df, sigma2)
+    paths, eps = _draw_rows(model, n, [seed], burn_in, dist, df)
     return SimPath(series=Series(paths[0]), innovations=eps[0].copy(),
                    seed=seed, burn_in=burn_in)
 
@@ -469,7 +452,7 @@ def _replicate(model: ArModel, length: int, reps: int, key: tuple, score,
     if burn_in < 0:
         raise ValueError("burn_in must be >= 0")
     rows = max(1, _BLOCK_ELEMENTS // (burn_in + length))
-    factor = _start_factor(model, model.sigma2)
+    factor = _start_factor(model)
     words = _entropy_words(key)
     for lo in range(0, reps, rows):
         todo, redraws = np.arange(lo, min(lo + rows, reps)), 0

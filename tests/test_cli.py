@@ -494,6 +494,17 @@ class TestExitCodes:
         assert code == 2
         assert "degrees of freedom" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dist", [[], ["--dist", "uniform"]])
+    def test_degrees_of_freedom_without_student_t(self, tmp_path, capsys, dist):
+        output = tmp_path / "z.csv"
+        code = run_cli("simulate", "--coeffs=0.5", "--n", "5", "--seed", "1", "--df", "5",
+                       *dist, "--output", str(output))
+        assert code == 2
+        law = dist[1] if dist else "normal"
+        assert (f"OutOfDomainError: {law} innovations take no degrees of freedom, got df = 5.0"
+                in capsys.readouterr().err)
+        assert not output.exists()
+
     def test_missing_seed_is_a_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             run_cli("simulate", "--coeffs", "0.5", "--n", "50",

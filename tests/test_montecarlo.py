@@ -57,11 +57,6 @@ class TestSimulate:
         rebuilt = eps[2:] + (0.9 * x[1:-1] + (-0.81) * x[:-2])
         assert np.array_equal(x[2:], rebuilt)
 
-    def test_zero_variance_gives_zero_path(self):
-        sim = simulate(MODEL, 50, seed=1, sigma2=0.0)
-        assert np.all(sim.series.values == 0.0)
-        assert np.all(sim.innovations == 0.0)
-
     def test_marginal_moments_match_theory(self):
         sim = simulate(ArModel((0.6,), 1.0), 40000, seed=8)
         x = sim.series.values
@@ -78,6 +73,17 @@ class TestSimulate:
         assert abs(np.var(tdist.innovations) - 1.0) < 0.05
         with pytest.raises(OutOfDomainError):
             simulate(MODEL, 100, seed=2, dist="student-t", df=6)
+
+    @pytest.mark.parametrize("dist", ["normal", "uniform"])
+    @pytest.mark.parametrize("df", [5.0, 12.0, float("inf")])
+    def test_degrees_of_freedom_are_for_student_t_only(self, dist, df):
+        message = f"{dist} innovations take no degrees of freedom, got df = {df}"
+        with pytest.raises(OutOfDomainError, match=message):
+            simulate(MODEL, 20, seed=1, dist=dist, df=df)
+        with pytest.raises(OutOfDomainError, match=message):
+            mc_mspe(MODEL, 3, 2, Method.PLUGIN, 60, 4, 1, dist=dist, df=df)
+        with pytest.raises(OutOfDomainError, match=message):
+            arselect.montecarlo._draw_innovations([1], 20, 2, 1.0, dist, df)
 
     @pytest.mark.parametrize("sigma2", [1e-315, 1e-300, 0.7, 1.0, 2.5, 1e300, 5.9e307])
     def test_uniform_half_width_is_sqrt_three_sigma2(self, sigma2):
@@ -164,17 +170,14 @@ class TestStationaryStart:
         assert unit(first.coeffs.tobytes()) is unit(second.coeffs.tobytes())
         root = arselect.montecarlo._stationary_root(first.coeffs)
         hankel = np.array([[0.9, -0.81], [-0.81, 0.0]])
-        assert np.array_equal(arselect.montecarlo._start_factor(second, 2.5),
+        assert np.array_equal(arselect.montecarlo._start_factor(second),
                               math.sqrt(2.5) * (root @ hankel))
-        digests = [hashlib.sha256(simulate(model, 200, seed=3, sigma2=sigma2)
-                                  .series.values.tobytes()).hexdigest()[:16]
-                   for model, sigma2 in ((first, None), (second, None), (first, 2.5),
-                                         (first, 1e-300))]
+        digests = [hashlib.sha256(simulate(model, 200, seed=3).series.values.tobytes())
+                   .hexdigest()[:16]
+                   for model in (first, second, ArModel(first.coeffs, 2.5),
+                                 ArModel(first.coeffs, 1e-300))]
         assert digests == ["b8ff4b71b6fbf49a", "69aa565983a091df", "69aa565983a091df",
                            "e0a6e3ee4e3cf8d7"]
-
-    def test_zero_variance_keeps_a_zero_start(self):
-        assert not simulate(ArModel((0.999,)), 30, seed=1, sigma2=0.0).series.values.any()
 
 
 class TestMcMspe:
@@ -445,34 +448,53 @@ def default_rng_draws(seeds, size, start, sigma2, dist, df):
     return np.array(rows)
 
 
-#: Seeds of 1, 2, 3, 4, 5, 7 and 8 entropy words; a key (seed, r, attempt)
-#: adds two, so the keys below span widths 1 to 10.
+#: Seeds of 1, 2, 3, 4, 5, 7 and 8 entropy words.
 WIDE_SEEDS = [0, 2**32 - 1, 2**32, 2**64 + 7, 2**96 + 1, 2**128 + 5, 2**200 + 3, 2**224]
-WIDE_KEYS = [key for seed in WIDE_SEEDS
-             for key in [seed, (seed,), *product([seed], (0, 3), range(4))]]
+#: Replications of one and two words, so the attempt sits at two positions.
+WIDE_REPS = [0, 5, 2**32 - 1, 2**32, 2**40 + 3]
+
+
+def block_keys(key, attempt, reps=WIDE_REPS):
+    """The block of keys ``(*key, rep, attempt)`` that :func:`_replicate` draws."""
+    return arselect.montecarlo._BlockKeys(
+        key, arselect.montecarlo._entropy_words(key), np.array(reps), attempt)
+
+
+#: Blocks over the keys (seed,) and (seed, 1): keys of 1 to 9 words, and
+#: with the replication and the attempt, entropy widths 3 to 12.
+WIDE_BLOCKS = [block_keys(key, attempt) for seed in WIDE_SEEDS
+               for key, attempt in product([(seed,), (seed, 1)], (0, 3))]
 
 
 class TestBlockSeeding:
     """A block's substreams are hashed at once and drawn from one generator:
     every row is still the stream of ``np.random.default_rng(seed)``."""
 
-    def test_keys_span_entropy_widths_one_to_nine(self):
-        widths = {len(arselect.montecarlo._entropy_words(key)) for key in WIDE_KEYS}
-        assert widths >= set(range(1, 10))
+    def test_blocks_span_entropy_widths_three_to_twelve(self):
+        widths = set()
+        for block in WIDE_BLOCKS:
+            lengths = block.entropy()[1].tolist()
+            assert lengths == [len(arselect.montecarlo._entropy_words(key)) for key in block]
+            widths.update(lengths)
+        assert widths == set(range(3, 13))
 
     @pytest.mark.parametrize("dist, df", [("normal", None), ("uniform", None),
                                           ("student-t", 9.5), ("student-t", None)])
     @pytest.mark.parametrize("sigma2", [0.3, 1.0, 1e300])
     def test_rows_are_the_default_rng_streams(self, dist, df, sigma2):
-        # One block mixes every width, so rows past the pool are masked apart.
-        got = arselect.montecarlo._draw_innovations(WIDE_KEYS, 40, 3, sigma2, dist, df)
-        want = default_rng_draws(WIDE_KEYS, 40, 3, sigma2, dist, df)
-        assert got.tobytes() == want.tobytes()
+        # Each block mixes two widths, so rows past the pool are masked apart.
+        for block in WIDE_BLOCKS:
+            got = arselect.montecarlo._draw_innovations(block, 40, 3, sigma2, dist, df)
+            want = default_rng_draws(block, 40, 3, sigma2, dist, df)
+            assert got.tobytes() == want.tobytes()
 
     def test_states_are_the_default_rng_states(self):
-        keys = [*WIDE_KEYS, (), [1, [2, 3]], np.int64(7), (np.uint32(3), 2**40), (True, 3)]
-        for key, state in zip(keys, arselect.montecarlo._pcg64_states(keys)):
-            assert state == np.random.default_rng(key).bit_generator.state, key
+        odd = [block_keys((seed,), 1) for seed in
+               [(), [1, [2, 3]], np.int64(7), (np.uint32(3), 2**40), (True, 3)]]
+        for block in [*WIDE_BLOCKS, *odd]:
+            states = [g.state for g in arselect.montecarlo._bit_generators(block)]
+            assert states == [np.random.default_rng(key).bit_generator.state
+                              for key in block], block.key
 
     def test_an_integer_seed_is_its_one_element_key(self):
         for dist in ("normal", "uniform"):
@@ -512,6 +534,40 @@ class TestBlockSeeding:
         assert got[2:] == want[2:]
 
 
+class TestLoneSeeding:
+    """A lone path seeds numpy's own ``np.random.PCG64(seed)``: the block hash
+    serves only :func:`_replicate`'s blocks."""
+
+    @pytest.mark.parametrize("dist, df", [("normal", None), ("uniform", None),
+                                          ("student-t", 9.5)])
+    def test_a_lone_path_is_its_default_rng_draws(self, dist, df, monkeypatch):
+        model, seeds, hashed = ArModel((0.9, -0.81), 2.5), [*WIDE_SEEDS, (3, 1)], []
+        seed_words = arselect.montecarlo._seed_words
+
+        def spy(keys):
+            hashed.append(keys)
+            return seed_words(keys)
+
+        monkeypatch.setattr(arselect.montecarlo, "_seed_words", spy)
+        got = [simulate(model, 50, seed, 7, dist, df) for seed in seeds]
+        assert hashed == []
+        mc_mspe(model, 1, 1, Method.PLUGIN, 20, 2, 1, dist=dist, df=df)
+        assert len(hashed) == 1  # the spy sees a block's hash
+        monkeypatch.setattr(arselect.montecarlo, "_draw_innovations", default_rng_draws)
+        for seed, path in zip(seeds, got):
+            want = simulate(model, 50, seed, 7, dist, df)
+            assert path.series.values.tobytes() == want.series.values.tobytes(), seed
+            assert path.innovations.tobytes() == want.innovations.tobytes(), seed
+
+    @pytest.mark.parametrize("seed, error, match", [
+        (1.5, TypeError, None), (np.float64(2.0), TypeError, None), ((3, 2.5), TypeError, None),
+        ("7", TypeError, None), (-1, ValueError, "^expected non-negative integer$"),
+        ((3, -1), ValueError, "^expected non-negative integer$")])
+    def test_bad_seeds_keep_their_errors(self, seed, error, match):
+        with pytest.raises(error, match=match):
+            simulate(MODEL, 20, seed)
+
+
 class TestBlockKeys:
     """A block's keys ``(*key, rep, attempt)`` hash from the key's words and
     columns for the replication and the attempt, formed as arrays."""
@@ -520,13 +576,11 @@ class TestBlockKeys:
     def test_states_are_the_default_rng_states(self, seed):
         # reps of one and two words share each block, so the attempt sits at
         # two positions and rows past the pool are masked apart.
-        reps = [0, 5, 2**32 - 1, 2**32, 2**40 + 3]
         for key, attempt in product([(seed,), (seed, 1)], range(4)):
-            block = arselect.montecarlo._BlockKeys(
-                key, arselect.montecarlo._entropy_words(key), np.array(reps), attempt)
-            assert list(block) == [(*key, rep, attempt) for rep in reps]
-            for rep, state in zip(reps, arselect.montecarlo._pcg64_states(block)):
-                assert state == np.random.default_rng((*key, rep, attempt)).bit_generator.state
+            block = block_keys(key, attempt)
+            assert list(block) == [(*key, rep, attempt) for rep in WIDE_REPS]
+            for rep, g in zip(WIDE_REPS, arselect.montecarlo._bit_generators(block)):
+                assert g.state == np.random.default_rng((*key, rep, attempt)).bit_generator.state
 
 
 class TestSquares:
