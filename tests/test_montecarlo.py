@@ -454,10 +454,11 @@ WIDE_SEEDS = [0, 2**32 - 1, 2**32, 2**64 + 7, 2**96 + 1, 2**128 + 5, 2**200 + 3,
 WIDE_REPS = [0, 5, 2**32 - 1, 2**32, 2**40 + 3]
 
 
-def block_keys(key, attempt, reps=WIDE_REPS):
-    """The block of keys ``(*key, rep, attempt)`` that :func:`_replicate` draws."""
+def block_keys(key, attempt):
+    """The block of keys ``(*key, rep, attempt)``, rep in ``WIDE_REPS``, that
+    :func:`_replicate` draws."""
     return arselect.montecarlo._BlockKeys(
-        key, arselect.montecarlo._entropy_words(key), np.array(reps), attempt)
+        key, arselect.montecarlo._entropy_words(key), np.array(WIDE_REPS), attempt)
 
 
 #: Blocks over the keys (seed,) and (seed, 1): keys of 1 to 9 words, and
